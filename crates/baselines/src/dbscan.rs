@@ -89,7 +89,9 @@ impl Dbscan {
                 let pc = store.point(p);
                 let mut count = 0usize;
                 'search: for off in offsets.iter() {
-                    let ncell = NeighborOffsets::apply(cell, off);
+                    let Some(ncell) = NeighborOffsets::apply(cell, off) else {
+                        continue;
+                    };
                     let Some(qs) = grid.points_in(&ncell) else {
                         continue;
                     };
@@ -114,7 +116,9 @@ impl Dbscan {
             let cell = grid.cell_for(pc);
             let mut out = Vec::new();
             for off in offsets.iter() {
-                let ncell = NeighborOffsets::apply(&cell, off);
+                let Some(ncell) = NeighborOffsets::apply(&cell, off) else {
+                    continue;
+                };
                 if let Some(qs) = grid.points_in(&ncell) {
                     for &q in qs {
                         if within(pc, store.point(q), eps_sq) {

@@ -188,7 +188,9 @@ impl RpDbscan {
                     let cell = parent_cell(sub, m);
                     let mut count: usize = 0;
                     'offsets: for off in offsets.iter() {
-                        let ncell = NeighborOffsets::apply(&cell, off);
+                        let Some(ncell) = NeighborOffsets::apply(&cell, off) else {
+                            continue;
+                        };
                         let Some(subs) = dict.get(&ncell) else {
                             continue;
                         };
@@ -232,7 +234,9 @@ impl RpDbscan {
         let mut uf = UnionFind::new(core_cells.len());
         for (i, cell) in core_cells.iter().enumerate() {
             for off in offsets.iter() {
-                let ncell = NeighborOffsets::apply(cell, off);
+                let Some(ncell) = NeighborOffsets::apply(cell, off) else {
+                    continue;
+                };
                 let Some(&j) = cell_index.get(&ncell) else {
                     continue;
                 };
@@ -267,7 +271,9 @@ impl RpDbscan {
                 let own_sub = cell_of(p, sub_side);
                 let cell = cell_of(p, side);
                 for off in offsets.iter() {
-                    let ncell = NeighborOffsets::apply(&cell, off);
+                    let Some(ncell) = NeighborOffsets::apply(&cell, off) else {
+                        continue;
+                    };
                     let Some(subs) = core_bcast.get(&ncell) else {
                         continue;
                     };

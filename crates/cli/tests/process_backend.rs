@@ -18,6 +18,7 @@
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
+use std::sync::OnceLock;
 
 use dbscout_telemetry::json::parse;
 use dbscout_telemetry::strip_timing_lines;
@@ -57,28 +58,36 @@ fn dbscout_ok(args: &[&str], envs: &[(&str, &str)]) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
-/// Generates the shared binary dataset once per test binary.
+/// Generates the shared binary dataset once per test binary. Tests run
+/// in parallel threads, so the first caller generates while the others
+/// wait, and the file appears under its final name only when complete.
 fn dataset() -> PathBuf {
-    let data = tmp("chaos.dbsc");
-    if !data.exists() {
-        dbscout_ok(
-            &[
-                "generate",
-                "--dataset",
-                "blobs",
-                "--n",
-                "4000",
-                "--seed",
-                "11",
-                "--output",
-                data.to_str().unwrap(),
-                "--format",
-                "binary",
-            ],
-            &[],
-        );
-    }
-    data
+    static DATA: OnceLock<PathBuf> = OnceLock::new();
+    DATA.get_or_init(|| {
+        let data = tmp("chaos.dbsc");
+        if !data.exists() {
+            let partial = tmp(&format!("chaos.dbsc.{}.partial", std::process::id()));
+            dbscout_ok(
+                &[
+                    "generate",
+                    "--dataset",
+                    "blobs",
+                    "--n",
+                    "4000",
+                    "--seed",
+                    "11",
+                    "--output",
+                    partial.to_str().unwrap(),
+                    "--format",
+                    "binary",
+                ],
+                &[],
+            );
+            std::fs::rename(&partial, &data).unwrap();
+        }
+        data
+    })
+    .clone()
 }
 
 const EPS: &str = "0.6";
@@ -103,11 +112,18 @@ fn detect_to(data: &Path, out_csv: &Path, backend_args: &[&str], envs: &[(&str, 
     dbscout_ok(&args, envs)
 }
 
-/// The in-process reference labels (computed once, compared by bytes).
+/// The in-process reference labels (computed once per test binary,
+/// compared by bytes). Concurrent tests must not share the file while it
+/// is written, so one caller computes it and the rest reuse the bytes.
 fn reference_labels(data: &Path) -> Vec<u8> {
-    let out = tmp("labels-reference.csv");
-    detect_to(data, &out, &[], &[]);
-    std::fs::read(&out).unwrap()
+    static REFERENCE: OnceLock<Vec<u8>> = OnceLock::new();
+    REFERENCE
+        .get_or_init(|| {
+            let out = tmp("labels-reference.csv");
+            detect_to(data, &out, &[], &[]);
+            std::fs::read(&out).unwrap()
+        })
+        .clone()
 }
 
 #[test]

@@ -111,7 +111,7 @@ impl CellMap {
     pub fn neighbors<'a>(&'a self, cell: &'a CellCoord) -> impl Iterator<Item = CellCoord> + 'a {
         self.offsets
             .iter()
-            .map(move |o| NeighborOffsets::apply(cell, o))
+            .filter_map(move |o| NeighborOffsets::apply(cell, o))
             .filter(|n| self.types.contains_key(n))
     }
 
@@ -122,7 +122,7 @@ impl CellMap {
     ) -> impl Iterator<Item = CellCoord> + 'a {
         self.offsets
             .iter()
-            .map(move |o| NeighborOffsets::apply(cell, o))
+            .filter_map(move |o| NeighborOffsets::apply(cell, o))
             .filter(|n| self.is_core(n))
     }
 

@@ -181,7 +181,9 @@ impl CellMajorEngine {
         let eps_sq = self.params.eps_sq();
         let mut slots: Vec<u32> = Vec::new();
         for off in self.offsets.iter() {
-            let ncoord = NeighborOffsets::apply(&coord, off);
+            let Some(ncoord) = NeighborOffsets::apply(&coord, off) else {
+                continue;
+            };
             let store = self.mstore.store();
             let Some(ci) = store.cell_index(&ncoord) else {
                 continue;

@@ -167,7 +167,9 @@ impl HashedEngine {
         let mut my_count = 1u32; // self
         let mut newly_core: Vec<PointId> = Vec::new();
         for off in self.offsets.iter() {
-            let ncell = NeighborOffsets::apply(&cell, off);
+            let Some(ncell) = NeighborOffsets::apply(&cell, off) else {
+                continue;
+            };
             let Some(ids) = self.cells.get(&ncell) else {
                 continue;
             };
@@ -213,7 +215,9 @@ impl HashedEngine {
                 (cell_of(p, self.side), p.to_vec())
             };
             for off in self.offsets.iter() {
-                let ncell = NeighborOffsets::apply(&ccell, off);
+                let Some(ncell) = NeighborOffsets::apply(&ccell, off) else {
+                    continue;
+                };
                 let Some(ids) = self.cells.get(&ncell) else {
                     continue;
                 };
@@ -266,7 +270,9 @@ impl HashedEngine {
             lost_cores.push(id);
         }
         for off in self.offsets.iter() {
-            let ncell = NeighborOffsets::apply(&cell, off);
+            let Some(ncell) = NeighborOffsets::apply(&cell, off) else {
+                continue;
+            };
             let Some(ids) = self.cells.get(&ncell) else {
                 continue;
             };
@@ -306,7 +312,9 @@ impl HashedEngine {
             let cpoint = self.store.point(c).to_vec();
             let ccell = cell_of(&cpoint, self.side);
             for off in self.offsets.iter() {
-                let ncell = NeighborOffsets::apply(&ccell, off);
+                let Some(ncell) = NeighborOffsets::apply(&ccell, off) else {
+                    continue;
+                };
                 let Some(ids) = self.cells.get(&ncell) else {
                     continue;
                 };
@@ -352,7 +360,9 @@ impl HashedEngine {
         let mut count = 1u32; // the probe point itself
         let mut covered = false;
         for off in self.offsets.iter() {
-            let ncell = NeighborOffsets::apply(&cell, off);
+            let Some(ncell) = NeighborOffsets::apply(&cell, off) else {
+                continue;
+            };
             let Some(ids) = self.cells.get(&ncell) else {
                 continue;
             };
@@ -382,7 +392,9 @@ impl HashedEngine {
     fn covered_by_core(&mut self, point: &[f64], cell: &CellCoord) -> bool {
         let eps_sq = self.params.eps_sq();
         for off in self.offsets.iter() {
-            let ncell = NeighborOffsets::apply(cell, off);
+            let Some(ncell) = NeighborOffsets::apply(cell, off) else {
+                continue;
+            };
             let Some(ids) = self.cells.get(&ncell) else {
                 continue;
             };

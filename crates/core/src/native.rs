@@ -635,7 +635,8 @@ impl Dbscout {
         let mut core_slot = vec![false; n];
         let mut kernel = KernelCounters::new();
         let mut promotions: Vec<u32> = Vec::new();
-        for (core, promoted, kc) in phase3 {
+        for task in phase3 {
+            let (core, promoted, kc) = task?;
             for slot in core {
                 if let Some(s) = core_slot.get_mut(slot as usize) {
                     *s = true;
@@ -693,7 +694,8 @@ impl Dbscout {
                 }
             }
         }
-        for (outliers, kc) in phase5 {
+        for task in phase5 {
+            let (outliers, kc) = task?;
             for slot in outliers {
                 if let Some(l) = ids
                     .get(slot as usize)
@@ -730,6 +732,15 @@ impl Dbscout {
 /// ranges sums to the same totals. The same holds for `kernel`: the
 /// unrolled kernels tally exactly the comparisons the scalar loop
 /// makes, so counter totals are kernel-invariant too.
+///
+/// Neighbor cells come from a [`dbscout_spatial::NeighborSweep`] started
+/// afresh for this range, so the list for a cell does not depend on
+/// which task, attempt or worker resolves it.
+///
+/// # Errors
+///
+/// [`SpatialError::UnsortedCells`] if `cm`'s cell table is not sorted,
+/// which no batch build produces.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn core_points_in_range(
     cm: &CellMajorStore,
@@ -741,7 +752,8 @@ pub(crate) fn core_points_in_range(
     kernel: KernelKind,
     range: std::ops::Range<usize>,
     scratch: &mut CellScratch,
-) -> (Vec<u32>, Vec<u32>, KernelCounters) {
+) -> std::result::Result<(Vec<u32>, Vec<u32>, KernelCounters), SpatialError> {
+    let mut sweep = cm.neighbor_sweep(offsets)?;
     let mut core: Vec<u32> = Vec::new();
     let mut promoted: Vec<u32> = Vec::new();
     let mut counters = KernelCounters::new();
@@ -753,7 +765,7 @@ pub(crate) fn core_points_in_range(
             core.extend(rec.start..rec.end);
             continue;
         }
-        cm.neighbors_into(idx, offsets, Some(eps_sq), &mut scratch.neighbors);
+        sweep.neighbors_into(idx, Some(eps_sq), &mut scratch.neighbors);
         let mut any_core = false;
         for slot in rec.range() {
             cm.point_into(slot, &mut scratch.q);
@@ -791,14 +803,14 @@ pub(crate) fn core_points_in_range(
             promoted.push(idx as u32);
         }
     }
-    (core, promoted, counters)
+    Ok((core, promoted, counters))
 }
 
 /// The phase-5 kernel over one contiguous cell range: finds the outlier
 /// *slots* among points of non-core cells in `range` (Algorithm 5),
 /// given the global core-slot bitmap, plus the kernel work counters
 /// spent. Shared by both backends exactly like
-/// [`core_points_in_range`].
+/// [`core_points_in_range`], and fails the same way.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn outliers_in_range(
     cm: &CellMajorStore,
@@ -810,7 +822,8 @@ pub(crate) fn outliers_in_range(
     core_slot: &[bool],
     range: std::ops::Range<usize>,
     scratch: &mut CellScratch,
-) -> (Vec<u32>, KernelCounters) {
+) -> std::result::Result<(Vec<u32>, KernelCounters), SpatialError> {
+    let mut sweep = cm.neighbor_sweep(offsets)?;
     let mut outliers: Vec<u32> = Vec::new();
     let mut counters = KernelCounters::new();
     for idx in range {
@@ -820,7 +833,7 @@ pub(crate) fn outliers_in_range(
         }
         let Some(rec) = cm.cell(idx) else { continue };
         counters.cells_visited += 1;
-        cm.neighbors_into(idx, offsets, Some(eps_sq), &mut scratch.neighbors);
+        sweep.neighbors_into(idx, Some(eps_sq), &mut scratch.neighbors);
         scratch
             .neighbors
             .retain(|&nidx| flags.is_core(nidx as usize));
@@ -865,12 +878,13 @@ pub(crate) fn outliers_in_range(
             }
         }
     }
-    (outliers, counters)
+    Ok((outliers, counters))
 }
 
 /// Per-worker reusable scratch of the cell-major phases: the resolved
 /// neighbor-cell list and the gathered query point. Built once per worker
-/// by [`run_tasks_with`]; cleared by the kernels on use.
+/// by [`run_tasks_with`]; cleared by the kernels on use. The sweep
+/// cursors are not kept here: each task places its own.
 pub(crate) struct CellScratch {
     neighbors: Vec<u32>,
     q: [f64; MAX_DIMS],
@@ -879,8 +893,10 @@ pub(crate) struct CellScratch {
 impl CellScratch {
     pub(crate) fn new() -> Self {
         Self {
-            // k_d is at most 609 for the supported dims; one neighbor
-            // list never reallocates after this.
+            // A neighbor list holds at most k_d entries: 21 at d = 2,
+            // 117 at d = 3, 609 at d = 4, 3,903 at d = 5 and more above.
+            // It grows to the longest list the worker meets, then is
+            // reused.
             neighbors: Vec::with_capacity(64),
             q: [0.0; MAX_DIMS],
         }

@@ -464,7 +464,8 @@ impl WorkerHandler {
             spec.kernel,
             range,
             &mut CellScratch::new(),
-        );
+        )
+        .map_err(|e| e.to_string())?;
         spans.record(
             "core shard kernel",
             SpanKind::Task,
@@ -502,7 +503,8 @@ impl WorkerHandler {
             core_slots,
             range.clone(),
             &mut CellScratch::new(),
-        );
+        )
+        .map_err(|e| e.to_string())?;
         spans.record(
             "outlier shard kernel",
             SpanKind::Task,

@@ -12,7 +12,9 @@
 //!   `d` dense `f64` slices instead of hopping between point rows;
 //! * cells are sorted by [`CellCoord`], each described by a
 //!   [`CellRecord`] `(coord, start..end)` — neighbor cells of a query
-//!   cell tend to be nearby in the record table and in the buffer;
+//!   cell tend to be nearby in the record table and in the buffer, and
+//!   a [`NeighborSweep`] finds them with forward cursors instead of
+//!   hash probes;
 //! * `orig_ids` maps a slot back to the [`PointId`] of the source
 //!   [`PointStore`], so per-point labels can be scattered back;
 //! * every cell carries the tight bounding box of its *actual* points
@@ -104,6 +106,11 @@ pub struct CellMajorStore {
     /// Non-empty cells, ascending by coordinate (batch builds; a mutable
     /// layout may append cells out of order).
     pub(crate) cells: Vec<CellRecord>,
+    /// Whether `cells` is known to strictly ascend by coordinate — the
+    /// precondition of [`NeighborSweep`]. The batch build checks it when
+    /// it lays the table out; a mutable layout, which appends new cells,
+    /// never sets it.
+    pub(crate) sorted: bool,
     /// Cell coordinate → index into `cells`.
     pub(crate) index: HashMap<CellCoord, u32, DetState>,
     /// Tight per-cell bounding boxes: cell `c`'s box spans
@@ -509,12 +516,21 @@ impl CellMajorScatter {
             n: self.n,
             cols: self.cols,
             orig_ids: self.orig_ids,
+            sorted: ascending(&self.cells),
             cells: self.cells,
             index: self.index,
             bbox_min: self.bbox_min,
             bbox_max: self.bbox_max,
         })
     }
+}
+
+/// Whether `cells` strictly ascends by coordinate.
+fn ascending(cells: &[CellRecord]) -> bool {
+    cells.windows(2).all(|w| match w {
+        [a, b] => a.coord < b.coord,
+        _ => true,
+    })
 }
 
 /// Splits `buf` at the given ascending absolute offsets, yielding
@@ -779,37 +795,36 @@ impl CellMajorStore {
         acc
     }
 
-    /// Resolves the non-empty neighbor cells of cell `idx` into `out`
-    /// (cleared first), as indices into [`Self::cells`]. With
-    /// `prune_eps_sq = Some(ε²)`, neighbor cells whose bounding box lies
-    /// strictly farther than ε from this cell's bounding box are dropped
-    /// — sound because the box distance lower-bounds every point pair.
+    /// Starts a [`NeighborSweep`]: neighbor-cell resolution for a run of
+    /// query cells by forward cursors over the sorted cell table, with no
+    /// hash probe.
     ///
-    /// One hash probe per offset, amortized over every point of the cell
-    /// (the hashed path paid this per *point*).
-    pub fn neighbors_into(
-        &self,
-        idx: usize,
-        offsets: &NeighborOffsets,
-        prune_eps_sq: Option<f64>,
-        out: &mut Vec<u32>,
-    ) {
-        out.clear();
-        let Some(rec) = self.cells.get(idx) else {
-            return;
-        };
-        for off in offsets.iter() {
-            let ncoord = NeighborOffsets::apply(&rec.coord, off);
-            let Some(&nidx) = self.index.get(&ncoord) else {
-                continue;
-            };
-            if let Some(eps_sq) = prune_eps_sq {
-                if self.min_sq_dist_between_bboxes(idx, nidx as usize) > eps_sq {
-                    continue;
-                }
-            }
-            out.push(nidx);
+    /// # Errors
+    ///
+    /// [`SpatialError::UnsortedCells`] unless the store came from the
+    /// batch build, whose cell table is checked to ascend by coordinate
+    /// (the view of a [`crate::MutableCellMajor`] is refused: it appends
+    /// new cells at the end), and [`SpatialError::DimensionMismatch`]
+    /// when `offsets` were built for another dimensionality.
+    pub fn neighbor_sweep<'a>(
+        &'a self,
+        offsets: &'a NeighborOffsets,
+    ) -> Result<NeighborSweep<'a>, SpatialError> {
+        if !self.sorted {
+            return Err(SpatialError::UnsortedCells);
         }
+        if offsets.dims() != self.dims {
+            return Err(SpatialError::DimensionMismatch {
+                expected: self.dims,
+                got: offsets.dims(),
+            });
+        }
+        Ok(NeighborSweep {
+            store: self,
+            offsets,
+            cursors: vec![0; offsets.columns().len()],
+            last: None,
+        })
     }
 
     /// Counts slots of `range` within `ε` of `q` (closed ball, given
@@ -1278,6 +1293,107 @@ impl CellMajorStore {
     }
 }
 
+/// Neighbor-cell resolution over a sorted cell table, for query cells
+/// taken in ascending order. Created by [`CellMajorStore::neighbor_sweep`].
+///
+/// Two facts make it work. The table ascends by [`CellCoord`], and
+/// adding a fixed offset to every cell keeps that lexicographic order.
+/// [`NeighborOffsets`] groups its offsets into columns that agree on
+/// every coordinate but the last, so the cells one column reaches from a
+/// query form one contiguous window of the table, and as the queries
+/// ascend each window only moves forward. The sweep keeps one cursor per
+/// column at the start of its last window; a query advances each cursor
+/// by exponential search, then reads the window. The first query — and
+/// any query below its predecessor — places the cursors afresh, so every
+/// query sequence gets exact answers and an ascending one pays amortized
+/// O(1) cursor moves per column.
+#[derive(Debug)]
+pub struct NeighborSweep<'a> {
+    store: &'a CellMajorStore,
+    offsets: &'a NeighborOffsets,
+    /// Per column: the first table index not below the column's window
+    /// for the previous query.
+    cursors: Vec<usize>,
+    /// The previous query's cell index.
+    last: Option<usize>,
+}
+
+impl NeighborSweep<'_> {
+    /// Resolves the non-empty neighbor cells of cell `idx` into `out`
+    /// (cleared first), as indices into [`CellMajorStore::cells`], in
+    /// offset order: exactly the cells whose coordinate is the query's
+    /// plus a neighbor offset, computed without overflow — targets
+    /// outside `i64` hold no cell. With `prune_eps_sq = Some(ε²)`,
+    /// neighbor cells whose bounding box lies strictly farther than ε
+    /// from this cell's bounding box are dropped — sound because the box
+    /// distance lower-bounds every point pair.
+    pub fn neighbors_into(&mut self, idx: usize, prune_eps_sq: Option<f64>, out: &mut Vec<u32>) {
+        out.clear();
+        let cells = self.store.cells.as_slice();
+        let Some(query) = cells.get(idx).map(|r| r.coord.coords()) else {
+            return;
+        };
+        let Some((&q_last, q_prefix)) = query.split_last() else {
+            return;
+        };
+        if self.last.is_none_or(|last| idx < last) {
+            self.cursors.fill(0);
+        }
+        self.last = Some(idx);
+        let dims = query.len();
+        let mut lo = [0i64; MAX_DIMS];
+        'columns: for (col, cursor) in self.offsets.columns().iter().zip(&mut self.cursors) {
+            for ((t, &a), &o) in lo.iter_mut().zip(q_prefix).zip(self.offsets.prefix(col)) {
+                match a.checked_add(i64::from(o)) {
+                    Some(v) => *t = v,
+                    // No cell exists beyond i64; the cursor stays put,
+                    // still below every later query's window.
+                    None => continue 'columns,
+                }
+            }
+            let mut hi = lo;
+            // Saturating ends clip the window to exactly its in-range
+            // targets (`lo ≤ 0 ≤ hi` for every stencil column).
+            let (Some(lo_last), Some(hi_last)) = (lo.get_mut(dims - 1), hi.get_mut(dims - 1))
+            else {
+                continue;
+            };
+            *lo_last = q_last.saturating_add(i64::from(col.lo));
+            *hi_last = q_last.saturating_add(i64::from(col.hi));
+            let (Some(lo), Some(hi)) = (lo.get(..dims), hi.get(..dims)) else {
+                continue;
+            };
+            *cursor = seek(cells, *cursor, lo);
+            for (nidx, rec) in cells.iter().enumerate().skip(*cursor) {
+                if rec.coord.coords() > hi {
+                    break;
+                }
+                if let Some(eps_sq) = prune_eps_sq {
+                    if self.store.min_sq_dist_between_bboxes(idx, nidx) > eps_sq {
+                        continue;
+                    }
+                }
+                out.push(nidx as u32);
+            }
+        }
+    }
+}
+
+/// The first index at or after `from` whose cell is not below `target`,
+/// found by exponential search from `from` (cheap when the answer is
+/// near, logarithmic when it is far). `cells[from..]` must ascend.
+fn seek(cells: &[CellRecord], from: usize, target: &[i64]) -> usize {
+    let rest = cells.get(from..).unwrap_or_default();
+    let below = |r: &CellRecord| r.coord.coords() < target;
+    let mut bound = 1;
+    while bound <= rest.len() && rest.get(bound - 1).is_some_and(below) {
+        bound *= 2;
+    }
+    let lo = bound / 2;
+    let hi = bound.min(rest.len());
+    from + lo + rest.get(lo..hi).map_or(0, |s| s.partition_point(below))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1417,11 +1533,13 @@ mod tests {
         let cm = CellMajorStore::build(&s, eps).unwrap();
         let offsets = NeighborOffsets::new(2).unwrap();
         let eps_sq = eps * eps;
+        let mut sweep_all = cm.neighbor_sweep(&offsets).unwrap();
+        let mut sweep_pruned = cm.neighbor_sweep(&offsets).unwrap();
         for idx in 0..cm.num_cells() {
             let mut all = Vec::new();
             let mut pruned = Vec::new();
-            cm.neighbors_into(idx, &offsets, None, &mut all);
-            cm.neighbors_into(idx, &offsets, Some(eps_sq), &mut pruned);
+            sweep_all.neighbors_into(idx, None, &mut all);
+            sweep_pruned.neighbors_into(idx, Some(eps_sq), &mut pruned);
             assert!(pruned.iter().all(|n| all.contains(n)));
             // Soundness: every dropped neighbor has no point within eps
             // of any point of the query cell.

@@ -37,6 +37,11 @@ pub enum SpatialError {
     /// than it produced on the first (the two-pass cell-major builder
     /// requires byte-identical replay).
     StreamMismatch,
+    /// A forward neighbor sweep was requested over a cell table not known
+    /// to ascend by coordinate: any but a batch build's (a mutable layout
+    /// appends new cells at the end). The sweep would miss neighbors in
+    /// an unsorted table.
+    UnsortedCells,
 }
 
 impl fmt::Display for SpatialError {
@@ -64,6 +69,9 @@ impl fmt::Display for SpatialError {
                 f,
                 "streaming source did not replay the same points on its second pass"
             ),
+            SpatialError::UnsortedCells => {
+                write!(f, "neighbor sweep needs a cell table sorted by coordinate")
+            }
         }
     }
 }

@@ -41,7 +41,7 @@ pub mod points;
 
 pub use cell::{CellCoord, MAX_DIMS};
 pub use cell_major::{
-    CellMajorBuilder, CellMajorScatter, CellMajorStore, CellRecord, ScatterShard,
+    CellMajorBuilder, CellMajorScatter, CellMajorStore, CellRecord, NeighborSweep, ScatterShard,
 };
 pub use distance::KernelKind;
 pub use error::SpatialError;

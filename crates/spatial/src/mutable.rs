@@ -108,6 +108,9 @@ impl MutableCellMajor {
                 cols: Vec::new(),
                 orig_ids: Vec::new(),
                 cells: Vec::new(),
+                // New cells are appended out of order, so this layout
+                // never offers the sorted-table neighbor sweep.
+                sorted: false,
                 index: Default::default(),
                 bbox_min: Vec::new(),
                 bbox_max: Vec::new(),
@@ -655,7 +658,9 @@ mod tests {
             let coord = cell_of(q, s.side());
             let mut got: Vec<PointId> = Vec::new();
             for off in offsets.iter() {
-                let ncoord = NeighborOffsets::apply(&coord, off);
+                let Some(ncoord) = NeighborOffsets::apply(&coord, off) else {
+                    continue;
+                };
                 let Some(ci) = s.cell_index(&ncoord) else {
                     continue;
                 };

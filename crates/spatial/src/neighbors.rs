@@ -23,10 +23,31 @@ use crate::error::SpatialError;
 /// Offsets are stored as a flat `Vec<i8>` with stride `dims` (components
 /// never exceed ⌈√d⌉ ≤ 3 for d ≤ 9), in lexicographic order; the zero
 /// offset (a cell is its own neighbor) is always present.
+///
+/// The offsets are also grouped into *columns*: maximal runs that agree
+/// on every coordinate but the last, whose last coordinates step through
+/// a contiguous interval (5 columns for d = 2, 25 for d = 3).
+/// Concatenating the columns in order yields the offsets in order; the
+/// neighbor sweep of [`crate::CellMajorStore`] works column by column.
 #[derive(Debug, Clone)]
 pub struct NeighborOffsets {
     dims: usize,
     flat: Vec<i8>,
+    columns: Vec<OffsetColumn>,
+}
+
+/// A run of consecutive offsets sharing every coordinate but the last,
+/// whose last coordinates are exactly `lo..=hi` in ascending order. The
+/// cells such a run reaches from one query cell form one contiguous
+/// window of a table sorted by [`CellCoord`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct OffsetColumn {
+    /// Position of the column's first offset in offset order.
+    pub(crate) first: usize,
+    /// Last coordinate of the column's first offset.
+    pub(crate) lo: i8,
+    /// Last coordinate of the column's last offset.
+    pub(crate) hi: i8,
 }
 
 impl NeighborOffsets {
@@ -48,7 +69,12 @@ impl NeighborOffsets {
         enumerate(dims, r as i8, dims as i64, 0, 0, &mut current, &mut |off| {
             flat.extend_from_slice(off)
         });
-        Ok(Self { dims, flat })
+        let columns = columns_of(&flat, dims);
+        Ok(Self {
+            dims,
+            flat,
+            columns,
+        })
     }
 
     /// Dimensionality.
@@ -71,16 +97,62 @@ impl NeighborOffsets {
         self.flat.chunks_exact(self.dims)
     }
 
-    /// The cell displaced from `cell` by offset `off`.
+    /// The offset columns, in offset order.
+    pub(crate) fn columns(&self) -> &[OffsetColumn] {
+        &self.columns
+    }
+
+    /// The coordinates `column` shares: every coordinate of its offsets
+    /// but the last (`dims − 1` entries).
+    pub(crate) fn prefix(&self, column: &OffsetColumn) -> &[i8] {
+        let start = column.first * self.dims;
+        self.flat
+            .get(start..start + self.dims - 1)
+            .unwrap_or_default()
+    }
+
+    /// The cell displaced from `cell` by offset `off`, or `None` when a
+    /// coordinate of the target falls outside `i64` — no cell exists
+    /// there. (`cell_of` saturates far-out points to `i64::MIN`/`MAX`,
+    /// so such cells are reachable from real data.)
     #[inline]
-    pub fn apply(cell: &CellCoord, off: &[i8]) -> CellCoord {
+    pub fn apply(cell: &CellCoord, off: &[i8]) -> Option<CellCoord> {
         let mut coords = [0i64; MAX_DIMS];
         let c = cell.coords();
         for ((out, &a), &o) in coords.iter_mut().zip(c).zip(off) {
-            *out = a + o as i64;
+            *out = a.checked_add(i64::from(o))?;
         }
-        CellCoord::from_slice(coords.get(..c.len()).unwrap_or(&coords))
+        Some(CellCoord::from_slice(
+            coords.get(..c.len()).unwrap_or(&coords),
+        ))
     }
+}
+
+/// Groups lexicographically ordered offsets into maximal columns: a new
+/// column starts whenever the prefix changes or the last coordinate does
+/// not step by exactly one.
+fn columns_of(flat: &[i8], dims: usize) -> Vec<OffsetColumn> {
+    let mut columns: Vec<OffsetColumn> = Vec::new();
+    let mut prev: Option<&[i8]> = None;
+    for (i, off) in flat.chunks_exact(dims).enumerate() {
+        let (Some(&last), Some(prefix)) = (off.last(), off.get(..dims - 1)) else {
+            continue;
+        };
+        let extends = prev.is_some_and(|p| {
+            p.get(..dims - 1) == Some(prefix)
+                && p.last().map(|&l| i16::from(l) + 1) == Some(i16::from(last))
+        });
+        match columns.last_mut() {
+            Some(col) if extends => col.hi = last,
+            _ => columns.push(OffsetColumn {
+                first: i,
+                lo: last,
+                hi: last,
+            }),
+        }
+        prev = Some(off);
+    }
+    columns
 }
 
 /// Counts k_d without materialising the offsets (Table I's "Actual k_d"
@@ -254,8 +326,56 @@ mod tests {
     #[test]
     fn apply_offsets() {
         let cell = CellCoord::from_slice(&[10, -5]);
-        let got = NeighborOffsets::apply(&cell, &[-1, 2]);
+        let got = NeighborOffsets::apply(&cell, &[-1, 2]).unwrap();
         assert_eq!(got.coords(), &[9, -3]);
+    }
+
+    #[test]
+    fn apply_skips_targets_outside_i64() {
+        let top = CellCoord::from_slice(&[i64::MAX, 0]);
+        assert_eq!(NeighborOffsets::apply(&top, &[1, 0]), None);
+        assert_eq!(
+            NeighborOffsets::apply(&top, &[-1, 0]).unwrap().coords(),
+            &[i64::MAX - 1, 0]
+        );
+        let bottom = CellCoord::from_slice(&[0, i64::MIN]);
+        assert_eq!(NeighborOffsets::apply(&bottom, &[0, -2]), None);
+        assert_eq!(
+            NeighborOffsets::apply(&bottom, &[0, 2]).unwrap().coords(),
+            &[0, i64::MIN + 2]
+        );
+    }
+
+    #[test]
+    fn columns_partition_the_offsets_in_order() {
+        // 5 columns for d = 2 and 25 for d = 3 (every prefix within the
+        // stencil's (d−1)-dimensional shadow).
+        for (d, want) in [(1usize, 1usize), (2, 5), (3, 25)] {
+            assert_eq!(
+                NeighborOffsets::new(d).unwrap().columns().len(),
+                want,
+                "d={d}"
+            );
+        }
+        for d in 1..=5 {
+            let offs = NeighborOffsets::new(d).unwrap();
+            let mut rebuilt: Vec<Vec<i8>> = Vec::new();
+            for col in offs.columns() {
+                assert_eq!(col.first, rebuilt.len(), "columns must be contiguous");
+                assert!(col.lo <= col.hi);
+                assert_eq!(col.lo, -col.hi, "stencil columns are symmetric");
+                for last in col.lo..=col.hi {
+                    let mut off = offs.prefix(col).to_vec();
+                    off.push(last);
+                    rebuilt.push(off);
+                }
+            }
+            let flat: Vec<Vec<i8>> = offs.iter().map(<[i8]>::to_vec).collect();
+            assert_eq!(
+                rebuilt, flat,
+                "columns must replay the offsets in order, d={d}"
+            );
+        }
     }
 
     #[test]

@@ -12,10 +12,14 @@
     clippy::float_cmp
 )]
 
+use std::collections::HashMap;
+
 use dbscout_rng::Rng;
 use dbscout_spatial::cell::{cell_side, max_sq_dist_to_cell, min_sq_dist_to_cell};
 use dbscout_spatial::distance::{dist, sq_dist};
-use dbscout_spatial::{Grid, KdTree, PointStore};
+use dbscout_spatial::{
+    CellMajorStore, Grid, KdTree, MutableCellMajor, NeighborOffsets, PointStore, SpatialError,
+};
 
 fn points_2d(rng: &mut Rng, max_n: usize) -> Vec<Vec<f64>> {
     let n = rng.gen_range(1..max_n);
@@ -67,7 +71,6 @@ fn same_cell_implies_within_eps() {
 fn pairs_within_eps_are_in_neighboring_cells() {
     // The completeness direction: any pair at distance ≤ ε must be
     // discoverable through the neighbor-offset enumeration.
-    use dbscout_spatial::NeighborOffsets;
     let mut rng = Rng::seed_from_u64(0xA003);
     for _ in 0..48 {
         let rows = points_2d(&mut rng, 80);
@@ -83,7 +86,9 @@ fn pairs_within_eps_are_in_neighboring_cells() {
                 }
                 let ca = grid.cell_for(pa);
                 let cb = grid.cell_for(pb);
-                let found = offsets.iter().any(|o| NeighborOffsets::apply(&ca, o) == cb);
+                let found = offsets
+                    .iter()
+                    .any(|o| NeighborOffsets::apply(&ca, o) == Some(cb));
                 assert!(
                     found,
                     "pair at dist {} not in neighboring cells",
@@ -170,6 +175,171 @@ fn store_gather_preserves_coords() {
         let g = store.gather(&ids);
         for (i, &id) in ids.iter().enumerate() {
             assert_eq!(g.point(i as u32), store.point(id));
+        }
+    }
+}
+
+/// Each neighbor offset, widened to `i128`, mapped to its position in
+/// offset order.
+fn offset_ranks(offsets: &NeighborOffsets) -> HashMap<Vec<i128>, usize> {
+    offsets
+        .iter()
+        .enumerate()
+        .map(|(i, o)| (o.iter().map(|&j| i128::from(j)).collect(), i))
+        .collect()
+}
+
+/// The brute-force neighbor list of cell `idx`: every cell of the table
+/// whose coordinate difference from the query, computed in `i128`, is a
+/// neighbor offset (`rank` from [`offset_ranks`]), in offset order, with
+/// the optional bbox prune applied in place.
+fn oracle_neighbors(
+    cm: &CellMajorStore,
+    rank: &HashMap<Vec<i128>, usize>,
+    idx: usize,
+    prune_eps_sq: Option<f64>,
+) -> Vec<u32> {
+    let query = cm.cells()[idx].coord.coords();
+    let mut hits: Vec<(usize, u32)> = Vec::new();
+    for (j, rec) in cm.cells().iter().enumerate() {
+        let diff: Vec<i128> = rec
+            .coord
+            .coords()
+            .iter()
+            .zip(query)
+            .map(|(&c, &q)| i128::from(c) - i128::from(q))
+            .collect();
+        let Some(&r) = rank.get(&diff) else { continue };
+        if prune_eps_sq.is_some_and(|e| cm.min_sq_dist_between_bboxes(idx, j) > e) {
+            continue;
+        }
+        hits.push((r, j as u32));
+    }
+    hits.sort_unstable();
+    hits.into_iter().map(|(_, j)| j).collect()
+}
+
+/// Points in a block a few cells wide (so most cells have neighbors),
+/// a few far away, and a few whose cells saturate at the ends of `i64`.
+fn clustered_rows(rng: &mut Rng, dims: usize, side: f64) -> Vec<Vec<f64>> {
+    let n = rng.gen_range(20..160);
+    let mut rows: Vec<Vec<f64>> = (0..n)
+        .map(|_| (0..dims).map(|_| side * rng.gen_range(-2.5..2.5)).collect())
+        .collect();
+    for _ in 0..rng.gen_range(0..4) {
+        rows.push((0..dims).map(|_| rng.gen_range(-1e4..1e4)).collect());
+    }
+    for _ in 0..rng.gen_range(0..6) {
+        rows.push(
+            (0..dims)
+                .map(|_| match rng.gen_range(0..4) {
+                    0 => -1e300,
+                    1 => 1e300,
+                    _ => side * rng.gen_range(-1.5..1.5),
+                })
+                .collect(),
+        );
+    }
+    rows
+}
+
+/// Query sequences a phase can issue over a table of `n` cells: all of
+/// it, a tail starting mid-table, ascending subsets that skip cells and
+/// end at the last one, and an unordered sequence (which makes the sweep
+/// re-place its cursors).
+fn query_sequences(rng: &mut Rng, n: usize) -> Vec<Vec<usize>> {
+    let mid = rng.gen_range(0..n);
+    let mut sequences = vec![(0..n).collect(), (mid..n).collect()];
+    for keep in [0.2, 0.6] {
+        let start = rng.gen_range(0..n);
+        let mut seq: Vec<usize> = (start..n).filter(|_| rng.gen_bool(keep)).collect();
+        if seq.last() != Some(&(n - 1)) {
+            seq.push(n - 1);
+        }
+        sequences.push(seq);
+    }
+    let mut shuffled: Vec<usize> = (0..n).collect();
+    rng.shuffle(&mut shuffled);
+    shuffled.truncate(12);
+    sequences.push(shuffled);
+    sequences
+}
+
+#[test]
+fn neighbor_sweep_matches_brute_force_in_content_and_order() {
+    let mut rng = Rng::seed_from_u64(0xA005);
+    for dims in 1..=5usize {
+        let offsets = NeighborOffsets::new(dims).unwrap();
+        let rank = offset_ranks(&offsets);
+        for _ in 0..12 {
+            let eps = rng.gen_range(0.2..20.0);
+            let rows = clustered_rows(&mut rng, dims, cell_side(eps, dims));
+            let store = PointStore::from_rows(dims, rows).unwrap();
+            let cm = CellMajorStore::build(&store, eps).unwrap();
+            let n = cm.num_cells();
+            for prune in [None, Some(eps * eps)] {
+                for seq in query_sequences(&mut rng, n) {
+                    let mut sweep = cm.neighbor_sweep(&offsets).unwrap();
+                    let mut got = Vec::new();
+                    for &idx in &seq {
+                        sweep.neighbors_into(idx, prune, &mut got);
+                        assert_eq!(
+                            got,
+                            oracle_neighbors(&cm, &rank, idx, prune),
+                            "d={dims} eps={eps} prune={prune:?} cell {:?}",
+                            cm.cells()[idx].coord
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn neighbor_sweep_refuses_a_mutable_table() {
+    // A mutable layout appends new cells at the end of its table, so the
+    // sweep must refuse its view with a typed error rather than return a
+    // wrong list: from the start, and still once churn has put the table
+    // out of order.
+    let eps = 1.0;
+    let offsets = NeighborOffsets::new(2).unwrap();
+    let mut rng = Rng::seed_from_u64(0xA006);
+    let rows: Vec<Vec<f64>> = (0..60)
+        .map(|_| vec![rng.gen_range(0.0..10.0), rng.gen_range(0.0..10.0)])
+        .collect();
+    let store = PointStore::from_rows(2, rows).unwrap();
+    let batch = CellMajorStore::build(&store, eps).unwrap();
+    assert!(batch.neighbor_sweep(&offsets).is_ok());
+    let mut m = MutableCellMajor::from_store(&store, eps).unwrap();
+    let mut live: Vec<u32> = (0..60).collect();
+    let mut next_id = 60u32;
+    let mut steps = 0;
+    loop {
+        assert_eq!(
+            m.store().neighbor_sweep(&offsets).unwrap_err(),
+            SpatialError::UnsortedCells
+        );
+        let sorted = m
+            .store()
+            .cells()
+            .windows(2)
+            .all(|w| w[0].coord < w[1].coord);
+        if !sorted {
+            break;
+        }
+        steps += 1;
+        assert!(steps < 2_000, "churn never produced an unsorted table");
+        // Churn: inserts anywhere on a wider plane (new cells are
+        // appended to the table), removals of random live points.
+        if live.is_empty() || rng.gen_bool(0.7) {
+            let p = [rng.gen_range(-20.0..30.0), rng.gen_range(-20.0..30.0)];
+            assert!(m.insert(next_id, &p).unwrap());
+            live.push(next_id);
+            next_id += 1;
+        } else {
+            let victim = live.swap_remove(rng.gen_range(0..live.len()));
+            assert!(m.remove(victim));
         }
     }
 }

@@ -1,0 +1,97 @@
+//! Points so far out that `cell_of` saturates their cells to the ends of
+//! the `i64` range. Neighbor-cell targets beyond `i64` must be skipped:
+//! adding an offset to such a cell used to overflow, which panics in a
+//! debug build and wraps to the other end of the cell table in a release
+//! build.
+//!
+//! Every cell here holds fewer than minPts points, so the dense-cell
+//! shortcut never fires and the labels must equal brute force. (When a
+//! saturated cell reaches minPts, points that saturation merged into one
+//! cell are wrongly taken as dense — a separate defect of `cell_of`.)
+
+// Tests assert on known-good data; panicking is the failure mode.
+#![allow(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::indexing_slicing,
+    clippy::panic,
+    clippy::float_cmp
+)]
+
+use dbscout::baselines::Dbscan;
+use dbscout::core::reference::naive_labels;
+use dbscout::core::{
+    detect_outliers, Dbscout, DbscoutParams, DistributedDbscout, ExecutionLayout,
+    IncrementalDbscout, KernelKind, PointLabel,
+};
+use dbscout::dataflow::ExecutionContext;
+use dbscout::spatial::PointStore;
+
+/// Runs every exact detector on `store` and requires brute-force labels.
+fn all_detectors_match_reference(store: &PointStore, params: DbscoutParams) {
+    let want = naive_labels(store, params);
+    assert_eq!(detect_outliers(store, params).unwrap().labels, want);
+    for layout in [ExecutionLayout::CellMajor, ExecutionLayout::Hashed] {
+        for threads in [1, 2] {
+            let got = Dbscout::new(params)
+                .with_layout(layout)
+                .with_threads(threads)
+                .detect(store)
+                .unwrap();
+            assert_eq!(got.labels, want, "{layout:?}, {threads} threads");
+        }
+        let inc =
+            IncrementalDbscout::from_store_with(store, params, layout, KernelKind::Auto).unwrap();
+        assert_eq!(inc.labels(), want.as_slice(), "incremental {layout:?}");
+    }
+    let ctx = ExecutionContext::builder().workers(2).build();
+    let dist = DistributedDbscout::new(ctx, params).detect(store).unwrap();
+    assert_eq!(dist.labels, want, "distributed");
+    let noise = Dbscan::new(params.eps, params.min_pts)
+        .fit(store)
+        .unwrap()
+        .noise_mask();
+    let outliers: Vec<bool> = want.iter().map(|&l| l == PointLabel::Outlier).collect();
+    assert_eq!(noise, outliers, "DBSCAN noise");
+}
+
+#[test]
+fn cells_saturated_at_i64_max_do_not_overflow() {
+    // All four points land in cell (i64::MAX, 0); none is within ε of
+    // another, so all are outliers.
+    let rows: Vec<Vec<f64>> = (1..=4).map(|k| vec![k as f64 * 1e300, 0.0]).collect();
+    let store = PointStore::from_rows(2, rows).unwrap();
+    let params = DbscoutParams::new(1.0, 5).unwrap();
+    let result = detect_outliers(&store, params).unwrap();
+    assert_eq!(result.outliers, vec![0, 1, 2, 3]);
+    all_detectors_match_reference(&store, params);
+}
+
+#[test]
+fn cells_at_both_ends_of_i64_in_one_table() {
+    // Saturated cells at i64::MIN and i64::MAX in every dimension, next
+    // to an ordinary cluster whose points are all core.
+    for dims in [1usize, 2, 3] {
+        let mut rows: Vec<Vec<f64>> = Vec::new();
+        for &far in &[-3e300, -1e300, 1e300, 2e300] {
+            for k in 0..dims {
+                let mut p = vec![0.5; dims];
+                p[k] = far;
+                rows.push(p);
+            }
+            rows.push(vec![far; dims]);
+        }
+        for i in 0..6 {
+            rows.push(vec![0.01 * i as f64; dims]);
+        }
+        let store = PointStore::from_rows(dims, rows).unwrap();
+        let params = DbscoutParams::new(1.0, 5).unwrap();
+        let want = naive_labels(&store, params);
+        assert_eq!(
+            want.iter().filter(|&&l| l == PointLabel::Core).count(),
+            6,
+            "d={dims}: the cluster is core"
+        );
+        all_detectors_match_reference(&store, params);
+    }
+}
