@@ -7,11 +7,10 @@
 )]
 
 //! Thread-and-kernel scaling grid: 1/2/4/8 in-process threads ×
-//! {hashed, cell-major, streaming cell-major} × {scalar, unrolled}
-//! distance kernels, all on the same uniform 2-D workload. Labels and
+//! {materialized, streaming} cell-major × {scalar, unrolled} distance
+//! kernels, all on the same uniform 2-D workload. Labels and
 //! kernel-counter totals are identical across every cell of the grid
-//! (see `kernel_equivalence.rs` / `layout_equivalence.rs`); only
-//! wall-clock differs. The streaming rows drive `detect_source` through
+//! (see `kernel_equivalence.rs`); only wall-clock differs. The streaming rows drive `detect_source` through
 //! a [`StoreSource`], so they time the parallel two-pass builder as
 //! well as the phase kernels.
 //!
@@ -20,7 +19,7 @@
 
 use dbscout_bench::harness::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use dbscout_bench::workloads;
-use dbscout_core::{Dbscout, DbscoutParams, ExecutionLayout, KernelKind};
+use dbscout_core::{Dbscout, DbscoutParams, KernelKind};
 use dbscout_data::StoreSource;
 
 const STREAM_BATCH: usize = 4096;
@@ -37,7 +36,7 @@ fn bench_scaling(c: &mut Criterion) {
     g.sample_size(5);
     for &t in threads {
         for kernel in [KernelKind::Scalar, KernelKind::Unrolled] {
-            for mode in ["hashed", "cell_major", "streaming"] {
+            for mode in ["cell_major", "streaming"] {
                 g.bench_with_input(
                     BenchmarkId::new(format!("{mode}/{}", kernel.as_str()), format!("t{t}")),
                     &(t, kernel, mode),
@@ -45,14 +44,7 @@ fn bench_scaling(c: &mut Criterion) {
                         b.iter(|| {
                             let d = Dbscout::new(params).with_kernel(kernel).with_threads(t);
                             match mode {
-                                "hashed" => d
-                                    .with_layout(ExecutionLayout::Hashed)
-                                    .detect(&store)
-                                    .expect("run"),
-                                "cell_major" => d
-                                    .with_layout(ExecutionLayout::CellMajor)
-                                    .detect(&store)
-                                    .expect("run"),
+                                "cell_major" => d.detect(&store).expect("run"),
                                 _ => {
                                     let mut src = StoreSource::new(&store, STREAM_BATCH);
                                     d.detect_source(&mut src).expect("run")

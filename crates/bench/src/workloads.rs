@@ -40,14 +40,14 @@ pub const OSM_PERCENT_LADDER: [usize; 8] = [1, 25, 50, 75, 100, 200, 500, 1000];
 
 /// Side length of the [`uniform2d`] domain. At 1M points this gives a
 /// density of one point per unit², so [`UNIFORM2D_EPS`] cells hold a
-/// double-digit point count — the worst case for the hashed layout
-/// (every phase-3/5 task probes all 21 neighbor cells through the map).
+/// double-digit point count and every phase-3/5 task resolves all 21
+/// neighbor cells.
 pub const UNIFORM2D_SIDE: f64 = 1_000.0;
 
-/// ε for the uniform-2d layout benchmark (ε-cell side ≈ 3.5 units).
+/// ε for the uniform-2d benchmarks (ε-cell side ≈ 3.5 units).
 pub const UNIFORM2D_EPS: f64 = 5.0;
 
-/// minPts for the uniform-2d layout benchmark: high enough that most
+/// minPts for the uniform-2d benchmarks: high enough that most
 /// cells are not dense, so the counted kernel does real work.
 pub const UNIFORM2D_MIN_PTS: usize = 50;
 

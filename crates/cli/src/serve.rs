@@ -22,16 +22,22 @@
 //! ```
 //!
 //! Malformed requests answer `{"ok":false,"error":"..."}` and keep the
-//! session alive; only `shutdown` (or EOF / a hangup) ends it. `probe`
+//! session alive; only `shutdown` (or EOF / a hangup) ends it. That
+//! includes hostile ones: a line longer than [`MAX_REQUEST_BYTES`] is
+//! skipped through its newline unparsed, a line that is not UTF-8 is
+//! rejected, and JSON nested deeper than
+//! [`dbscout_telemetry::json::MAX_DEPTH`] fails to parse. `probe`
 //! is non-mutating: it answers the label an `insert` of the same point
 //! would receive, without changing detector state. All human-facing
 //! output goes to stderr; stdout carries protocol frames only.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::Arc;
 use std::time::Instant;
 
-use dbscout_core::{build_run_report, DbscoutParams, IncrementalDbscout, PointLabel, RunInfo};
+use dbscout_core::{
+    build_run_report, DbscoutParams, ExecutionLayout, IncrementalDbscout, PointLabel, RunInfo,
+};
 use dbscout_data::io::IngestMode;
 use dbscout_data::{materialize, BinarySource, DEFAULT_BATCH_SIZE};
 use dbscout_dataflow::MetricsSnapshot;
@@ -40,7 +46,13 @@ use dbscout_telemetry::json::{escape, parse, Value};
 use dbscout_telemetry::{Recorder, ServeReport, Span, SpanKind, TraceCollector};
 
 use crate::cli::{CliError, Flags};
-use crate::commands::{load_dataset, parse_kernel, parse_layout};
+use crate::commands::{load_dataset, parse_kernel};
+
+/// The longest request line a session reads, in bytes (its `\n`
+/// excluded). A request is a few hundred bytes; longer lines are
+/// answered with an error and discarded up to the next newline, so a
+/// client cannot make the daemon buffer without bound.
+pub(crate) const MAX_REQUEST_BYTES: usize = 1 << 20;
 
 /// Warm serving state: the incremental detector plus the session's
 /// operation tally and (optional) trace collector.
@@ -201,17 +213,13 @@ fn handle(state: &mut ServeState, line: &str) -> (String, &'static str, bool) {
             (
                 format!(
                     "{{\"ok\":true,\"op\":\"stats\",\"points\":{},\"total_inserted\":{},\
-                     \"outliers\":{},\"core\":{},\"layout\":\"{}\",\"kernel\":\"{}\",\
+                     \"outliers\":{},\"core\":{},\"kernel\":\"{}\",\
                      \"rebuilds\":{},\"compactions\":{},\"cells_visited\":{},\
                      \"bbox_prunes\":{},\"early_exit_hits\":{},\"distance_evals\":{}}}",
                     inc.len(),
                     inc.total_inserted(),
                     inc.outliers().len(),
                     core,
-                    match inc.layout() {
-                        dbscout_core::ExecutionLayout::CellMajor => "cell-major",
-                        dbscout_core::ExecutionLayout::Hashed => "hashed",
-                    },
                     inc.kernel().as_str(),
                     inc.rebuilds(),
                     inc.compactions(),
@@ -236,21 +244,69 @@ fn handle(state: &mut ServeState, line: &str) -> (String, &'static str, bool) {
     }
 }
 
+/// Reads one request line into `buf`, without its line ending. Returns
+/// `Ok(false)` at end of input. A line longer than
+/// [`MAX_REQUEST_BYTES`] is consumed through its newline and leaves
+/// `buf` holding only the first `MAX_REQUEST_BYTES + 1` bytes, so the
+/// caller can tell it from a line that fits.
+fn read_request<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> std::io::Result<bool> {
+    buf.clear();
+    let cap = MAX_REQUEST_BYTES as u64 + 1;
+    if reader.by_ref().take(cap).read_until(b'\n', buf)? == 0 {
+        return Ok(false);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_REQUEST_BYTES {
+        // Over the cap: skip the rest of the line unbuffered.
+        loop {
+            let chunk = reader.fill_buf()?;
+            if chunk.is_empty() {
+                break;
+            }
+            match chunk.iter().position(|&b| b == b'\n') {
+                Some(i) => {
+                    reader.consume(i + 1);
+                    break;
+                }
+                None => {
+                    let n = chunk.len();
+                    reader.consume(n);
+                }
+            }
+        }
+    }
+    Ok(true)
+}
+
 /// Runs one serving session: reads request lines from `reader`, writes
 /// one response line per request to `writer`. Returns `Ok(true)` when
 /// the client asked for `shutdown`, `Ok(false)` on EOF/hangup.
 pub(crate) fn serve_session<R: BufRead, W: Write>(
     state: &mut ServeState,
-    reader: R,
+    mut reader: R,
     writer: &mut W,
 ) -> std::io::Result<bool> {
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
-        }
+    let mut buf = Vec::new();
+    while read_request(&mut reader, &mut buf)? {
         let started = Instant::now();
-        let (response, op, shutdown) = handle(state, &line);
+        let (response, op, shutdown) = if buf.len() > MAX_REQUEST_BYTES {
+            state.report.errors += 1;
+            let msg = format!("request line longer than {MAX_REQUEST_BYTES} bytes");
+            (err_line(&msg), "error", false)
+        } else {
+            match std::str::from_utf8(&buf) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => handle(state, line),
+                Err(_) => {
+                    state.report.errors += 1;
+                    (err_line("request line is not UTF-8"), "error", false)
+                }
+            }
+        };
         state.report.queries += 1;
         if let Some(c) = &state.collector {
             c.record_span(
@@ -290,7 +346,6 @@ pub fn serve(flags: &Flags) -> Result<String, CliError> {
     if batch_size == 0 {
         return Err(CliError::new("--batch-size must be at least 1"));
     }
-    let layout = parse_layout(&flags.get("layout", "cell-major".to_string())?)?;
     let kernel = parse_kernel(&flags.get("kernel", "auto".to_string())?)?;
     // Accepted for flag-surface parity with `detect` and echoed in the
     // run report; the warm engine answers each query on one thread.
@@ -312,16 +367,13 @@ pub fn serve(flags: &Flags) -> Result<String, CliError> {
     let dims = store.dims() as u64;
 
     let t = Instant::now();
-    let inc = IncrementalDbscout::from_store_with(&store, params, layout, kernel)
-        .map_err(|e| CliError::engine(e.to_string()))?;
+    let inc =
+        IncrementalDbscout::from_store_with(&store, params, ExecutionLayout::CellMajor, kernel)
+            .map_err(|e| CliError::engine(e.to_string()))?;
     eprintln!(
-        "dbscout serve: {} points warm in {:?} (layout = {}, kernel = {}), {} outliers",
+        "dbscout serve: {} points warm in {:?} (kernel = {}), {} outliers",
         inc.len(),
         t.elapsed(),
-        match inc.layout() {
-            dbscout_core::ExecutionLayout::CellMajor => "cell-major",
-            dbscout_core::ExecutionLayout::Hashed => "hashed",
-        },
         inc.kernel().as_str(),
         inc.outliers().len(),
     );
@@ -439,11 +491,10 @@ fn serve_on_socket(state: &mut ServeState, path: &str) -> Result<(), CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dbscout_core::ExecutionLayout;
-    use dbscout_spatial::KernelKind;
+    use dbscout_core::reference::naive_labels;
     use std::io::Cursor;
 
-    fn warm_state(layout: ExecutionLayout) -> ServeState {
+    fn warm_state() -> ServeState {
         // A dense 3×3 grid plus one far-away outlier, ids 0..=9.
         let mut rows: Vec<Vec<f64>> = Vec::new();
         for i in 0..3 {
@@ -454,94 +505,94 @@ mod tests {
         rows.push(vec![100.0, 100.0]);
         let store = dbscout_spatial::PointStore::from_rows(2, rows).unwrap();
         let params = DbscoutParams::new(1.0, 4).unwrap();
-        let inc =
-            IncrementalDbscout::from_store_with(&store, params, layout, KernelKind::Auto).unwrap();
+        let inc = IncrementalDbscout::from_store(&store, params).unwrap();
         ServeState::new(inc, None)
     }
 
-    fn run_lines(state: &mut ServeState, lines: &[&str]) -> (Vec<String>, bool) {
-        let input = lines.join("\n");
+    fn run_bytes(state: &mut ServeState, input: Vec<u8>) -> (Vec<String>, bool) {
         let mut out = Vec::new();
         let shutdown = serve_session(state, Cursor::new(input), &mut out).unwrap();
         let text = String::from_utf8(out).unwrap();
         (text.lines().map(str::to_owned).collect(), shutdown)
     }
 
+    fn run_lines(state: &mut ServeState, lines: &[&str]) -> (Vec<String>, bool) {
+        run_bytes(state, lines.join("\n").into_bytes())
+    }
+
     #[test]
     fn protocol_round_trip_probe_insert_remove_outliers() {
-        for layout in [ExecutionLayout::CellMajor, ExecutionLayout::Hashed] {
-            let mut state = warm_state(layout);
-            let (responses, shutdown) = run_lines(
-                &mut state,
-                &[
-                    r#"{"op":"outliers"}"#,
-                    r#"{"op":"probe","point":[0.1,0.1]}"#,
-                    r#"{"op":"probe","point":[50.0,50.0]}"#,
-                    r#"{"op":"insert","point":[50.0,50.0]}"#,
-                    r#"{"op":"outliers"}"#,
-                    r#"{"op":"remove","id":10}"#,
-                    r#"{"op":"remove","id":10}"#,
-                    r#"{"op":"outliers"}"#,
-                    r#"{"op":"stats"}"#,
-                    r#"{"op":"shutdown"}"#,
-                ],
-            );
-            assert!(shutdown);
-            assert_eq!(responses.len(), 10, "{responses:?}");
-            assert_eq!(
-                responses[0],
-                r#"{"ok":true,"op":"outliers","count":1,"ids":[9]}"#
-            );
-            // Probing inside the dense grid answers core; far away, outlier.
-            assert_eq!(responses[1], r#"{"ok":true,"op":"probe","label":"core"}"#);
-            assert_eq!(
-                responses[2],
-                r#"{"ok":true,"op":"probe","label":"outlier"}"#
-            );
-            // The probe did not mutate: the insert gets the next id (10).
-            assert_eq!(
-                responses[3],
-                r#"{"ok":true,"op":"insert","id":10,"label":"outlier"}"#
-            );
-            assert_eq!(
-                responses[4],
-                r#"{"ok":true,"op":"outliers","count":2,"ids":[9,10]}"#
-            );
-            assert_eq!(
-                responses[5],
-                r#"{"ok":true,"op":"remove","id":10,"removed":true}"#
-            );
-            // Re-removing is a miss, answered — not an error.
-            assert_eq!(
-                responses[6],
-                r#"{"ok":true,"op":"remove","id":10,"removed":false}"#
-            );
-            assert_eq!(
-                responses[7],
-                r#"{"ok":true,"op":"outliers","count":1,"ids":[9]}"#
-            );
-            assert!(responses[8].contains("\"points\":10"), "{}", responses[8]);
-            assert!(
-                responses[8].contains("\"total_inserted\":11"),
-                "{}",
-                responses[8]
-            );
-            assert_eq!(responses[9], r#"{"ok":true,"op":"shutdown"}"#);
+        let mut state = warm_state();
+        let (responses, shutdown) = run_lines(
+            &mut state,
+            &[
+                r#"{"op":"outliers"}"#,
+                r#"{"op":"probe","point":[0.1,0.1]}"#,
+                r#"{"op":"probe","point":[50.0,50.0]}"#,
+                r#"{"op":"insert","point":[50.0,50.0]}"#,
+                r#"{"op":"outliers"}"#,
+                r#"{"op":"remove","id":10}"#,
+                r#"{"op":"remove","id":10}"#,
+                r#"{"op":"outliers"}"#,
+                r#"{"op":"stats"}"#,
+                r#"{"op":"shutdown"}"#,
+            ],
+        );
+        assert!(shutdown);
+        assert_eq!(responses.len(), 10, "{responses:?}");
+        assert_eq!(
+            responses[0],
+            r#"{"ok":true,"op":"outliers","count":1,"ids":[9]}"#
+        );
+        // Probing inside the dense grid answers core; far away, outlier.
+        assert_eq!(responses[1], r#"{"ok":true,"op":"probe","label":"core"}"#);
+        assert_eq!(
+            responses[2],
+            r#"{"ok":true,"op":"probe","label":"outlier"}"#
+        );
+        // The probe did not mutate: the insert gets the next id (10).
+        assert_eq!(
+            responses[3],
+            r#"{"ok":true,"op":"insert","id":10,"label":"outlier"}"#
+        );
+        assert_eq!(
+            responses[4],
+            r#"{"ok":true,"op":"outliers","count":2,"ids":[9,10]}"#
+        );
+        assert_eq!(
+            responses[5],
+            r#"{"ok":true,"op":"remove","id":10,"removed":true}"#
+        );
+        // Re-removing is a miss, answered — not an error.
+        assert_eq!(
+            responses[6],
+            r#"{"ok":true,"op":"remove","id":10,"removed":false}"#
+        );
+        assert_eq!(
+            responses[7],
+            r#"{"ok":true,"op":"outliers","count":1,"ids":[9]}"#
+        );
+        assert!(responses[8].contains("\"points\":10"), "{}", responses[8]);
+        assert!(
+            responses[8].contains("\"total_inserted\":11"),
+            "{}",
+            responses[8]
+        );
+        assert_eq!(responses[9], r#"{"ok":true,"op":"shutdown"}"#);
 
-            let r = state.serve_report();
-            assert_eq!(r.queries, 10);
-            assert_eq!(r.probes, 2);
-            assert_eq!(r.inserts, 1);
-            assert_eq!(r.removes, 2);
-            assert_eq!(r.outlier_queries, 3);
-            assert_eq!(r.stats_queries, 1);
-            assert_eq!(r.errors, 0);
-        }
+        let r = state.serve_report();
+        assert_eq!(r.queries, 10);
+        assert_eq!(r.probes, 2);
+        assert_eq!(r.inserts, 1);
+        assert_eq!(r.removes, 2);
+        assert_eq!(r.outlier_queries, 3);
+        assert_eq!(r.stats_queries, 1);
+        assert_eq!(r.errors, 0);
     }
 
     #[test]
     fn malformed_requests_answer_errors_and_keep_the_session_alive() {
-        let mut state = warm_state(ExecutionLayout::CellMajor);
+        let mut state = warm_state();
         let (responses, shutdown) = run_lines(
             &mut state,
             &[
@@ -574,41 +625,83 @@ mod tests {
     }
 
     #[test]
-    fn session_mutations_match_a_directly_driven_detector() {
-        for layout in [ExecutionLayout::CellMajor, ExecutionLayout::Hashed] {
-            let mut state = warm_state(layout);
-            let mut twin = warm_state(layout);
-
-            let mut lines = Vec::new();
-            for i in 0..20u32 {
-                let x = 0.05 * f64::from(i % 7);
-                let y = 40.0 + 0.05 * f64::from(i % 5);
-                lines.push(format!(r#"{{"op":"insert","point":[{x},{y}]}}"#));
-                twin.inc.insert(&[x, y]).unwrap();
-                if i % 3 == 0 {
-                    lines.push(format!(r#"{{"op":"remove","id":{i}}}"#));
-                    twin.inc.remove(i);
-                }
-            }
-            lines.push(r#"{"op":"outliers"}"#.to_string());
-            let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
-            let (responses, _) = run_lines(&mut state, &refs);
-
-            let expected = twin.inc.outliers();
-            let mut want = format!(
-                r#"{{"ok":true,"op":"outliers","count":{},"ids":["#,
-                expected.len()
-            );
-            want.push_str(
-                &expected
-                    .iter()
-                    .map(ToString::to_string)
-                    .collect::<Vec<_>>()
-                    .join(","),
-            );
-            want.push_str("]}");
-            assert_eq!(responses.last().unwrap(), &want, "layout {layout:?}");
-            assert_eq!(state.inc.labels(), twin.inc.labels());
+    fn hostile_lines_answer_errors_and_keep_the_session_alive() {
+        let mut state = warm_state();
+        // Nesting far past the parser's depth limit, within the line cap.
+        let mut input = "[".repeat(200_000).into_bytes();
+        input.push(b'\n');
+        // One byte over the line cap (blank, so only the cap answers it).
+        input.extend_from_slice(" ".repeat(MAX_REQUEST_BYTES + 1).as_bytes());
+        input.push(b'\n');
+        // Not UTF-8.
+        input.extend(b"{\"op\":\"\xff\"}\n");
+        // A line of exactly the cap is still read (and is blank).
+        input.extend_from_slice(" ".repeat(MAX_REQUEST_BYTES).as_bytes());
+        input.push(b'\n');
+        input.extend(b"{\"op\":\"stats\"}\r\n{\"op\":\"shutdown\"}");
+        let (responses, shutdown) = run_bytes(&mut state, input);
+        assert!(shutdown);
+        assert_eq!(responses.len(), 5, "{responses:?}");
+        assert!(responses[0].contains("nesting"), "{}", responses[0]);
+        assert!(responses[1].contains("longer than"), "{}", responses[1]);
+        assert!(responses[2].contains("not UTF-8"), "{}", responses[2]);
+        for r in &responses[..3] {
+            assert!(r.starts_with(r#"{"ok":false,"error":""#), "{r}");
         }
+        assert!(responses[3].starts_with(r#"{"ok":true,"op":"stats","points":10,"#));
+        assert_eq!(responses[4], r#"{"ok":true,"op":"shutdown"}"#);
+        let r = state.serve_report();
+        assert_eq!(r.errors, 3);
+        assert_eq!(r.queries, 5);
+    }
+
+    #[test]
+    fn read_request_buffers_at_most_the_cap_and_skips_the_rest() {
+        let mut input = "x".repeat(3 * MAX_REQUEST_BYTES).into_bytes();
+        input.extend(b"\n{\"op\":\"stats\"}");
+        let mut reader = Cursor::new(input);
+        let mut buf = Vec::new();
+        assert!(read_request(&mut reader, &mut buf).unwrap());
+        assert_eq!(buf.len(), MAX_REQUEST_BYTES + 1);
+        assert!(read_request(&mut reader, &mut buf).unwrap());
+        assert_eq!(buf, br#"{"op":"stats"}"#);
+        assert!(!read_request(&mut reader, &mut buf).unwrap());
+    }
+
+    #[test]
+    fn session_mutations_match_the_oracle_on_the_survivors() {
+        let mut state = warm_state();
+        let mut lines = Vec::new();
+        for i in 0..20u32 {
+            let x = 0.05 * f64::from(i % 7);
+            let y = 40.0 + 0.05 * f64::from(i % 5);
+            lines.push(format!(r#"{{"op":"insert","point":[{x},{y}]}}"#));
+            if i % 3 == 0 {
+                lines.push(format!(r#"{{"op":"remove","id":{i}}}"#));
+            }
+        }
+        lines.push(r#"{"op":"outliers"}"#.to_string());
+        let refs: Vec<&str> = lines.iter().map(String::as_str).collect();
+        let (responses, _) = run_lines(&mut state, &refs);
+
+        let inc = state.detector();
+        let live: Vec<PointId> = (0..inc.total_inserted() as PointId)
+            .filter(|&id| inc.is_alive(id))
+            .collect();
+        let expected = naive_labels(&inc.store().gather(&live), inc.params());
+        let live_labels: Vec<PointLabel> = live.iter().map(|&id| inc.label(id)).collect();
+        assert_eq!(live_labels, expected);
+        let want_ids: Vec<String> = live
+            .iter()
+            .zip(&expected)
+            .filter(|(_, l)| l.is_outlier())
+            .map(|(id, _)| id.to_string())
+            .collect();
+        let want = format!(
+            r#"{{"ok":true,"op":"outliers","count":{},"ids":[{}]}}"#,
+            want_ids.len(),
+            want_ids.join(",")
+        );
+        assert_eq!(responses.last().unwrap(), &want);
     }
 }

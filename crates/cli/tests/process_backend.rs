@@ -435,10 +435,6 @@ fn backend_flag_validation() {
             &["--backend", "process", "--engine", "distributed"][..],
             "native engine only",
         ),
-        (
-            &["--backend", "process", "--layout", "hashed"][..],
-            "cell-major",
-        ),
     ] {
         let mut args = base.to_vec();
         args.extend_from_slice(extra);

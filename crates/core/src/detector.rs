@@ -86,12 +86,17 @@ impl OutlierDetector for DistributedDbscout {
 
 impl OutlierDetector for IncrementalDbscout {
     /// Batch detection through the incremental engine: bulk-load `store`
-    /// into a fresh instance on this detector's own layout and kernel
-    /// (its accumulated points are not consulted) and snapshot the
-    /// resulting labels.
+    /// into a fresh instance with this detector's own kernel (its
+    /// accumulated points are not consulted) and snapshot the resulting
+    /// labels.
     fn detect(&self, store: &PointStore) -> Result<OutlierResult> {
-        IncrementalDbscout::from_store_with(store, self.params(), self.layout(), self.kernel())
-            .map(|inc| inc.snapshot())
+        IncrementalDbscout::from_store_with(
+            store,
+            self.params(),
+            ExecutionLayout::CellMajor,
+            self.kernel(),
+        )
+        .map(|inc| inc.snapshot())
     }
 
     fn params(&self) -> DbscoutParams {
@@ -115,15 +120,15 @@ enum EngineChoice {
 /// parameters, then execution knobs, then engine selection.
 ///
 /// ```
-/// use dbscout_core::{DetectorBuilder, DbscoutParams, ExecutionLayout, JoinStrategy};
+/// use dbscout_core::{DetectorBuilder, DbscoutParams, JoinStrategy, KernelKind};
 /// use dbscout_dataflow::ExecutionContext;
 ///
 /// let params = DbscoutParams::new(0.5, 5).unwrap();
 ///
-/// // Native engine, 4 worker threads, explicit layout:
+/// // Native engine, 4 worker threads, explicit kernel:
 /// let native = DetectorBuilder::new(params)
 ///     .threads(4)
-///     .layout(ExecutionLayout::CellMajor)
+///     .kernel(KernelKind::Unrolled)
 ///     .build_native();
 ///
 /// // Distributed engine on a 2-worker context:
@@ -139,7 +144,6 @@ pub struct DetectorBuilder {
     params: DbscoutParams,
     threads: Option<usize>,
     options: NativeOptions,
-    layout: ExecutionLayout,
     kernel: KernelKind,
     engine: EngineChoice,
     partitions: Option<usize>,
@@ -148,13 +152,12 @@ pub struct DetectorBuilder {
 
 impl DetectorBuilder {
     /// Starts a builder for validated parameters (native engine, all
-    /// cores, default [`ExecutionLayout`] unless overridden).
+    /// cores, `Auto` kernel unless overridden).
     pub fn new(params: DbscoutParams) -> Self {
         Self {
             params,
             threads: None,
             options: NativeOptions::default(),
-            layout: ExecutionLayout::default(),
             kernel: KernelKind::default(),
             engine: EngineChoice::default(),
             partitions: None,
@@ -164,12 +167,10 @@ impl DetectorBuilder {
 
     /// Applies a whole [`ExecutionConfig`] at once — the one documented
     /// way to set every execution knob together. The per-field methods
-    /// ([`Self::threads`], [`Self::layout`], [`Self::kernel`]) are thin
-    /// shims over the same state, so the two styles compose freely.
+    /// ([`Self::threads`], [`Self::kernel`]) are thin shims over the
+    /// same state, so the two styles compose freely.
     pub fn execution(self, cfg: ExecutionConfig) -> Self {
-        self.threads(cfg.threads)
-            .layout(cfg.layout)
-            .kernel(cfg.kernel)
+        self.threads(cfg.threads).kernel(cfg.kernel)
     }
 
     /// Overrides the native engine's worker-thread count (≥ 1; `0` means
@@ -182,12 +183,6 @@ impl DetectorBuilder {
     /// Overrides the native engine's ablation switches.
     pub fn options(mut self, options: NativeOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Overrides the native engine's execution layout.
-    pub fn layout(mut self, layout: ExecutionLayout) -> Self {
-        self.layout = layout;
         self
     }
 
@@ -229,7 +224,6 @@ impl DetectorBuilder {
     pub fn build_native(&self) -> Dbscout {
         let mut d = Dbscout::new(self.params)
             .with_options(self.options)
-            .with_layout(self.layout)
             .with_kernel(self.kernel);
         if let Some(t) = self.threads {
             d = d.with_threads(t);
@@ -252,8 +246,8 @@ impl DetectorBuilder {
     }
 
     /// One-shot streaming detection: builds the selected engine and runs
-    /// it over `source`. On the native engine with the cell-major layout
-    /// (the default) this is out-of-core end to end.
+    /// it over `source`. On the native engine (the default) this is
+    /// out-of-core end to end.
     pub fn detect_source(&self, source: &mut dyn PointSource) -> Result<OutlierResult> {
         self.build().detect_source(source)
     }
@@ -265,7 +259,6 @@ impl DetectorBuilder {
             EngineChoice::Distributed(_) => Box::new(self.build_distributed()),
             EngineChoice::Incremental => Box::new(BatchIncremental {
                 params: self.params,
-                layout: self.layout,
                 kernel: self.kernel,
             }),
         }
@@ -273,19 +266,23 @@ impl DetectorBuilder {
 }
 
 /// The incremental engine's batch façade: holds the parameters and
-/// execution knobs, and bulk-loads each `detect` call into a fresh
-/// [`IncrementalDbscout`] on the configured layout.
+/// kernel, and bulk-loads each `detect` call into a fresh
+/// [`IncrementalDbscout`].
 #[derive(Debug, Clone)]
 struct BatchIncremental {
     params: DbscoutParams,
-    layout: ExecutionLayout,
     kernel: KernelKind,
 }
 
 impl OutlierDetector for BatchIncremental {
     fn detect(&self, store: &PointStore) -> Result<OutlierResult> {
-        IncrementalDbscout::from_store_with(store, self.params, self.layout, self.kernel)
-            .map(|inc| inc.snapshot())
+        IncrementalDbscout::from_store_with(
+            store,
+            self.params,
+            ExecutionLayout::CellMajor,
+            self.kernel,
+        )
+        .map(|inc| inc.snapshot())
     }
 
     fn params(&self) -> DbscoutParams {
@@ -337,9 +334,10 @@ mod tests {
         let params = DbscoutParams::new(0.5, 3).unwrap();
         let d = DetectorBuilder::new(params)
             .threads(3)
-            .layout(ExecutionLayout::Hashed)
+            .kernel(KernelKind::Scalar)
             .build_native();
-        assert_eq!(d.layout(), ExecutionLayout::Hashed);
+        assert_eq!(d.threads(), 3);
+        assert_eq!(d.kernel(), KernelKind::Scalar);
         assert_eq!(OutlierDetector::params(&d), params);
         // threads(0) means "all cores" — must not panic or zero out.
         let d = DetectorBuilder::new(params).threads(0).build_native();
@@ -351,11 +349,9 @@ mod tests {
         let params = DbscoutParams::new(0.5, 3).unwrap();
         let cfg = ExecutionConfig::new()
             .with_threads(2)
-            .with_layout(ExecutionLayout::Hashed)
             .with_kernel(KernelKind::Scalar);
         let d = DetectorBuilder::new(params).execution(cfg).build_native();
         assert_eq!(d.threads(), 2);
-        assert_eq!(d.layout(), ExecutionLayout::Hashed);
         assert_eq!(d.kernel(), KernelKind::Scalar);
         // threads = 0 in the config keeps the all-cores default.
         let d = DetectorBuilder::new(params)
@@ -363,13 +359,6 @@ mod tests {
             .build_native();
         assert!(d.threads() >= 1);
         assert_eq!(d.kernel(), KernelKind::Auto);
-    }
-
-    #[test]
-    fn default_layout_is_cell_major() {
-        let params = DbscoutParams::new(0.5, 3).unwrap();
-        let d = DetectorBuilder::new(params).build_native();
-        assert_eq!(d.layout(), ExecutionLayout::CellMajor);
     }
 
     #[test]

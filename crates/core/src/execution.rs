@@ -2,10 +2,9 @@
 //!
 //! Every knob that decides *how* a detection runs — never *what* it
 //! returns — lives in one [`ExecutionConfig`] value: worker threads,
-//! physical layout, distance kernel, process-worker count, and the
-//! deterministic schedule seed. The CLI maps its `--threads`,
-//! `--layout`, `--kernel`, `--workers`, and `--schedule-seed` flags
-//! into this struct in exactly one place, and
+//! distance kernel, process-worker count, and the deterministic
+//! schedule seed. The CLI maps its `--threads`, `--kernel`, `--workers`,
+//! and `--schedule-seed` flags into this struct in exactly one place, and
 //! [`crate::DetectorBuilder::execution`] consumes it; the per-field
 //! builder methods remain as thin shims over the same state.
 //!
@@ -15,20 +14,17 @@
 
 use dbscout_spatial::KernelKind;
 
-use crate::native::ExecutionLayout;
-
-/// How a detection executes: threads, layout, kernel, workers, seed.
+/// How a detection executes: threads, kernel, workers, seed.
 ///
 /// All fields are observability/performance knobs — a property suite
 /// pins that no combination changes labels or kernel-counter totals.
 ///
 /// ```
-/// use dbscout_core::{DetectorBuilder, DbscoutParams, ExecutionConfig, ExecutionLayout};
+/// use dbscout_core::{DetectorBuilder, DbscoutParams, ExecutionConfig};
 /// use dbscout_spatial::KernelKind;
 ///
 /// let cfg = ExecutionConfig::new()
 ///     .with_threads(4)
-///     .with_layout(ExecutionLayout::CellMajor)
 ///     .with_kernel(KernelKind::Unrolled);
 /// let params = DbscoutParams::new(0.5, 5).unwrap();
 /// let detector = DetectorBuilder::new(params).execution(cfg).build_native();
@@ -40,10 +36,7 @@ pub struct ExecutionConfig {
     /// Worker threads for the native engine; `0` means "all available
     /// cores" (the CLI convention).
     pub threads: usize,
-    /// Physical layout of the phase-3/5 scans.
-    pub layout: ExecutionLayout,
-    /// Distance kernel for the cell-major hot loops. The hashed layout
-    /// has no lane-unrolled path and always runs scalar — see
+    /// Distance kernel for the cell-major hot loops — see
     /// [`Self::resolved_kernel`].
     pub kernel: KernelKind,
     /// Worker processes for the process backend / distributed engine;
@@ -55,8 +48,8 @@ pub struct ExecutionConfig {
 }
 
 impl ExecutionConfig {
-    /// The default configuration: all cores, cell-major layout, `Auto`
-    /// kernel, default worker count, default schedule.
+    /// The default configuration: all cores, `Auto` kernel, default
+    /// worker count, default schedule.
     pub fn new() -> Self {
         Self::default()
     }
@@ -64,12 +57,6 @@ impl ExecutionConfig {
     /// Sets the native engine's worker-thread count (`0` = all cores).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Sets the execution layout.
-    pub fn with_layout(mut self, layout: ExecutionLayout) -> Self {
-        self.layout = layout;
         self
     }
 
@@ -92,14 +79,10 @@ impl ExecutionConfig {
     }
 
     /// The concrete kernel this configuration actually runs: `Auto`
-    /// resolves to the build's best kernel, and the hashed layout —
-    /// which has no lane-unrolled scan — always reports `Scalar`.
-    /// This is the value the CLI echoes into the run report.
+    /// resolves to the build's best kernel. This is the value the CLI
+    /// echoes into the run report.
     pub fn resolved_kernel(&self) -> KernelKind {
-        match self.layout {
-            ExecutionLayout::Hashed => KernelKind::Scalar,
-            ExecutionLayout::CellMajor => self.kernel.resolve(),
-        }
+        self.kernel.resolve()
     }
 
     /// The thread count this configuration resolves to at run time
@@ -123,7 +106,6 @@ mod tests {
     fn default_is_auto_on_all_cores() {
         let cfg = ExecutionConfig::new();
         assert_eq!(cfg.threads, 0);
-        assert_eq!(cfg.layout, ExecutionLayout::CellMajor);
         assert_eq!(cfg.kernel, KernelKind::Auto);
         assert_eq!(cfg.workers, 0);
         assert_eq!(cfg.schedule_seed, None);
@@ -134,7 +116,6 @@ mod tests {
     fn setters_chain_and_resolve() {
         let cfg = ExecutionConfig::new()
             .with_threads(3)
-            .with_layout(ExecutionLayout::CellMajor)
             .with_kernel(KernelKind::Auto)
             .with_workers(2)
             .with_schedule_seed(Some(7));
@@ -142,11 +123,8 @@ mod tests {
         assert_eq!(cfg.resolved_threads(), 3);
         assert_eq!(cfg.workers, 2);
         assert_eq!(cfg.schedule_seed, Some(7));
-        // Auto resolves to the unrolled kernel on the cell-major layout…
+        // Auto resolves to the unrolled kernel; an explicit kernel stays.
         assert_eq!(cfg.resolved_kernel(), KernelKind::Unrolled);
-        // …but the hashed layout has no unrolled path: always scalar.
-        let hashed = cfg.with_layout(ExecutionLayout::Hashed);
-        assert_eq!(hashed.resolved_kernel(), KernelKind::Scalar);
         let explicit = cfg.with_kernel(KernelKind::Scalar);
         assert_eq!(explicit.resolved_kernel(), KernelKind::Scalar);
     }

@@ -14,7 +14,8 @@
     clippy::float_cmp
 )]
 
-use dbscout_core::{Dbscout, DbscoutParams, ExecutionLayout, OutlierResult};
+use dbscout_core::reference::naive_labels;
+use dbscout_core::{Dbscout, DbscoutParams, OutlierResult};
 use dbscout_data::StoreSource;
 use dbscout_rng::Rng;
 use dbscout_spatial::{KernelKind, PointStore};
@@ -46,12 +47,10 @@ fn dataset(rng: &mut Rng, dims: usize, max_n: usize) -> PointStore {
 fn detect(
     store: &PointStore,
     params: DbscoutParams,
-    layout: ExecutionLayout,
     kernel: KernelKind,
     threads: usize,
 ) -> OutlierResult {
     Dbscout::new(params)
-        .with_layout(layout)
         .with_kernel(kernel)
         .with_threads(threads)
         .detect(store)
@@ -82,17 +81,20 @@ fn scalar_and_unrolled_agree_dims_2_to_4() {
         let eps = rng.gen_range(0.3..5.0);
         let min_pts = rng.gen_range(1usize..8);
         let params = DbscoutParams::new(eps, min_pts).unwrap();
-        for layout in [ExecutionLayout::CellMajor, ExecutionLayout::Hashed] {
-            for threads in [1usize, 4, 8] {
-                let scalar = detect(&store, params, layout, KernelKind::Scalar, threads);
-                for kernel in [KernelKind::Unrolled, KernelKind::Auto] {
-                    let got = detect(&store, params, layout, kernel, threads);
-                    assert_equivalent(
-                        &scalar,
-                        &got,
-                        &format!("d={dims} {layout:?} {kernel:?} threads={threads}"),
-                    );
-                }
+        let expected = naive_labels(&store, params);
+        for threads in [1usize, 4, 8] {
+            let scalar = detect(&store, params, KernelKind::Scalar, threads);
+            assert_eq!(
+                scalar.labels, expected,
+                "d={dims} threads={threads}: vs naive"
+            );
+            for kernel in [KernelKind::Unrolled, KernelKind::Auto] {
+                let got = detect(&store, params, kernel, threads);
+                assert_equivalent(
+                    &scalar,
+                    &got,
+                    &format!("d={dims} {kernel:?} threads={threads}"),
+                );
             }
         }
     }
@@ -125,20 +127,8 @@ fn duplicates_and_eps_boundary_coords_are_kernel_invariant() {
         for min_pts in [1usize, 2, 4, 30] {
             let params = DbscoutParams::new(eps, min_pts).unwrap();
             for threads in [1usize, 4, 8] {
-                let scalar = detect(
-                    &store,
-                    params,
-                    ExecutionLayout::CellMajor,
-                    KernelKind::Scalar,
-                    threads,
-                );
-                let unrolled = detect(
-                    &store,
-                    params,
-                    ExecutionLayout::CellMajor,
-                    KernelKind::Unrolled,
-                    threads,
-                );
+                let scalar = detect(&store, params, KernelKind::Scalar, threads);
+                let unrolled = detect(&store, params, KernelKind::Unrolled, threads);
                 assert_equivalent(
                     &scalar,
                     &unrolled,

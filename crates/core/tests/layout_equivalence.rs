@@ -1,10 +1,10 @@
 //! The cell-major layout is a pure re-arrangement of memory: its labels
-//! must be byte-identical to the hashed path and to the brute-force
-//! reference on arbitrary inputs — across dimensions, thread counts,
-//! ablation switches, and the degenerate shapes (empty store, all
-//! duplicates, one cell) where permutation bookkeeping likes to break.
-//! Cases come from a seeded [`dbscout_rng::Rng`] so every run is
-//! reproducible.
+//! must be byte-identical to the brute-force reference, and its cell
+//! statistics to the paper-literal distributed engine, on arbitrary
+//! inputs — across dimensions, thread counts, ablation switches, and the
+//! degenerate shapes (empty store, all duplicates, one cell) where
+//! permutation bookkeeping likes to break. Cases come from a seeded
+//! [`dbscout_rng::Rng`] so every run is reproducible.
 
 #![allow(
     clippy::unwrap_used,
@@ -14,8 +14,11 @@
     clippy::float_cmp
 )]
 
+use std::sync::Arc;
+
 use dbscout_core::reference::naive_labels;
-use dbscout_core::{Dbscout, DbscoutParams, ExecutionLayout, NativeOptions};
+use dbscout_core::{Dbscout, DbscoutParams, DistributedDbscout, NativeOptions, OutlierResult};
+use dbscout_dataflow::ExecutionContext;
 use dbscout_rng::Rng;
 use dbscout_spatial::PointStore;
 
@@ -58,21 +61,39 @@ fn thread_counts() -> Vec<usize> {
     counts
 }
 
-fn detect(
-    store: &PointStore,
-    params: DbscoutParams,
-    layout: ExecutionLayout,
-    threads: usize,
-) -> dbscout_core::OutlierResult {
+fn detect(store: &PointStore, params: DbscoutParams, threads: usize) -> OutlierResult {
     Dbscout::new(params)
-        .with_layout(layout)
         .with_threads(threads)
         .detect(store)
         .unwrap()
 }
 
+/// The two oracles: brute-force labels, and the distributed engine's
+/// outliers and cell statistics (it builds its own grid, so the cell
+/// counts are an independent check of the layout's bookkeeping).
+fn assert_matches_oracles(
+    ctx: &Arc<ExecutionContext>,
+    store: &PointStore,
+    params: DbscoutParams,
+    got: &OutlierResult,
+    what: &str,
+) {
+    assert_eq!(got.labels, naive_labels(store, params), "{what}: vs naive");
+    let dist = DistributedDbscout::new(Arc::clone(ctx), params)
+        .detect(store)
+        .unwrap();
+    assert_eq!(got.outliers, dist.outliers, "{what}: vs distributed");
+    assert_eq!(got.stats.num_cells, dist.stats.num_cells, "{what}: cells");
+    assert_eq!(
+        got.stats.dense_cells, dist.stats.dense_cells,
+        "{what}: dense"
+    );
+    assert_eq!(got.stats.core_cells, dist.stats.core_cells, "{what}: core");
+}
+
 #[test]
-fn cell_major_matches_hashed_and_naive_dims_2_to_4() {
+fn cell_major_matches_naive_and_distributed_dims_2_to_4() {
+    let ctx = ExecutionContext::builder().workers(2).build();
     let mut rng = Rng::seed_from_u64(0x2001);
     for round in 0..30 {
         // Smaller datasets as k_d grows keeps the naive O(n²) check fast.
@@ -85,23 +106,15 @@ fn cell_major_matches_hashed_and_naive_dims_2_to_4() {
         let eps = rng.gen_range(0.3..5.0);
         let min_pts = rng.gen_range(1usize..8);
         let params = DbscoutParams::new(eps, min_pts).unwrap();
-        let expected = naive_labels(&store, params);
         for threads in thread_counts() {
-            let hashed = detect(&store, params, ExecutionLayout::Hashed, threads);
-            let cell_major = detect(&store, params, ExecutionLayout::CellMajor, threads);
-            assert_eq!(
-                cell_major.labels, expected,
-                "cell-major vs naive (d={dims}, threads={threads})"
+            let cell_major = detect(&store, params, threads);
+            assert_matches_oracles(
+                &ctx,
+                &store,
+                params,
+                &cell_major,
+                &format!("d={dims}, threads={threads}"),
             );
-            assert_eq!(
-                cell_major.labels, hashed.labels,
-                "cell-major vs hashed (d={dims}, threads={threads})"
-            );
-            assert_eq!(cell_major.outliers, hashed.outliers);
-            // The structural cell counters are layout-independent too.
-            assert_eq!(cell_major.stats.num_cells, hashed.stats.num_cells);
-            assert_eq!(cell_major.stats.dense_cells, hashed.stats.dense_cells);
-            assert_eq!(cell_major.stats.core_cells, hashed.stats.core_cells);
         }
     }
 }
@@ -114,9 +127,9 @@ fn cell_major_is_thread_count_invariant() {
         let eps = rng.gen_range(0.3..5.0);
         let min_pts = rng.gen_range(1usize..8);
         let params = DbscoutParams::new(eps, min_pts).unwrap();
-        let single = detect(&store, params, ExecutionLayout::CellMajor, 1);
+        let single = detect(&store, params, 1);
         for threads in [2usize, 4, 8] {
-            let multi = detect(&store, params, ExecutionLayout::CellMajor, threads);
+            let multi = detect(&store, params, threads);
             assert_eq!(single.labels, multi.labels, "threads {threads}");
             assert_eq!(single.outliers, multi.outliers, "threads {threads}");
             assert_eq!(
@@ -138,7 +151,6 @@ fn cell_major_ablations_preserve_labels() {
         let expected = naive_labels(&store, params);
         for (dense, early) in [(false, true), (true, false), (false, false)] {
             let got = Dbscout::new(params)
-                .with_layout(ExecutionLayout::CellMajor)
                 .with_options(NativeOptions {
                     dense_cell_shortcut: dense,
                     early_exit: early,
@@ -151,37 +163,16 @@ fn cell_major_ablations_preserve_labels() {
 }
 
 #[test]
-fn cell_major_prunes_at_least_as_hard_as_hashed() {
-    // The whole point of the layout: bounding-box pruning plus per-cell
-    // neighbor resolution must never *add* distance computations.
-    let mut rng = Rng::seed_from_u64(0x2004);
-    for _ in 0..15 {
-        let store = dataset(&mut rng, 2, 200);
-        let eps = rng.gen_range(0.3..5.0);
-        let min_pts = rng.gen_range(1usize..8);
-        let params = DbscoutParams::new(eps, min_pts).unwrap();
-        let hashed = detect(&store, params, ExecutionLayout::Hashed, 1);
-        let cell_major = detect(&store, params, ExecutionLayout::CellMajor, 1);
-        assert!(
-            cell_major.stats.distance_computations <= hashed.stats.distance_computations,
-            "cell-major did {} comps, hashed {}",
-            cell_major.stats.distance_computations,
-            hashed.stats.distance_computations
-        );
-    }
-}
-
-#[test]
 fn edge_case_empty_store() {
     let params = DbscoutParams::new(1.0, 5).unwrap();
     for dims in [2usize, 3, 4] {
         let store = PointStore::new(dims).unwrap();
-        for layout in [ExecutionLayout::Hashed, ExecutionLayout::CellMajor] {
-            let r = detect(&store, params, layout, 4);
-            assert!(r.labels.is_empty(), "{layout:?}");
-            assert!(r.outliers.is_empty(), "{layout:?}");
-            assert_eq!(r.stats.num_cells, 0, "{layout:?}");
-            assert_eq!(r.stats.distance_computations, 0, "{layout:?}");
+        for threads in [1usize, 4] {
+            let r = detect(&store, params, threads);
+            assert!(r.labels.is_empty(), "d={dims} threads={threads}");
+            assert!(r.outliers.is_empty(), "d={dims} threads={threads}");
+            assert_eq!(r.stats.num_cells, 0, "d={dims} threads={threads}");
+            assert_eq!(r.stats.distance_computations, 0, "d={dims}");
         }
     }
 }
@@ -189,17 +180,21 @@ fn edge_case_empty_store() {
 #[test]
 fn edge_case_all_duplicates() {
     // Every point identical: one cell, all pairwise distances zero.
+    let ctx = ExecutionContext::builder().workers(2).build();
     for n in [1usize, 4, 40] {
         let rows = vec![vec![3.25, -1.5]; n];
         let store = PointStore::from_rows(2, rows).unwrap();
         for min_pts in [1usize, n.max(1), n + 1] {
             let params = DbscoutParams::new(0.5, min_pts).unwrap();
-            let expected = naive_labels(&store, params);
             for threads in thread_counts() {
-                let hashed = detect(&store, params, ExecutionLayout::Hashed, threads);
-                let cell_major = detect(&store, params, ExecutionLayout::CellMajor, threads);
-                assert_eq!(cell_major.labels, expected, "n={n} minPts={min_pts}");
-                assert_eq!(cell_major.labels, hashed.labels, "n={n} minPts={min_pts}");
+                let cell_major = detect(&store, params, threads);
+                assert_matches_oracles(
+                    &ctx,
+                    &store,
+                    params,
+                    &cell_major,
+                    &format!("n={n} minPts={min_pts} threads={threads}"),
+                );
             }
         }
     }
@@ -209,6 +204,7 @@ fn edge_case_all_duplicates() {
 fn edge_case_single_cell() {
     // eps large enough that the whole dataset shares one ε-cell: the
     // neighbor loop degenerates to a self-scan.
+    let ctx = ExecutionContext::builder().workers(2).build();
     let mut rng = Rng::seed_from_u64(0x2005);
     for _ in 0..10 {
         let n = rng.gen_range(1usize..60);
@@ -217,13 +213,16 @@ fn edge_case_single_cell() {
             .collect();
         let store = PointStore::from_rows(2, rows).unwrap();
         let params = DbscoutParams::new(10.0, rng.gen_range(1usize..6)).unwrap();
-        let expected = naive_labels(&store, params);
         for threads in thread_counts() {
-            let hashed = detect(&store, params, ExecutionLayout::Hashed, threads);
-            let cell_major = detect(&store, params, ExecutionLayout::CellMajor, threads);
+            let cell_major = detect(&store, params, threads);
             assert_eq!(cell_major.stats.num_cells, 1);
-            assert_eq!(cell_major.labels, expected, "n={n} threads={threads}");
-            assert_eq!(cell_major.labels, hashed.labels, "n={n} threads={threads}");
+            assert_matches_oracles(
+                &ctx,
+                &store,
+                params,
+                &cell_major,
+                &format!("n={n} threads={threads}"),
+            );
         }
     }
 }

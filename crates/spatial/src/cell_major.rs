@@ -1993,7 +1993,7 @@ mod tests {
 
     #[test]
     fn layout_agrees_with_grid() {
-        // Same cells, same per-cell id sets as the hashed grid.
+        // Same cells, same per-cell id sets as the hash-keyed `Grid`.
         let pts: Vec<[f64; 2]> = (0..60)
             .map(|i| [((i * 37) % 50) as f64 * 0.3, ((i * 53) % 40) as f64 * 0.3])
             .collect();

@@ -5,7 +5,10 @@
 //! which emits one key per line in insertion order — the property the
 //! report-determinism tests rely on. The companion [`parse`] function is
 //! a strict little recursive-descent parser used by `cargo xtask
-//! check-report` and by tests that validate emitted artifacts.
+//! check-report`, by `dbscout serve` on every request line, and by tests
+//! that validate emitted artifacts. Its recursion is bounded by
+//! [`MAX_DEPTH`], so hostile input gets an error, never a stack
+//! overflow.
 
 use std::fmt::Write as _;
 
@@ -253,11 +256,18 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-/// Parses a complete JSON document. Rejects trailing garbage.
+/// The deepest nesting of arrays and objects [`parse`] accepts. Run
+/// reports and traces nest fewer than 10 levels.
+pub const MAX_DEPTH: usize = 128;
+
+/// Parses a complete JSON document. Rejects trailing garbage and
+/// nesting deeper than [`MAX_DEPTH`].
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
+        src: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -269,8 +279,11 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -312,8 +325,19 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => self.string().map(Value::Str),
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
@@ -411,12 +435,15 @@ impl Parser<'_> {
                     }
                 }
                 _ => {
-                    // Re-decode the UTF-8 sequence starting here.
+                    // Decode the one character starting here; the input
+                    // is a `str`, so it is valid UTF-8 and `start` is a
+                    // character boundary.
                     let start = self.pos - 1;
-                    let tail = self.bytes.get(start..).unwrap_or(&[]);
-                    let s = std::str::from_utf8(tail)
-                        .map_err(|_| self.err("invalid UTF-8 in string"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty sequence"))?;
+                    let c = self
+                        .src
+                        .get(start..)
+                        .and_then(|s| s.chars().next())
+                        .ok_or_else(|| self.err("invalid UTF-8 in string"))?;
                     out.push(c);
                     self.pos = start + c.len_utf8();
                 }
@@ -503,6 +530,28 @@ mod tests {
         for bad in ["", "{", "[1,]", "{\"a\" 1}", "[1] tail", "\"open"] {
             assert!(parse(bad).is_err(), "should reject {bad:?}");
         }
+    }
+
+    #[test]
+    fn parser_rejects_nesting_beyond_the_depth_limit() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        let err = parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.message.contains("nesting deeper than"), "{err}");
+        assert_eq!(err.offset, MAX_DEPTH);
+        // Objects count too, and a hostile line far past the limit
+        // fails at the limit instead of recursing through it.
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objects).unwrap_err().message.contains("nesting"));
+        assert_eq!(parse(&"[".repeat(200_000)).unwrap_err().offset, MAX_DEPTH);
+    }
+
+    #[test]
+    fn parser_decodes_multibyte_characters() {
+        let v = parse("[\"ε-cell ⊂ 𝔼\", \"ä\"]").unwrap();
+        let items = v.as_array().unwrap();
+        assert_eq!(items[0].as_str(), Some("ε-cell ⊂ 𝔼"));
+        assert_eq!(items[1].as_str(), Some("ä"));
     }
 
     #[test]

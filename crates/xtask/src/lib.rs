@@ -72,7 +72,6 @@
     )
 )]
 pub mod diag;
-pub mod layout_check;
 pub mod lexer;
 pub mod report_check;
 pub mod rules;

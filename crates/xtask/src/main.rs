@@ -20,11 +20,7 @@ fn usage() -> &'static str {
      \x20                              --trace-out` Chrome Trace: spans and\n\
      \x20                              counter samples only, timestamps\n\
      \x20                              monotone per lane, counter names in\n\
-     \x20                              the kernel taxonomy\n\
-     \x20 check-layout [--root DIR]    assert the cell-major layout is the\n\
-     \x20                              native engine's `#[default]` (release\n\
-     \x20                              builds must not silently fall back to\n\
-     \x20                              the hashed path)\n\n\
+     \x20                              the kernel taxonomy\n\n\
      lint options:\n\
      \x20 --json      emit findings as one JSON document\n\
      \x20 --root DIR  workspace root to lint (default: CARGO_WORKSPACE_DIR\n\
@@ -45,7 +41,6 @@ fn main() -> ExitCode {
         "lint" => lint(args),
         "check-report" => check_report(args),
         "check-trace" => check_trace(args),
-        "check-layout" => check_layout(args),
         _ => {
             eprintln!("error: unknown command {cmd:?}\n\n{}", usage());
             ExitCode::FAILURE
@@ -116,45 +111,6 @@ fn workspace_root() -> PathBuf {
     std::env::var("CARGO_MANIFEST_DIR")
         .map(|m| PathBuf::from(m).join("../.."))
         .unwrap_or_else(|_| PathBuf::from("."))
-}
-
-fn check_layout(mut args: impl Iterator<Item = String>) -> ExitCode {
-    let mut root: Option<PathBuf> = None;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--root" => match args.next() {
-                Some(dir) => root = Some(PathBuf::from(dir)),
-                None => {
-                    eprintln!("error: --root needs a directory argument");
-                    return ExitCode::FAILURE;
-                }
-            },
-            other => {
-                eprintln!("error: unknown flag {other:?}\n\n{}", usage());
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let root = root.unwrap_or_else(workspace_root);
-    let native = root.join("crates/core/src/native.rs");
-    let source = match std::fs::read_to_string(&native) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: failed to read {}: {e}", native.display());
-            return ExitCode::FAILURE;
-        }
-    };
-    let errors = xtask::layout_check::check_layout_source(&source);
-    if errors.is_empty() {
-        println!("xtask check-layout: ExecutionLayout defaults to CellMajor");
-        ExitCode::SUCCESS
-    } else {
-        for e in &errors {
-            eprintln!("{}: {e}", native.display());
-        }
-        eprintln!("xtask check-layout: {} violation(s)", errors.len());
-        ExitCode::FAILURE
-    }
 }
 
 fn lint(mut args: impl Iterator<Item = String>) -> ExitCode {

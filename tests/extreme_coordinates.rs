@@ -21,8 +21,7 @@
 use dbscout::baselines::Dbscan;
 use dbscout::core::reference::naive_labels;
 use dbscout::core::{
-    detect_outliers, Dbscout, DbscoutParams, DistributedDbscout, ExecutionLayout,
-    IncrementalDbscout, KernelKind, PointLabel,
+    detect_outliers, Dbscout, DbscoutParams, DistributedDbscout, IncrementalDbscout, PointLabel,
 };
 use dbscout::dataflow::ExecutionContext;
 use dbscout::spatial::PointStore;
@@ -31,19 +30,15 @@ use dbscout::spatial::PointStore;
 fn all_detectors_match_reference(store: &PointStore, params: DbscoutParams) {
     let want = naive_labels(store, params);
     assert_eq!(detect_outliers(store, params).unwrap().labels, want);
-    for layout in [ExecutionLayout::CellMajor, ExecutionLayout::Hashed] {
-        for threads in [1, 2] {
-            let got = Dbscout::new(params)
-                .with_layout(layout)
-                .with_threads(threads)
-                .detect(store)
-                .unwrap();
-            assert_eq!(got.labels, want, "{layout:?}, {threads} threads");
-        }
-        let inc =
-            IncrementalDbscout::from_store_with(store, params, layout, KernelKind::Auto).unwrap();
-        assert_eq!(inc.labels(), want.as_slice(), "incremental {layout:?}");
+    for threads in [1, 2] {
+        let got = Dbscout::new(params)
+            .with_threads(threads)
+            .detect(store)
+            .unwrap();
+        assert_eq!(got.labels, want, "{threads} threads");
     }
+    let inc = IncrementalDbscout::from_store(store, params).unwrap();
+    assert_eq!(inc.labels(), want.as_slice(), "incremental");
     let ctx = ExecutionContext::builder().workers(2).build();
     let dist = DistributedDbscout::new(ctx, params).detect(store).unwrap();
     assert_eq!(dist.labels, want, "distributed");
