@@ -21,11 +21,11 @@
 
 use std::time::{Duration, Instant};
 
-use dbscout_data::PointSource;
-use dbscout_dataflow::executor::{run_exclusive_tasks, run_tasks, run_tasks_with};
+use dbscout_data::{PointBatch, PointSource};
+use dbscout_dataflow::executor::{run_exclusive_tasks, run_tasks_with};
 use dbscout_spatial::{
-    CellMajorBuilder, CellMajorStore, KernelKind, NeighborOffsets, PointStore, ScatterShard,
-    SpatialError, MAX_DIMS,
+    CellMajorBuilder, CellMajorStore, KernelKind, NeighborOffsets, PointStore, SpatialError,
+    MAX_DIMS,
 };
 use dbscout_telemetry::KernelCounters;
 
@@ -153,150 +153,46 @@ impl Dbscout {
     /// once per *cell* into per-worker scratch, bounding boxes prune
     /// cells provably outside ε, and the counted kernels stream
     /// contiguous columns with early exit.
-    pub fn detect(&self, store: &PointStore) -> Result<OutlierResult> {
-        // Phase 1: grid partitioning (Algorithm 1) fused with the
-        // cell-major permutation: one pass yields the cell runs, the
-        // columnar buffer, and the per-cell bounding boxes.
-        let t = Instant::now();
-        let cm = self.build_cell_major(store)?;
-        let offsets = NeighborOffsets::new(store.dims())?;
-        let grid_elapsed = t.elapsed();
-        self.run_cell_major_phases(&cm, &offsets, grid_elapsed)
-    }
-
-    /// Builds the cell-major layout of `store`, in parallel when more
-    /// than one thread is configured. The parallel build is
-    /// byte-identical to [`CellMajorStore::build`] by construction
-    /// (pinned by a test): pass-1 counts are summed per-worker over
-    /// disjoint row chunks and merged (counting is additive, so chunking
-    /// cannot change the totals); the prefix-sum layout step is shared;
-    /// and pass 2 scatters through [`CellMajorScatter::shards`], where
-    /// every shard owns a disjoint cell range and a point's slot is a
-    /// pure function of `(cell, arrival id)` — independent of which
-    /// shard writes it.
     ///
-    /// [`CellMajorScatter::shards`]: dbscout_spatial::CellMajorScatter::shards
-    fn build_cell_major(&self, store: &PointStore) -> Result<CellMajorStore> {
-        let threads = self.threads;
-        let rows = store.len() as usize;
-        if threads <= 1 || rows < 2 {
-            return Ok(CellMajorStore::build(store, self.params.eps)?);
-        }
-        let dims = store.dims();
-        let eps = self.params.eps;
-        let flat = store.flat();
-
-        // Pass 1: per-worker counting over disjoint row chunks.
-        let chunks = chunk_ranges(rows, threads);
-        let tasks: Vec<_> = chunks
-            .iter()
-            .map(|range| {
-                let range = range.clone();
-                move || -> std::result::Result<CellMajorBuilder, SpatialError> {
-                    let mut sub = CellMajorBuilder::new(dims, eps)?;
-                    let coords = flat
-                        .get(range.start * dims..range.end * dims)
-                        .unwrap_or(&[]);
-                    sub.count_batch(coords)?;
-                    Ok(sub)
-                }
-            })
-            .collect();
-        let mut builder = CellMajorBuilder::new(dims, eps)?;
-        for sub in run_tasks(threads, tasks)? {
-            builder.merge(sub?)?;
-        }
-
-        // Shared prefix-sum layout step, then the partitioned scatter:
-        // each shard replays the whole store and writes only the cells
-        // it owns.
-        let mut scatter = builder.begin_scatter();
-        let tasks: Vec<_> = scatter
-            .shards(threads)
-            .into_iter()
-            .map(|mut shard| move || shard.scatter_batch(flat))
-            .collect();
-        for done in run_exclusive_tasks(tasks) {
-            done?;
-        }
-        Ok(scatter.finish_sharded()?)
+    /// Phase 1 builds that buffer with the same two-pass routine as
+    /// [`Self::detect_source`], reading the store as one row chunk per
+    /// thread.
+    pub fn detect(&self, store: &PointStore) -> Result<OutlierResult> {
+        let chunks = chunk_ranges(store.len() as usize, self.threads);
+        self.detect_input(&mut StoreChunks {
+            store,
+            chunks,
+            next: 0,
+        })
     }
 
     /// Detects all outliers of a streaming [`PointSource`], exactly, with
     /// peak memory bounded by the finished cell-major layout plus one
-    /// batch — never the raw input file.
+    /// group of up to `threads` batches (and, during the counting pass,
+    /// one per-cell tally per thread) — never the raw input file.
     ///
-    /// The grid is built by the two-pass streaming [`CellMajorBuilder`]:
-    /// pass 1 counts points per ε-cell, the source is
-    /// [`PointSource::reset`] and pass 2 scatters the replayed batches
-    /// straight into the cell-contiguous columns, then the shared phases
-    /// 2–5 run. The result is identical to materializing the source and
-    /// calling [`Self::detect`] — the equivalence suite pins labels *and*
-    /// stats.
-    ///
-    /// With more than one thread configured, both passes run in parallel
-    /// over *batch groups* of up to `threads` batches (peak memory grows
-    /// from one batch to one group): pass 1 counts each batch of a group
-    /// into its own fresh builder and merges (counting is additive), and
-    /// pass 2 replays every group through the partitioned
-    /// [`dbscout_spatial::CellMajorScatter::shards`], each shard owning
-    /// a disjoint cell range. The finished layout is byte-identical to
-    /// the sequential build — a point's slot is a pure function of
-    /// `(cell, arrival id)`, and each shard tracks arrival ids across
-    /// the whole replay.
+    /// The grid is built in two passes over the source: pass 1 counts
+    /// points per ε-cell, the source is [`PointSource::reset`], and pass
+    /// 2 places the replayed batches straight into the cell-contiguous
+    /// columns; then the shared phases 2–5 run. Both passes read the
+    /// source in groups of up to `threads` batches and compute each
+    /// point's cell once: pass 1 tallies batch `i` of a group in lane
+    /// `i`, and pass 2 resolves the group's points to cell indices in
+    /// parallel over its batches, then places them in parallel over
+    /// disjoint cell ranges. The result is identical to materializing the
+    /// source and calling [`Self::detect`] at any thread count — the
+    /// equivalence suite pins labels *and* stats.
     pub fn detect_source(&self, source: &mut dyn PointSource) -> Result<OutlierResult> {
+        self.detect_input(&mut SourceGroups {
+            dims: source.dims(),
+            source,
+        })
+    }
+
+    /// Phase 1 over `input`, then phases 2–5.
+    fn detect_input(&self, input: &mut impl GridInput) -> Result<OutlierResult> {
         let t = Instant::now();
-        let threads = self.threads;
-        let eps = self.params.eps;
-        let mut builder = match source.dims() {
-            Some(dims) => Some(CellMajorBuilder::new(dims, eps)?),
-            None => None,
-        };
-        if threads <= 1 {
-            while let Some(batch) = source.next_batch()? {
-                let b = match &mut builder {
-                    Some(b) => b,
-                    None => builder.insert(CellMajorBuilder::new(batch.dims(), eps)?),
-                };
-                b.count_batch(batch.coords())?;
-            }
-        } else {
-            let mut dims = None;
-            loop {
-                let mut group: Vec<Vec<f64>> = Vec::with_capacity(threads);
-                while group.len() < threads {
-                    let Some(batch) = source.next_batch()? else {
-                        break;
-                    };
-                    if dims.is_none() {
-                        dims = Some(batch.dims());
-                    }
-                    group.push(batch.coords().to_vec());
-                }
-                let (Some(d), false) = (dims, group.is_empty()) else {
-                    break;
-                };
-                let b = match &mut builder {
-                    Some(b) => b,
-                    None => builder.insert(CellMajorBuilder::new(d, eps)?),
-                };
-                let tasks: Vec<_> = group
-                    .iter()
-                    .map(|coords| {
-                        let coords = coords.as_slice();
-                        move || -> std::result::Result<CellMajorBuilder, SpatialError> {
-                            let mut sub = CellMajorBuilder::new(d, eps)?;
-                            sub.count_batch(coords)?;
-                            Ok(sub)
-                        }
-                    })
-                    .collect();
-                for sub in run_tasks(threads, tasks)? {
-                    b.merge(sub?)?;
-                }
-            }
-        }
-        let Some(builder) = builder else {
+        let Some(cm) = self.build_grid(input)? else {
             // The source produced no batches and never declared a
             // dimensionality — an empty dataset.
             return Ok(OutlierResult::from_labels(
@@ -305,52 +201,101 @@ impl Dbscout {
                 PhaseTimings::default(),
             ));
         };
-        source.reset()?;
-        let mut scatter = builder.begin_scatter();
-        let cm = if threads <= 1 {
-            while let Some(batch) = source.next_batch()? {
-                scatter.scatter_batch(batch.coords())?;
-            }
-            scatter.finish()?
-        } else {
-            // The shards persist across groups: each carries its own
-            // arrival-id cursor through the whole replay, so batch
-            // grouping cannot move a point between slots.
-            let mut shards = scatter.shards(threads);
-            loop {
-                let mut group: Vec<Vec<f64>> = Vec::with_capacity(threads);
-                while group.len() < threads {
-                    let Some(batch) = source.next_batch()? else {
-                        break;
-                    };
-                    group.push(batch.coords().to_vec());
-                }
-                if group.is_empty() {
-                    break;
-                }
-                let group = &group;
-                let tasks: Vec<_> = shards
-                    .into_iter()
-                    .map(|mut shard| {
-                        move || -> std::result::Result<ScatterShard<'_>, SpatialError> {
-                            for coords in group {
-                                shard.scatter_batch(coords)?;
-                            }
-                            Ok(shard)
-                        }
-                    })
-                    .collect();
-                shards = Vec::with_capacity(tasks.len());
-                for shard in run_exclusive_tasks(tasks) {
-                    shards.push(shard?);
-                }
-            }
-            drop(shards);
-            scatter.finish_sharded()?
-        };
         let offsets = NeighborOffsets::new(cm.dims())?;
         let grid_elapsed = t.elapsed();
         self.run_cell_major_phases(&cm, &offsets, grid_elapsed)
+    }
+
+    /// Phase 1, grid partitioning (Algorithm 1), fused with the
+    /// cell-major permutation: a two-pass counting sort by cell over
+    /// `input`, read as groups of up to `threads` batches. Each pass
+    /// computes and hashes every point's cell once.
+    ///
+    /// * Pass 1: lane `i` tallies batch `i` of every group into its own
+    ///   [`CellMajorBuilder`], and the lanes merge once at the end. Cell
+    ///   counts are sums, so the split cannot change the totals.
+    /// * [`CellMajorBuilder::begin_scatter`] lays out the cell table.
+    /// * Pass 2, per group: *resolve* maps each point to its cell index,
+    ///   in parallel over the batches, reading only the cell table; then
+    ///   *place* writes the points, in parallel over
+    ///   [`CellMajorScatter::shards`], each shard writing only its own
+    ///   cells.
+    ///
+    /// A point's slot is a pure function of `(cell, arrival id)`, so the
+    /// layout is byte-identical to [`CellMajorStore::build`] for any
+    /// thread count and batching. Returns `None` for an input that has
+    /// no batches and never declared a dimensionality.
+    ///
+    /// [`CellMajorScatter::shards`]: dbscout_spatial::CellMajorScatter::shards
+    fn build_grid(&self, input: &mut impl GridInput) -> Result<Option<CellMajorStore>> {
+        let threads = self.threads.max(1);
+        let eps = self.params.eps;
+        let mut group = Vec::with_capacity(threads);
+        input.next_group(threads, &mut group)?;
+        let Some(dims) = input.dims() else {
+            return Ok(None);
+        };
+
+        // Pass 1: `tally` is lane 0; the other lanes fold into it once.
+        let mut tally = CellMajorBuilder::new(dims, eps)?;
+        let mut lanes = (1..threads)
+            .map(|_| CellMajorBuilder::new(dims, eps))
+            .collect::<std::result::Result<Vec<_>, _>>()?;
+        let mut next_id = 0;
+        while !group.is_empty() {
+            let firsts = arrival_ids(&group, dims, &mut next_id);
+            let tasks: Vec<_> = std::iter::once(&mut tally)
+                .chain(&mut lanes)
+                .zip(&group)
+                .zip(firsts)
+                .map(|((lane, batch), first)| move || lane.count_batch_at(first, batch.as_ref()))
+                .collect();
+            for done in run_exclusive_tasks(tasks) {
+                done?;
+            }
+            input.next_group(threads, &mut group)?;
+        }
+        for lane in lanes {
+            tally.merge(lane)?;
+        }
+
+        // Pass 2: resolve, then place, one group at a time.
+        input.rewind()?;
+        let mut scatter = tally.begin_scatter();
+        let mut next_id = 0;
+        loop {
+            input.next_group(threads, &mut group)?;
+            if group.is_empty() {
+                break;
+            }
+            let firsts = arrival_ids(&group, dims, &mut next_id);
+            let table = &scatter;
+            let tasks: Vec<_> = group
+                .iter()
+                .zip(&firsts)
+                .map(|(batch, &first)| move || table.resolve(first, batch.as_ref()))
+                .collect();
+            let resolved = run_exclusive_tasks(tasks)
+                .into_iter()
+                .collect::<std::result::Result<Vec<_>, _>>()?;
+            let (group, resolved, firsts) = (&group, &resolved, &firsts);
+            let tasks: Vec<_> = scatter
+                .shards(threads)
+                .into_iter()
+                .map(|mut shard| {
+                    move || -> std::result::Result<(), SpatialError> {
+                        for ((batch, cells), &first) in group.iter().zip(resolved).zip(firsts) {
+                            shard.place(first, batch.as_ref(), cells)?;
+                        }
+                        Ok(())
+                    }
+                })
+                .collect();
+            for done in run_exclusive_tasks(tasks) {
+                done?;
+            }
+        }
+        Ok(Some(scatter.finish_sharded()?))
     }
 
     /// Phases 2–5 over a built cell-major layout — shared verbatim by the
@@ -695,6 +640,101 @@ pub(crate) fn chunk_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usiz
         start += size;
     }
     out
+}
+
+/// The arrival id of each batch's first point, counting on from `next`,
+/// which is left one past the group's last point.
+fn arrival_ids<B: AsRef<[f64]>>(group: &[B], dims: usize, next: &mut usize) -> Vec<usize> {
+    group
+        .iter()
+        .map(|batch| {
+            let first = *next;
+            *next += batch.as_ref().len() / dims;
+            first
+        })
+        .collect()
+}
+
+/// The input of phase 1, read twice as groups of flat row-major batches.
+trait GridInput {
+    /// One batch of points.
+    type Batch: AsRef<[f64]> + Sync;
+
+    /// The point dimensionality, once known.
+    fn dims(&self) -> Option<usize>;
+
+    /// Replaces `group` with the next batches, at most `max` of them;
+    /// leaves it empty at the end of the pass.
+    fn next_group(&mut self, max: usize, group: &mut Vec<Self::Batch>) -> Result<()>;
+
+    /// Rewinds to the first batch for the second pass.
+    fn rewind(&mut self) -> Result<()>;
+}
+
+/// A materialized store, read as borrowed row chunks.
+struct StoreChunks<'a> {
+    store: &'a PointStore,
+    chunks: Vec<std::ops::Range<usize>>,
+    /// The next chunk to hand out.
+    next: usize,
+}
+
+impl<'a> GridInput for StoreChunks<'a> {
+    type Batch = &'a [f64];
+
+    fn dims(&self) -> Option<usize> {
+        Some(self.store.dims())
+    }
+
+    fn next_group(&mut self, max: usize, group: &mut Vec<&'a [f64]>) -> Result<()> {
+        let (flat, dims) = (self.store.flat(), self.store.dims());
+        group.clear();
+        group.extend(
+            self.chunks
+                .iter()
+                .skip(self.next)
+                .take(max)
+                .map(|rows| flat.get(rows.start * dims..rows.end * dims).unwrap_or(&[])),
+        );
+        self.next += group.len();
+        Ok(())
+    }
+
+    fn rewind(&mut self) -> Result<()> {
+        self.next = 0;
+        Ok(())
+    }
+}
+
+/// A streaming source, read batch by batch.
+struct SourceGroups<'a> {
+    source: &'a mut dyn PointSource,
+    /// Declared by the source, or learned from its first batch.
+    dims: Option<usize>,
+}
+
+impl GridInput for SourceGroups<'_> {
+    type Batch = PointBatch;
+
+    fn dims(&self) -> Option<usize> {
+        self.dims
+    }
+
+    fn next_group(&mut self, max: usize, group: &mut Vec<PointBatch>) -> Result<()> {
+        group.clear();
+        while group.len() < max {
+            let Some(batch) = self.source.next_batch()? else {
+                break;
+            };
+            self.dims.get_or_insert(batch.dims());
+            group.push(batch);
+        }
+        Ok(())
+    }
+
+    fn rewind(&mut self) -> Result<()> {
+        Ok(self.source.reset()?)
+    }
 }
 
 /// One-shot convenience: detect with all defaults. Thin wrapper over

@@ -15,12 +15,12 @@
 )]
 
 use dbscout_core::reference::naive_labels;
-use dbscout_core::{DbscoutParams, DetectorBuilder, OutlierResult};
+use dbscout_core::{DbscoutError, DbscoutParams, DetectorBuilder, OutlierResult};
 use dbscout_data::io::{read_csv_with, IngestMode};
-use dbscout_data::{CsvSource, PointSource, StoreSource};
+use dbscout_data::{CsvSource, DataIoError, PointBatch, PointSource, StoreSource};
 use dbscout_dataflow::ExecutionContext;
 use dbscout_rng::Rng;
-use dbscout_spatial::PointStore;
+use dbscout_spatial::{PointStore, SpatialError};
 
 /// The batch shapes the issue calls out: degenerate (1), odd (7), and
 /// larger than most fixtures (4096, a single batch).
@@ -50,6 +50,22 @@ fn dataset(rng: &mut Rng, dims: usize, max_n: usize) -> PointStore {
     PointStore::from_rows(dims, rows).expect("generated rows are valid")
 }
 
+/// Build-thread counts: 1 and 4, 2 (the default on a two-core host) and
+/// 3 (so the last batch group is shorter than the thread count), plus
+/// `DBSCOUT_TEST_THREADS` when set (CI adds 8).
+fn thread_counts() -> Vec<usize> {
+    let mut counts = vec![1usize, 2, 3, 4];
+    if let Some(extra) = std::env::var("DBSCOUT_TEST_THREADS")
+        .ok()
+        .and_then(|v| v.trim().parse::<usize>().ok())
+    {
+        if extra > 0 && !counts.contains(&extra) {
+            counts.push(extra);
+        }
+    }
+    counts
+}
+
 /// Asserts two results are identical in every observable the run report
 /// and downstream consumers read.
 fn assert_identical(streamed: &OutlierResult, materialized: &OutlierResult, ctx: &str) {
@@ -71,7 +87,7 @@ fn detect_source_matches_detect_for_every_batch_size() {
         let eps = rng.gen_range(0.3..5.0);
         let min_pts = rng.gen_range(1usize..8);
         let params = DbscoutParams::new(eps, min_pts).unwrap();
-        for threads in [1usize, 4] {
+        for threads in thread_counts() {
             let builder = DetectorBuilder::new(params).threads(threads);
             let materialized = builder.build_native().detect(&store).unwrap();
             for batch in BATCH_SIZES {
@@ -213,4 +229,53 @@ fn len_hint_is_not_trusted() {
     let mut source = LyingSource(StoreSource::new(&store, 13));
     let streamed = builder.detect_source(&mut source).unwrap();
     assert_identical(&streamed, &materialized, "lying len_hint");
+}
+
+#[test]
+fn non_finite_coordinate_is_reported_at_its_stream_position() {
+    // Five 2-D points per batch; the third batch holds a NaN at point
+    // 13, dim 1, and the fourth an infinity at point 16. Batches count
+    // in parallel lanes, yet every thread count must name point 13, as
+    // a sequential pass does.
+    struct Batches {
+        batches: Vec<PointBatch>,
+        next: usize,
+    }
+    impl PointSource for Batches {
+        fn dims(&self) -> Option<usize> {
+            Some(2)
+        }
+        fn next_batch(&mut self) -> Result<Option<PointBatch>, DataIoError> {
+            self.next += 1;
+            Ok(self.batches.get(self.next - 1).cloned())
+        }
+        fn reset(&mut self) -> Result<(), DataIoError> {
+            self.next = 0;
+            Ok(())
+        }
+    }
+
+    let mut coords: Vec<f64> = (0..60).map(|i| f64::from(i) * 0.25).collect();
+    coords[13 * 2 + 1] = f64::NAN;
+    coords[16 * 2] = f64::INFINITY;
+    let batches: Vec<PointBatch> = coords
+        .chunks(10)
+        .map(|chunk| PointBatch::from_flat(2, chunk.to_vec()).unwrap())
+        .collect();
+    let params = DbscoutParams::new(1.0, 3).unwrap();
+    for threads in [1usize, 2, 4] {
+        let mut source = Batches {
+            batches: batches.clone(),
+            next: 0,
+        };
+        let err = DetectorBuilder::new(params)
+            .threads(threads)
+            .detect_source(&mut source)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            DbscoutError::InvalidInput(SpatialError::NonFiniteCoordinate { point: 13, dim: 1 }),
+            "threads={threads}"
+        );
+    }
 }

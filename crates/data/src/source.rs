@@ -98,6 +98,12 @@ impl PointBatch {
     }
 }
 
+impl AsRef<[f64]> for PointBatch {
+    fn as_ref(&self) -> &[f64] {
+        &self.coords
+    }
+}
+
 /// A rewindable stream of fixed-size point batches.
 ///
 /// The contract consumers rely on:

@@ -6,6 +6,8 @@
 //! integer coordinates of its minimum vertex scaled by `l`:
 //! `C_i = ⌊x_i / l⌋` (paper Algorithm 1).
 
+use std::hash::{Hash, Hasher};
+
 /// Maximum supported dimensionality. The paper evaluates k_d for d ≤ 9
 /// (Table I) and runs experiments on 2–3-dimensional data.
 pub const MAX_DIMS: usize = 9;
@@ -14,11 +16,22 @@ pub const MAX_DIMS: usize = 9;
 ///
 /// Stored as a fixed-size array (zero-padded beyond `dims`) so the type is
 /// `Copy` and hashes without heap traffic — cell ids are the shuffle keys
-/// of every DBSCOUT phase.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// of every DBSCOUT phase. The hash covers only the `dims` live
+/// coordinates, not the padding: a 3-D cell feeds its hasher 32 bytes,
+/// not 81. Equality still compares the whole array, which agrees because
+/// the padding is always zero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CellCoord {
     dims: u8,
     c: [i64; MAX_DIMS],
+}
+
+impl Hash for CellCoord {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        // The slice hash writes its length first, so cells of different
+        // dimensionality still hash apart.
+        self.coords().hash(state);
+    }
 }
 
 impl CellCoord {
@@ -152,6 +165,21 @@ mod tests {
         let mut set = std::collections::HashSet::new();
         set.insert(a);
         assert!(set.contains(&b));
+    }
+
+    #[test]
+    fn hash_covers_only_the_live_coordinates() {
+        fn hash_of<T: Hash + ?Sized>(value: &T) -> u64 {
+            let mut state = std::collections::hash_map::DefaultHasher::new();
+            value.hash(&mut state);
+            state.finish()
+        }
+        let cell = CellCoord::from_slice(&[4, -7, 9]);
+        assert_eq!(hash_of(&cell), hash_of(&[4i64, -7, 9][..]));
+        assert_ne!(
+            hash_of(&CellCoord::from_slice(&[0])),
+            hash_of(&CellCoord::from_slice(&[0, 0]))
+        );
     }
 
     #[test]

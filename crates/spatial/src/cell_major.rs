@@ -201,6 +201,14 @@ impl CellMajorBuilder {
     /// must be a whole number of points and every value finite — so the
     /// scatter pass can trust the replayed stream.
     pub fn count_batch(&mut self, coords: &[f64]) -> Result<(), SpatialError> {
+        self.count_batch_at(self.n, coords)
+    }
+
+    /// [`Self::count_batch`] for a tally that sees only some batches of
+    /// the stream, such as one lane of a parallel pass 1: `first` is the
+    /// arrival id of the batch's first point in the whole stream, which
+    /// is the point a [`SpatialError::NonFiniteCoordinate`] names.
+    pub fn count_batch_at(&mut self, first: usize, coords: &[f64]) -> Result<(), SpatialError> {
         if !coords.len().is_multiple_of(self.dims) {
             return Err(SpatialError::DimensionMismatch {
                 expected: self.dims,
@@ -208,14 +216,7 @@ impl CellMajorBuilder {
             });
         }
         for (i, p) in coords.chunks_exact(self.dims).enumerate() {
-            for (k, &x) in p.iter().enumerate() {
-                if !x.is_finite() {
-                    return Err(SpatialError::NonFiniteCoordinate {
-                        point: self.n + i,
-                        dim: k,
-                    });
-                }
-            }
+            check_finite(first + i, p)?;
             *self.counts.entry(cell_of(p, self.side)).or_insert(0) += 1;
         }
         self.n += coords.len() / self.dims;
@@ -300,8 +301,23 @@ impl CellMajorBuilder {
     }
 }
 
-/// Pass 2 of the two-pass streaming build: scatters the replayed stream
+/// Fails with [`SpatialError::NonFiniteCoordinate`] naming point `id` and
+/// the first non-finite coordinate of `p`.
+fn check_finite(id: usize, p: &[f64]) -> Result<(), SpatialError> {
+    match p.iter().position(|x| !x.is_finite()) {
+        Some(dim) => Err(SpatialError::NonFiniteCoordinate { point: id, dim }),
+        None => Ok(()),
+    }
+}
+
+/// Pass 2 of the two-pass streaming build: places the replayed stream
 /// into the cell-contiguous columns sized by [`CellMajorBuilder`].
+///
+/// Each batch goes through two steps. [`Self::resolve`] maps every point
+/// to the index of its cell; it only reads the cell table, so batches
+/// resolve in parallel. [`ScatterShard::place`] then writes the points
+/// into their slots; each shard owns a disjoint range of cells, so shards
+/// place in parallel. A point's cell is computed and hashed once.
 ///
 /// Any disagreement with pass 1 — a point landing in a cell that was
 /// never counted, a cell receiving more points than counted, or the
@@ -324,115 +340,100 @@ pub struct CellMajorScatter {
 }
 
 impl CellMajorScatter {
-    /// Places one flat row-major batch into the layout. Points are
-    /// assigned ids by arrival order across the whole pass, so the
-    /// stream must replay in the same order as the counting pass.
-    pub fn scatter_batch(&mut self, coords: &[f64]) -> Result<(), SpatialError> {
+    /// Resolves one flat row-major batch: the cell index of each of its
+    /// points, in order, for [`ScatterShard::place`]. `first` is the
+    /// arrival id of the batch's first point, which a
+    /// [`SpatialError::NonFiniteCoordinate`] names.
+    ///
+    /// # Errors
+    ///
+    /// [`SpatialError::StreamMismatch`] for a point in a cell pass 1
+    /// never counted, besides the shape and finiteness errors of
+    /// [`CellMajorBuilder::count_batch`].
+    pub fn resolve(&self, first: usize, coords: &[f64]) -> Result<Vec<u32>, SpatialError> {
         if !coords.len().is_multiple_of(self.dims) {
             return Err(SpatialError::DimensionMismatch {
                 expected: self.dims,
                 got: coords.len() % self.dims,
             });
         }
+        let mut cells = Vec::with_capacity(coords.len() / self.dims);
+        for (i, p) in coords.chunks_exact(self.dims).enumerate() {
+            check_finite(first + i, p)?;
+            let ci = self
+                .index
+                .get(&cell_of(p, self.side))
+                .ok_or(SpatialError::StreamMismatch)?;
+            cells.push(*ci);
+        }
+        Ok(cells)
+    }
+
+    /// Places one flat row-major batch into the layout: a
+    /// [`Self::resolve`] followed by a single-shard
+    /// [`ScatterShard::place`]. Points are assigned ids by arrival order
+    /// across the whole pass, so the stream must replay in the same order
+    /// as the counting pass.
+    pub fn scatter_batch(&mut self, coords: &[f64]) -> Result<(), SpatialError> {
+        let first = self.filled;
+        let cells = self.resolve(first, coords)?;
+        for mut shard in self.shards(1) {
+            shard.place(first, coords, &cells)?;
+        }
+        self.filled += cells.len();
+        Ok(())
+    }
+
+    /// Number of points scattered so far by [`Self::scatter_batch`].
+    pub fn filled(&self) -> usize {
+        self.filled
+    }
+
+    /// Carves the placing step into `parts` independent shards, each
+    /// owning a disjoint contiguous range of cells (and therefore a
+    /// disjoint contiguous slot range of every output buffer). Shard
+    /// boundaries are balanced by slot count, never splitting a cell.
+    ///
+    /// Every shard is handed every resolved batch, in the order of the
+    /// counting pass, and writes only the points whose cells it owns.
+    /// The cell cursors live in the scatter, not in the shards, so a
+    /// driver may drop the shards after each batch group (freeing the
+    /// scatter for the next group's [`Self::resolve`]) and carve again:
+    /// carving costs `O(parts · log cells)`. Because a point's final slot
+    /// is a pure function of its `(cell, arrival id)` — independent of
+    /// which shard writes it — the assembled store is byte-identical to a
+    /// single-shard scatter for any `parts`. Finish with
+    /// [`Self::finish_sharded`].
+    ///
+    /// Fewer than `parts` shards are returned when the store has fewer
+    /// cells than `parts`; zero shards for an empty layout.
+    pub fn shards(&mut self, parts: usize) -> Vec<ScatterShard<'_>> {
         if self.bbox_min.is_empty() && !self.cells.is_empty() {
             // Deferred so a mismatching replay fails before the big
             // bbox allocation, not after.
             self.bbox_min = vec![0.0f64; self.cells.len() * self.dims];
             self.bbox_max = vec![0.0f64; self.cells.len() * self.dims];
         }
-        for p in coords.chunks_exact(self.dims) {
-            for (k, &x) in p.iter().enumerate() {
-                if !x.is_finite() {
-                    return Err(SpatialError::NonFiniteCoordinate {
-                        point: self.filled,
-                        dim: k,
-                    });
-                }
-            }
-            let coord = cell_of(p, self.side);
-            let ci = *self.index.get(&coord).ok_or(SpatialError::StreamMismatch)? as usize;
-            let rec = *self.cells.get(ci).ok_or(SpatialError::StreamMismatch)?;
-            let cursor = self
-                .cursors
-                .get_mut(ci)
-                .ok_or(SpatialError::StreamMismatch)?;
-            if *cursor >= rec.end {
-                return Err(SpatialError::StreamMismatch);
-            }
-            let slot = *cursor as usize;
-            *cursor += 1;
-            for (k, &x) in p.iter().enumerate() {
-                if let Some(out) = self.cols.get_mut(k * self.n + slot) {
-                    *out = x;
-                }
-            }
-            if let Some(id) = self.orig_ids.get_mut(slot) {
-                *id = self.filled as PointId;
-            }
-            let base = ci * self.dims;
-            if slot == rec.start as usize {
-                for (k, &x) in p.iter().enumerate() {
-                    if let Some(mn) = self.bbox_min.get_mut(base + k) {
-                        *mn = x;
-                    }
-                    if let Some(mx) = self.bbox_max.get_mut(base + k) {
-                        *mx = x;
-                    }
-                }
-            } else {
-                for (k, &x) in p.iter().enumerate() {
-                    if let Some(mn) = self.bbox_min.get_mut(base + k) {
-                        *mn = mn.min(x);
-                    }
-                    if let Some(mx) = self.bbox_max.get_mut(base + k) {
-                        *mx = mx.max(x);
-                    }
-                }
-            }
-            self.filled += 1;
-        }
-        Ok(())
-    }
-
-    /// Number of points scattered so far.
-    pub fn filled(&self) -> usize {
-        self.filled
-    }
-
-    /// Carves the scatter pass into `parts` independent shards, each
-    /// owning a disjoint contiguous range of cells (and therefore a
-    /// disjoint contiguous slot range of every output buffer). Shard
-    /// boundaries are balanced by slot count, never splitting a cell.
-    ///
-    /// Every shard must replay the *entire* stream, in the same order as
-    /// the counting pass; each shard writes only the points that land in
-    /// its cells and skips the rest (tracking ids with a private replay
-    /// cursor). Because a point's final slot is a pure function of its
-    /// `(cell, arrival id)` — independent of which shard writes it — the
-    /// assembled store is byte-identical to a sequential scatter for any
-    /// `parts`. Finish with [`Self::finish_sharded`] after dropping the
-    /// shards.
-    ///
-    /// Fewer than `parts` shards are returned when the store has fewer
-    /// cells than `parts`; zero shards for an empty layout.
-    pub fn shards(&mut self, parts: usize) -> Vec<ScatterShard<'_>> {
-        if self.bbox_min.is_empty() && !self.cells.is_empty() {
-            self.bbox_min = vec![0.0f64; self.cells.len() * self.dims];
-            self.bbox_max = vec![0.0f64; self.cells.len() * self.dims];
-        }
-        // Greedy slot-balanced cell boundaries: cut after a cell once the
-        // shard holds its fair share of slots.
+        // Slot-balanced cell boundaries: the k-th cut follows the first
+        // cell whose run ends at or past k fair shares of the slots,
+        // found by binary search over the prefix-summed run ends.
         let parts = parts.max(1).min(self.cells.len());
+        let target = self.n as f64 / parts as f64;
+        let last = self.cells.len().saturating_sub(1);
         let mut cell_bounds: Vec<usize> = Vec::with_capacity(parts.saturating_sub(1));
-        if parts > 1 {
-            let target = (self.n as f64 / parts as f64).max(1.0);
-            let mut next_cut = target;
-            for (ci, rec) in self.cells.iter().enumerate().take(self.cells.len() - 1) {
-                if f64::from(rec.end) >= next_cut && cell_bounds.len() + 1 < parts {
-                    cell_bounds.push(ci + 1);
-                    next_cut = (cell_bounds.len() + 1) as f64 * target;
-                }
+        for k in 1..parts {
+            let from = cell_bounds.last().copied().unwrap_or(0);
+            let goal = k as f64 * target;
+            let ci = from
+                + self
+                    .cells
+                    .get(from..last)
+                    .unwrap_or(&[])
+                    .partition_point(|rec| f64::from(rec.end) < goal);
+            if ci >= last {
+                break;
             }
+            cell_bounds.push(ci + 1);
         }
         let slot_cuts: Vec<usize> = cell_bounds
             .iter()
@@ -469,17 +470,14 @@ impl CellMajorScatter {
             }
             shards.push(ScatterShard {
                 dims: self.dims,
-                side: self.side,
                 cell_range: cell_start..cell_end,
                 slot_start,
-                cells: &self.cells,
-                index: &self.index,
+                cells: self.cells.get(cell_start..cell_end).unwrap_or(&[]),
                 cols: cols.iter_mut().filter_map(Iterator::next).collect(),
                 orig_ids,
                 bbox_min,
                 bbox_max,
                 cursors,
-                seen: 0,
                 filled: 0,
             });
             cell_start = cell_end;
@@ -552,7 +550,7 @@ fn split_at_cuts<'a, T>(mut buf: &'a mut [T], cuts: &[usize]) -> Vec<&'a mut [T]
     out
 }
 
-/// One worker's slice of a partitioned scatter pass: a contiguous range
+/// One worker's slice of a partitioned placing step: a contiguous range
 /// of cells plus exclusive `&mut` views of exactly the output buffer
 /// segments those cells own. Produced by [`CellMajorScatter::shards`];
 /// shards are `Send`, so a driver can run one per thread with no locks —
@@ -560,15 +558,12 @@ fn split_at_cuts<'a, T>(mut buf: &'a mut [T], cuts: &[usize]) -> Vec<&'a mut [T]
 #[derive(Debug)]
 pub struct ScatterShard<'a> {
     dims: usize,
-    side: f64,
     /// The cells this shard owns, as indices into the full table.
     cell_range: Range<usize>,
     /// First slot of the shard's buffer segments (`cells[cell_range.start].start`).
     slot_start: usize,
-    /// The full cell table (shared, read-only).
+    /// The records of the owned cells.
     cells: &'a [CellRecord],
-    /// The full coordinate → cell index (shared, read-only).
-    index: &'a HashMap<CellCoord, u32, DetState>,
     /// Per-dimension column segments covering the shard's slots.
     cols: Vec<&'a mut [f64]>,
     orig_ids: &'a mut [PointId],
@@ -576,8 +571,6 @@ pub struct ScatterShard<'a> {
     bbox_max: &'a mut [f64],
     /// Cursors of the owned cells (absolute slot values).
     cursors: &'a mut [u32],
-    /// Points seen across the replay (the global arrival-id counter).
-    seen: usize,
     /// Points this shard placed.
     filled: usize,
 }
@@ -593,31 +586,36 @@ impl ScatterShard<'_> {
         self.filled
     }
 
-    /// Replays one flat row-major batch through this shard. Every shard
-    /// must see every batch, in counting-pass order; points outside the
-    /// shard's cell range only advance the arrival-id cursor.
-    pub fn scatter_batch(&mut self, coords: &[f64]) -> Result<(), SpatialError> {
-        if !coords.len().is_multiple_of(self.dims) {
-            return Err(SpatialError::DimensionMismatch {
-                expected: self.dims,
-                got: coords.len() % self.dims,
-            });
+    /// Places the points of one resolved batch that fall in this shard's
+    /// cells, skipping the rest. `cells` is the batch's
+    /// [`CellMajorScatter::resolve`] output and `first` the arrival id it
+    /// was resolved with. Every shard must see every batch, in
+    /// counting-pass order.
+    ///
+    /// # Errors
+    ///
+    /// [`SpatialError::StreamMismatch`] when a cell receives more points
+    /// than pass 1 counted, or when `cells` does not hold one entry per
+    /// point of `coords`.
+    pub fn place(
+        &mut self,
+        first: usize,
+        coords: &[f64],
+        cells: &[u32],
+    ) -> Result<(), SpatialError> {
+        if coords.len() != cells.len() * self.dims {
+            return Err(SpatialError::StreamMismatch);
         }
-        for p in coords.chunks_exact(self.dims) {
-            let id = self.seen;
-            self.seen += 1;
-            for (k, &x) in p.iter().enumerate() {
-                if !x.is_finite() {
-                    return Err(SpatialError::NonFiniteCoordinate { point: id, dim: k });
-                }
-            }
-            let coord = cell_of(p, self.side);
-            let ci = *self.index.get(&coord).ok_or(SpatialError::StreamMismatch)? as usize;
+        for (i, (p, &ci)) in coords.chunks_exact(self.dims).zip(cells).enumerate() {
+            let ci = ci as usize;
             if !self.cell_range.contains(&ci) {
                 continue;
             }
-            let rec = *self.cells.get(ci).ok_or(SpatialError::StreamMismatch)?;
             let local_cell = ci - self.cell_range.start;
+            let rec = *self
+                .cells
+                .get(local_cell)
+                .ok_or(SpatialError::StreamMismatch)?;
             let cursor = self
                 .cursors
                 .get_mut(local_cell)
@@ -634,25 +632,19 @@ impl ScatterShard<'_> {
                 }
             }
             if let Some(out) = self.orig_ids.get_mut(local_slot) {
-                *out = id as PointId;
+                *out = (first + i) as PointId;
             }
-            let base = local_cell * self.dims;
-            if slot == rec.start as usize {
-                for (k, &x) in p.iter().enumerate() {
-                    if let Some(mn) = self.bbox_min.get_mut(base + k) {
-                        *mn = x;
-                    }
-                    if let Some(mx) = self.bbox_max.get_mut(base + k) {
-                        *mx = x;
-                    }
-                }
-            } else {
-                for (k, &x) in p.iter().enumerate() {
-                    if let Some(mn) = self.bbox_min.get_mut(base + k) {
-                        *mn = mn.min(x);
-                    }
-                    if let Some(mx) = self.bbox_max.get_mut(base + k) {
-                        *mx = mx.max(x);
+            let bbox = local_cell * self.dims..(local_cell + 1) * self.dims;
+            if let (Some(lo), Some(hi)) = (
+                self.bbox_min.get_mut(bbox.clone()),
+                self.bbox_max.get_mut(bbox),
+            ) {
+                let opens_cell = slot == rec.start as usize;
+                for ((lo, hi), &x) in lo.iter_mut().zip(hi.iter_mut()).zip(p) {
+                    if opens_cell {
+                        (*lo, *hi) = (x, x);
+                    } else {
+                        (*lo, *hi) = (lo.min(x), hi.max(x));
                     }
                 }
             }
@@ -1777,26 +1769,45 @@ mod tests {
         assert_eq!(counts, table_counts);
     }
 
+    /// Pass 2 of one batch: resolve it, then place it through `parts`
+    /// shards.
+    fn resolve_and_place(
+        sc: &mut CellMajorScatter,
+        parts: usize,
+        first: usize,
+        coords: &[f64],
+    ) -> Result<(), SpatialError> {
+        let cells = sc.resolve(first, coords)?;
+        for mut shard in sc.shards(parts) {
+            shard.place(first, coords, &cells)?;
+        }
+        Ok(())
+    }
+
     #[test]
     fn scatter_detects_replay_divergence() {
-        // A point moving to a never-counted cell.
-        let mut b = CellMajorBuilder::new(2, 1.0).unwrap();
-        b.count_batch(&[0.1, 0.1, 0.2, 0.2]).unwrap();
-        let mut sc = b.begin_scatter();
-        assert!(matches!(
-            sc.scatter_batch(&[50.0, 50.0]),
-            Err(SpatialError::StreamMismatch)
-        ));
+        for parts in [1usize, 3] {
+            // A point moving to a never-counted cell.
+            let mut b = CellMajorBuilder::new(2, 1.0).unwrap();
+            b.count_batch(&[0.1, 0.1, 0.2, 0.2, 5.0, 5.0, 9.0, 9.0])
+                .unwrap();
+            let mut sc = b.begin_scatter();
+            assert!(matches!(
+                resolve_and_place(&mut sc, parts, 0, &[50.0, 50.0]),
+                Err(SpatialError::StreamMismatch)
+            ));
 
-        // A cell receiving more points than were counted.
-        let mut b = CellMajorBuilder::new(2, 1.0).unwrap();
-        b.count_batch(&[0.1, 0.1]).unwrap();
-        let mut sc = b.begin_scatter();
-        sc.scatter_batch(&[0.1, 0.1]).unwrap();
-        assert!(matches!(
-            sc.scatter_batch(&[0.15, 0.15]),
-            Err(SpatialError::StreamMismatch)
-        ));
+            // A cell receiving more points than were counted (the last
+            // cell, so with several shards the last shard catches it).
+            let mut b = CellMajorBuilder::new(2, 1.0).unwrap();
+            b.count_batch(&[0.1, 0.1, 5.0, 5.0, 9.0, 9.0]).unwrap();
+            let mut sc = b.begin_scatter();
+            resolve_and_place(&mut sc, parts, 0, &[0.1, 0.1, 5.0, 5.0, 9.0, 9.0]).unwrap();
+            assert!(matches!(
+                resolve_and_place(&mut sc, parts, 3, &[9.15, 9.15]),
+                Err(SpatialError::StreamMismatch)
+            ));
+        }
 
         // The replay ending short.
         let mut b = CellMajorBuilder::new(2, 1.0).unwrap();
@@ -1804,6 +1815,37 @@ mod tests {
         let mut sc = b.begin_scatter();
         sc.scatter_batch(&[0.1, 0.1]).unwrap();
         assert!(matches!(sc.finish(), Err(SpatialError::StreamMismatch)));
+    }
+
+    #[test]
+    fn non_finite_errors_name_the_arrival_id_in_the_whole_stream() {
+        // A lane that sees only later batches still reports global ids.
+        let mut lane = CellMajorBuilder::new(2, 1.0).unwrap();
+        assert!(matches!(
+            lane.count_batch_at(100, &[0.0, 0.0, 1.0, f64::NAN]),
+            Err(SpatialError::NonFiniteCoordinate { point: 101, dim: 1 })
+        ));
+        let mut b = CellMajorBuilder::new(2, 1.0).unwrap();
+        b.count_batch(&[0.0, 0.0]).unwrap();
+        let sc = b.begin_scatter();
+        assert!(matches!(
+            sc.resolve(7, &[0.0, 0.0, f64::INFINITY, 0.0]),
+            Err(SpatialError::NonFiniteCoordinate { point: 8, dim: 0 })
+        ));
+    }
+
+    #[test]
+    fn place_rejects_a_resolution_of_another_batch() {
+        let mut b = CellMajorBuilder::new(2, 1.0).unwrap();
+        b.count_batch(&[0.1, 0.1, 5.0, 5.0]).unwrap();
+        let mut sc = b.begin_scatter();
+        let cells = sc.resolve(0, &[0.1, 0.1]).unwrap();
+        for mut shard in sc.shards(1) {
+            assert!(matches!(
+                shard.place(0, &[0.1, 0.1, 5.0, 5.0], &cells),
+                Err(SpatialError::StreamMismatch)
+            ));
+        }
     }
 
     #[test]
@@ -1876,6 +1918,13 @@ mod tests {
                     b.count_batch(chunk).unwrap();
                 }
                 let mut sc = b.begin_scatter();
+                // Every batch is resolved once, against the shared table.
+                let chunks: Vec<&[f64]> = s.flat().chunks(batch * 2).collect();
+                let resolved: Vec<Vec<u32>> = chunks
+                    .iter()
+                    .enumerate()
+                    .map(|(i, chunk)| sc.resolve(i * batch, chunk).unwrap())
+                    .collect();
                 let mut shards = sc.shards(parts);
                 assert!(!shards.is_empty() && shards.len() <= parts);
                 // Shards partition the cell table.
@@ -1884,12 +1933,13 @@ mod tests {
                     assert_eq!(shard.cell_range().start, next);
                     next = shard.cell_range().end;
                 }
-                // Every shard replays every batch (order per shard is the
-                // stream order; shards themselves could run on threads).
+                // Every shard places from every resolved batch (order per
+                // shard is the stream order; shards themselves could run
+                // on threads).
                 let mut placed = 0usize;
                 for shard in &mut shards {
-                    for chunk in s.flat().chunks(batch * 2) {
-                        shard.scatter_batch(chunk).unwrap();
+                    for (i, (chunk, cells)) in chunks.iter().zip(&resolved).enumerate() {
+                        shard.place(i * batch, chunk, cells).unwrap();
                     }
                     placed += shard.filled();
                 }
@@ -1906,10 +1956,11 @@ mod tests {
         let mut b = CellMajorBuilder::new(2, 1.0).unwrap();
         b.count_batch(&[0.1, 0.1, 5.0, 5.0]).unwrap();
         let mut sc = b.begin_scatter();
+        let cells = sc.resolve(0, &[0.1, 0.1, 5.0, 5.0]).unwrap();
         let mut shards = sc.shards(2);
-        // Only the first shard replays: its cells fill, the rest don't.
+        // Only the first shard places: its cells fill, the rest don't.
         if let Some(first) = shards.first_mut() {
-            first.scatter_batch(&[0.1, 0.1, 5.0, 5.0]).unwrap();
+            first.place(0, &[0.1, 0.1, 5.0, 5.0], &cells).unwrap();
         }
         drop(shards);
         assert!(matches!(
