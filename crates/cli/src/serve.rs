@@ -370,6 +370,8 @@ pub fn serve(flags: &Flags) -> Result<String, CliError> {
     let inc =
         IncrementalDbscout::from_store_with(&store, params, ExecutionLayout::CellMajor, kernel)
             .map_err(|e| CliError::engine(e.to_string()))?;
+    // The engine holds its own copy of every point.
+    drop(store);
     eprintln!(
         "dbscout serve: {} points warm in {:?} (kernel = {}), {} outliers",
         inc.len(),

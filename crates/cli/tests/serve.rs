@@ -138,6 +138,21 @@ fn interleaved_session_matches_batch_cli_with_exact_id_mapping() {
         "--output",
         data.to_str().unwrap(),
     ]);
+    // The same points as a DBSC binary file, for `--from-binary`.
+    let binary = tmp("mix.dbsc");
+    dbscout_ok(&[
+        "generate",
+        "--dataset",
+        "blobs",
+        "--n",
+        "400",
+        "--seed",
+        "19",
+        "--format",
+        "binary",
+        "--output",
+        binary.to_str().unwrap(),
+    ]);
     let base_rows = read_rows(&data);
     let n = base_rows.len();
 
@@ -191,6 +206,18 @@ fn interleaved_session_matches_batch_cli_with_exact_id_mapping() {
     ]);
     let responses = drive(&mut child, &requests);
     assert_eq!(responses.len(), requests.len(), "{responses:?}");
+    // Loaded from the binary copy, the daemon answers the same session
+    // line for line.
+    let mut child = spawn_serve(&[
+        "--input",
+        binary.to_str().unwrap(),
+        "--from-binary",
+        "--eps",
+        "0.6",
+        "--min-pts",
+        "5",
+    ]);
+    assert_eq!(drive(&mut child, &requests), responses, "--from-binary");
     let outliers_line = &responses[responses.len() - 3];
     let served_ids = ids_of_outliers_response(outliers_line);
 

@@ -37,11 +37,20 @@
 //! path: bbox pruning, [`KernelKind`] dispatch (scalar or
 //! lane-unrolled), and [`KernelCounters`] accounting. Labels, exact
 //! neighbor counts, and liveness are id-indexed side arrays.
+//!
+//! A bulk load ([`IncrementalDbscout::from_store`]) does not insert
+//! point by point. It builds the batch layout (Algorithm 1), counts
+//! every point's ε-neighbors exactly in one sweep over the sorted cell
+//! table, labels the points from those counts, and adopts the layout as
+//! the mutable store. The state equals the one that inserting every
+//! point in order reaches.
 
 use dbscout_spatial::cell::{cell_of, cell_side};
 use dbscout_spatial::mutable::MutableCellMajor;
 use dbscout_spatial::points::PointId;
-use dbscout_spatial::{KernelKind, NeighborOffsets, PointStore, SpatialError};
+use dbscout_spatial::{
+    CellMajorStore, CellRecord, KernelKind, NeighborOffsets, PointStore, SpatialError, MAX_DIMS,
+};
 use dbscout_telemetry::KernelCounters;
 
 use crate::error::Result;
@@ -99,6 +108,16 @@ pub struct IncrementalDbscout {
     counters: KernelCounters,
 }
 
+/// `n` copies of `value` with room for `n / 8` more, like every
+/// id-indexed array of a bulk load: the first inserts of a session then
+/// do not reallocate (and copy) them, as they did not when one `insert`
+/// per point had grown them by doubling.
+fn with_room<T: Clone>(n: usize, value: T) -> Vec<T> {
+    let mut v = Vec::with_capacity(n + n / 8);
+    v.resize(n, value);
+    v
+}
+
 impl IncrementalDbscout {
     /// An empty incremental detector for `dims`-dimensional points, with
     /// the `Auto` kernel.
@@ -124,14 +143,31 @@ impl IncrementalDbscout {
         })
     }
 
-    /// Bulk-loads an initial dataset (equivalent to inserting every point
-    /// in order) with the `Auto` kernel.
+    /// Bulk-loads an initial dataset with the `Auto` kernel; see
+    /// [`Self::from_store_with`].
     pub fn from_store(store: &PointStore, params: DbscoutParams) -> Result<Self> {
         Self::from_store_with(store, params, ExecutionLayout::CellMajor, KernelKind::Auto)
     }
 
-    /// Bulk-loads an initial dataset with an explicit kernel.
+    /// Bulk-loads an initial dataset with an explicit kernel, in one
+    /// batch pass on one thread; row `i` of `store` gets id `i`.
     /// [`ExecutionLayout`] has the one value `CellMajor`.
+    ///
+    /// The pass builds the batch layout ([`CellMajorStore::build`],
+    /// Algorithm 1), counts every point's ε-neighbors exactly in one
+    /// sweep over its cell table, labels a point core at `minPts` or
+    /// more and any other point covered iff a core point lies within ε,
+    /// and then adopts the layout as the mutable store
+    /// ([`MutableCellMajor::from_cell_major`]). Counts and labels come
+    /// from the distance tests [`Self::insert`] makes, not from the
+    /// batch phases' Lemma 1/2 shortcuts, so the state equals inserting
+    /// every point in order, field by field. Its kernel work is added to
+    /// [`Self::kernel_counters`].
+    ///
+    /// # Errors
+    ///
+    /// Fails on an invalid dimensionality (`store`'s coordinates are
+    /// finite by construction).
     pub fn from_store_with(
         store: &PointStore,
         params: DbscoutParams,
@@ -140,10 +176,130 @@ impl IncrementalDbscout {
     ) -> Result<Self> {
         let ExecutionLayout::CellMajor = layout;
         let mut inc = Self::empty(store.dims(), params, kernel)?;
-        for (_, p) in store.iter() {
-            inc.insert(p)?;
+        let batch = CellMajorStore::build(store, params.eps)?;
+        let counts = inc.seed_counts(&batch)?;
+        let min_pts = params.min_pts as u32;
+        let core: Vec<bool> = counts.iter().map(|&c| c >= min_pts).collect();
+        let labels = inc.seed_labels(&batch, &core)?;
+        // Both passes work by slot (the kernels' flags are slot-indexed);
+        // the engine's side arrays are by id.
+        let n = batch.len();
+        inc.counts = with_room(n, 0);
+        inc.labels = with_room(n, PointLabel::Outlier);
+        for ((&id, &count), &label) in batch.orig_ids().iter().zip(&counts).zip(&labels) {
+            if let (Some(c), Some(l)) = (
+                inc.counts.get_mut(id as usize),
+                inc.labels.get_mut(id as usize),
+            ) {
+                *c = count;
+                *l = label;
+            }
         }
+        inc.alive = with_room(n, true);
+        inc.num_alive = n;
+        inc.mstore = MutableCellMajor::from_cell_major(batch);
+        inc.all_points = PointStore::with_capacity(store.dims(), n + n / 8)?;
+        inc.all_points.extend_from(store)?;
         Ok(inc)
+    }
+
+    /// The exact ε-neighbor count (self included) of every slot of
+    /// `batch`: one sweep over the sorted cell table, with no early exit.
+    /// Only what the bbox prunes prove empty is skipped, so each count is
+    /// the one [`Self::insert`] would reach.
+    fn seed_counts(&mut self, batch: &CellMajorStore) -> Result<Vec<u32>> {
+        let eps_sq = self.params.eps_sq();
+        let mut sweep = batch.neighbor_sweep(&self.offsets)?;
+        let mut nbrs: Vec<u32> = Vec::new();
+        let mut buf = [0.0; MAX_DIMS];
+        let mut counts = vec![0u32; batch.len()];
+        for (idx, rec) in batch.cells().iter().enumerate() {
+            self.counters.cells_visited += 1;
+            sweep.neighbors_into(idx, Some(eps_sq), &mut nbrs);
+            for slot in rec.range() {
+                batch.point_into(slot, &mut buf);
+                let q = buf.get(..batch.dims()).unwrap_or_default();
+                let mut count = 0;
+                for &nidx in &nbrs {
+                    if batch.min_sq_dist_to_bbox(q, nidx as usize) > eps_sq {
+                        self.counters.bbox_prunes += 1;
+                        continue;
+                    }
+                    let Some(nrec) = batch.cell(nidx as usize) else {
+                        continue;
+                    };
+                    let (c, comps) =
+                        batch.count_within_kernel(q, nrec.range(), eps_sq, usize::MAX, self.kernel);
+                    count += c;
+                    self.counters.distance_evals += comps;
+                }
+                if let Some(dst) = counts.get_mut(slot) {
+                    *dst = count as u32;
+                }
+            }
+        }
+        Ok(counts)
+    }
+
+    /// The label of every slot of `batch`, given the slot-indexed `core`
+    /// flags: Core where flagged, else Covered iff a core point lies
+    /// within ε. Cells with no core point are never scanned.
+    fn seed_labels(&mut self, batch: &CellMajorStore, core: &[bool]) -> Result<Vec<PointLabel>> {
+        let eps_sq = self.params.eps_sq();
+        let mut sweep = batch.neighbor_sweep(&self.offsets)?;
+        let mut nbrs: Vec<u32> = Vec::new();
+        let mut buf = [0.0; MAX_DIMS];
+        let cell_core = |rec: &CellRecord| core.get(rec.range()).unwrap_or_default();
+        let has_core: Vec<bool> = batch
+            .cells()
+            .iter()
+            .map(|rec| cell_core(rec).contains(&true))
+            .collect();
+        let mut labels = vec![PointLabel::Core; batch.len()];
+        for (idx, rec) in batch.cells().iter().enumerate() {
+            if cell_core(rec).iter().all(|&c| c) {
+                continue;
+            }
+            self.counters.cells_visited += 1;
+            sweep.neighbors_into(idx, Some(eps_sq), &mut nbrs);
+            nbrs.retain(|&nidx| has_core.get(nidx as usize) == Some(&true));
+            for (slot, _) in rec.range().zip(cell_core(rec)).filter(|(_, &c)| !c) {
+                batch.point_into(slot, &mut buf);
+                let q = buf.get(..batch.dims()).unwrap_or_default();
+                let mut covered = false;
+                for &nidx in &nbrs {
+                    if batch.min_sq_dist_to_bbox(q, nidx as usize) > eps_sq {
+                        self.counters.bbox_prunes += 1;
+                        continue;
+                    }
+                    let Some(nrec) = batch.cell(nidx as usize) else {
+                        continue;
+                    };
+                    let (hit, comps) = batch.any_flagged_within_kernel(
+                        q,
+                        nrec.range(),
+                        eps_sq,
+                        core,
+                        true,
+                        self.kernel,
+                    );
+                    self.counters.distance_evals += comps;
+                    if hit {
+                        self.counters.early_exit_hits += 1;
+                        covered = true;
+                        break;
+                    }
+                }
+                if let Some(dst) = labels.get_mut(slot) {
+                    *dst = if covered {
+                        PointLabel::Covered
+                    } else {
+                        PointLabel::Outlier
+                    };
+                }
+            }
+        }
+        Ok(labels)
     }
 
     /// The resolved distance kernel (never `Auto`).
@@ -209,8 +365,10 @@ impl IncrementalDbscout {
     }
 
     /// Kernel work counters accumulated over every operation so far
-    /// (inserts, removals, probes), from the counted batch kernels (bbox
-    /// prunes included).
+    /// (the bulk load's two sweeps, then inserts, removals and probes),
+    /// from the counted batch kernels (bbox prunes included). The bulk
+    /// load counts one visited cell per query cell of each sweep and one
+    /// early exit per point the second sweep finds covered.
     pub fn kernel_counters(&self) -> KernelCounters {
         self.counters
     }
@@ -636,6 +794,80 @@ mod tests {
         }
     }
 
+    /// The one-pass seed against the loop it replaced: `new`, then one
+    /// `insert` per point in id order.
+    fn assert_seed_equals_loop(store: &PointStore, p: DbscoutParams, ctx: &str) {
+        let seeded = IncrementalDbscout::from_store(store, p).unwrap();
+        let mut looped = IncrementalDbscout::new(store.dims(), p).unwrap();
+        for (_, pt) in store.iter() {
+            looped.insert(pt).unwrap();
+        }
+        assert_eq!(seeded.labels, looped.labels, "{ctx}: labels");
+        assert_eq!(seeded.counts, looped.counts, "{ctx}: counts");
+        assert_eq!(seeded.alive, looped.alive, "{ctx}: liveness");
+        assert_eq!(seeded.len(), looped.len(), "{ctx}: live count");
+        assert_eq!(seeded.store(), looped.store(), "{ctx}: points");
+        assert_eq!(seeded.outliers(), looped.outliers(), "{ctx}: outliers");
+        assert_eq!(
+            seeded.snapshot().stats,
+            looped.snapshot().stats,
+            "{ctx}: stats"
+        );
+    }
+
+    #[test]
+    fn seed_equals_one_insert_per_point() {
+        let mut rng = dbscout_rng::Rng::seed_from_u64(0x5EED);
+        for dims in 2..=4usize {
+            for round in 0..4 {
+                let eps = rng.gen_range(0.5..2.0);
+                let min_pts = rng.gen_range(2usize..7);
+                let mut rows: Vec<Vec<f64>> = Vec::new();
+                for _ in 0..150 {
+                    // One row in five repeats an earlier one exactly.
+                    let row = if !rows.is_empty() && rng.gen_bool(0.2) {
+                        rows[rng.gen_range(0..rows.len())].clone()
+                    } else {
+                        (0..dims).map(|_| rng.gen_range(-5.0..5.0)).collect()
+                    };
+                    rows.push(row);
+                }
+                let store = PointStore::from_rows(dims, rows).unwrap();
+                let ctx = format!("dims {dims} round {round} eps {eps} minPts {min_pts}");
+                assert_seed_equals_loop(&store, params(eps, min_pts), &ctx);
+            }
+        }
+
+        // Two points exactly ε apart are neighbors (Def. 2 is ≤).
+        let pair = PointStore::from_rows(2, [vec![0.0, 0.0], vec![0.5, 0.0]]).unwrap();
+        assert_seed_equals_loop(&pair, params(0.5, 2), "pair at exactly eps");
+        let seeded = IncrementalDbscout::from_store(&pair, params(0.5, 2)).unwrap();
+        assert!(seeded.outliers().is_empty(), "pair at exactly eps is core");
+
+        // A cell holding at least minPts points, a border point in the
+        // next cell, and a stray point.
+        let mut rows: Vec<Vec<f64>> = (0..6).map(|i| vec![0.05 * i as f64, 0.1]).collect();
+        rows.push(vec![1.22, 0.1]);
+        rows.push(vec![9.0, 9.0]);
+        let dense = PointStore::from_rows(2, rows).unwrap();
+        assert_seed_equals_loop(&dense, params(1.0, 4), "dense cell");
+        let seeded = IncrementalDbscout::from_store(&dense, params(1.0, 4)).unwrap();
+        assert_eq!(seeded.label(6), PointLabel::Covered);
+        assert_eq!(seeded.outliers(), vec![7]);
+
+        // minPts = 1: every point is core.
+        assert_seed_equals_loop(&dense, params(1.0, 1), "minPts 1");
+
+        assert_seed_equals_loop(&PointStore::new(3).unwrap(), params(1.0, 3), "empty store");
+
+        // Saturated cells (`tests/extreme_coordinates.rs`): four points
+        // share one cell but lie far apart, so all are outliers.
+        let far = PointStore::from_rows(2, (1..=4).map(|k| vec![k as f64 * 1e300, 0.0])).unwrap();
+        assert_seed_equals_loop(&far, params(1.0, 3), "1e300 points");
+        let seeded = IncrementalDbscout::from_store(&far, params(1.0, 3)).unwrap();
+        assert_eq!(seeded.outliers(), vec![0, 1, 2, 3]);
+    }
+
     #[test]
     fn extend_matches_pointwise_inserts() {
         let store = PointStore::from_rows(
@@ -647,8 +879,8 @@ mod tests {
         let mut batch = IncrementalDbscout::new(2, p).unwrap();
         let first = batch.extend(&store).unwrap();
         assert_eq!(first, 0);
-        let pointwise = IncrementalDbscout::from_store(&store, p).unwrap();
-        assert_eq!(batch.labels(), pointwise.labels());
+        let seeded = IncrementalDbscout::from_store(&store, p).unwrap();
+        assert_eq!(batch.labels(), seeded.labels());
         // Extending again starts at the next id.
         let second = batch.extend(&store).unwrap();
         assert_eq!(second, 30);

@@ -9,7 +9,10 @@
 //! ([`CellMajorStore::count_within_kernel`],
 //! [`CellMajorStore::any_flagged_within_kernel`],
 //! [`CellMajorStore::collect_within_kernel`]) run unchanged over the
-//! live slot ranges. The mutability scheme:
+//! live slot ranges. A warm start adopts a finished batch layout
+//! ([`MutableCellMajor::from_cell_major`]): its cell table, index and
+//! boxes move over as they are, and each run is re-spaced once to open
+//! its slack. The mutability scheme:
 //!
 //! * **slack slots** — every cell's run is allocated with spare capacity
 //!   (`cap ≥ len`); an insert into a cell with slack writes one slot and
@@ -54,6 +57,14 @@ pub const TOMBSTONE: PointId = PointId::MAX;
 /// large cells do not double the footprint.
 fn slack_for(len: usize) -> usize {
     len / 4 + 2
+}
+
+/// Spare room past `len` entries on (re)layout: an eighth, at least 16.
+/// The slot columns get it, and an adopted layout's cell table, boxes,
+/// capacities and id map too, so the first new cells and ids of a
+/// session do not reallocate (and copy) them.
+fn headroom(len: usize) -> usize {
+    16.max(len / 8)
 }
 
 /// A [`CellMajorStore`] that supports exact insert/remove churn.
@@ -125,28 +136,89 @@ impl MutableCellMajor {
         })
     }
 
-    /// Bulk-loads `points` (id `i` = row `i`) into a fresh slacked
-    /// layout — the warm-start path of the serving daemon. Equivalent to
-    /// inserting every point in id order, but laid out in one pass.
-    ///
-    /// # Errors
-    ///
-    /// Fails on invalid `eps` or dimensionality (coordinates were
-    /// already validated by the [`PointStore`]).
-    pub fn from_store(points: &PointStore, eps: f64) -> Result<Self, SpatialError> {
-        let mut m = Self::new(points.dims(), eps)?;
-        let pts: Vec<(PointId, [f64; MAX_DIMS])> = points
+    /// Adopts a finished batch layout — the warm-start path of the
+    /// serving daemon, and the last step of a compaction. The live
+    /// points, their ids (`orig_ids`, so id `i` is row `i` of the store
+    /// `batch` was built from), the cell table, its index and the tight
+    /// bounding boxes are `batch`'s. The table and index move over
+    /// without a rebuild; each cell's run is copied once to open its
+    /// slack gap behind it (`len / 4 + 2` slots).
+    pub fn from_cell_major(batch: CellMajorStore) -> Self {
+        let CellMajorStore {
+            dims,
+            eps,
+            side,
+            n,
+            cols,
+            orig_ids,
+            mut cells,
+            index,
+            mut bbox_min,
+            mut bbox_max,
+            ..
+        } = batch;
+        let spare = headroom(cells.len());
+        let used: usize = cells
             .iter()
-            .map(|(id, p)| {
-                let mut buf = [0.0; MAX_DIMS];
-                for (o, &x) in buf.iter_mut().zip(p) {
-                    *o = x;
+            .map(|rec| rec.len() + slack_for(rec.len()))
+            .sum();
+        let slots = used + headroom(used);
+        let mut new_cols = vec![0.0; dims * slots];
+        let mut new_ids = vec![TOMBSTONE; slots];
+        let mut slot_of = Vec::with_capacity(n + headroom(n));
+        slot_of.resize(n, TOMBSTONE);
+        let mut caps = Vec::with_capacity(cells.len() + spare);
+        let mut cursor = 0usize;
+        for rec in &mut cells {
+            let (from, len) = (rec.range(), rec.len());
+            let to = cursor..cursor + len;
+            for k in 0..dims {
+                if let (Some(src), Some(dst)) = (
+                    cols.get(k * n + from.start..k * n + from.end),
+                    new_cols.get_mut(k * slots + to.start..k * slots + to.end),
+                ) {
+                    dst.copy_from_slice(src);
                 }
-                (id, buf)
-            })
-            .collect();
-        m.relayout(&pts);
-        Ok(m)
+            }
+            if let (Some(src), Some(dst)) = (orig_ids.get(from), new_ids.get_mut(to.clone())) {
+                dst.copy_from_slice(src);
+                for (slot, &id) in to.zip(src.iter()) {
+                    if let Some(s) = slot_of.get_mut(id as usize) {
+                        *s = slot as u32;
+                    }
+                }
+            }
+            rec.start = cursor as u32;
+            rec.end = (cursor + len) as u32;
+            cursor += len + slack_for(len);
+            caps.push(cursor as u32);
+        }
+        cells.reserve_exact(spare);
+        bbox_min.reserve_exact(spare * dims);
+        bbox_max.reserve_exact(spare * dims);
+        Self {
+            store: CellMajorStore {
+                dims,
+                eps,
+                side,
+                n: slots,
+                cols: new_cols,
+                orig_ids: new_ids,
+                cells,
+                // New cells will be appended out of order.
+                sorted: false,
+                index,
+                bbox_min,
+                bbox_max,
+            },
+            caps,
+            slot_of,
+            live: n,
+            tail: cursor,
+            dead_slots: 0,
+            rebuilds: 0,
+            compactions: 0,
+        }
     }
 
     /// The read-only view the kernels consume. The wrapped store's
@@ -486,106 +558,42 @@ impl MutableCellMajor {
         self.store.n = new_n;
     }
 
-    /// Rebuilds the whole layout tightly from scratch: canonical cell
-    /// order (ascending coordinate), fresh slack, tight bounding boxes,
-    /// zero tombstones.
+    /// Rebuilds the whole layout tightly from scratch, as a batch build
+    /// of the live points adopted by [`Self::from_cell_major`]: canonical
+    /// cell order (ascending coordinate), fresh slack, tight bounding
+    /// boxes, zero tombstones. Ids and counters carry over.
     fn compact(&mut self) {
-        let mut pts: Vec<(PointId, [f64; MAX_DIMS])> = Vec::with_capacity(self.live);
+        let dims = self.store.dims;
+        let mut ids: Vec<PointId> = Vec::with_capacity(self.live);
+        let mut rows: Vec<f64> = Vec::with_capacity(self.live * dims);
         let mut buf = [0.0; MAX_DIMS];
         for id in 0..self.slot_of.len() as PointId {
             if self.point_of(id, &mut buf) {
-                pts.push((id, buf));
+                ids.push(id);
+                rows.extend_from_slice(buf.get(..dims).unwrap_or_default());
             }
         }
-        self.relayout(&pts);
-        self.compactions += 1;
-    }
-
-    /// Lays out `pts` (ascending id) from scratch into this layout.
-    fn relayout(&mut self, pts: &[(PointId, [f64; MAX_DIMS])]) {
-        let dims = self.store.dims;
-        let side = self.store.side;
-        // Tally per-cell occupancy, then fix the canonical cell order.
-        let mut counts: std::collections::HashMap<CellCoord, u32> =
-            std::collections::HashMap::new();
-        for (_, p) in pts {
-            *counts
-                .entry(cell_of(p.get(..dims).unwrap_or(&[]), side))
-                .or_insert(0) += 1;
-        }
-        let mut keyed: Vec<(CellCoord, u32)> = Vec::with_capacity(counts.len());
-        // xlint: ordered -- entries are sorted by coordinate just below
-        keyed.extend(counts.iter().map(|(&c, &k)| (c, k)));
-        keyed.sort_unstable_by_key(|&(c, _)| c);
-
-        let mut cells = Vec::with_capacity(keyed.len());
-        let mut caps = Vec::with_capacity(keyed.len());
-        let mut index =
-            std::collections::HashMap::with_capacity_and_hasher(keyed.len(), Default::default());
-        let mut cursor = 0usize;
-        for (ci, &(coord, k)) in keyed.iter().enumerate() {
-            let len = k as usize;
-            cells.push(CellRecord {
-                coord,
-                start: cursor as u32,
-                end: cursor as u32, // filled below
-            });
-            index.insert(coord, ci as u32);
-            cursor += len + slack_for(len);
-            caps.push(cursor as u32);
-        }
-        let n = cursor + 16.max(cursor / 8);
-        let mut cols = vec![0.0; dims * n];
-        let mut orig_ids = vec![TOMBSTONE; n];
-        let mut bbox_min = vec![f64::INFINITY; dims * keyed.len()];
-        let mut bbox_max = vec![f64::NEG_INFINITY; dims * keyed.len()];
-        let max_id = pts.last().map(|&(id, _)| id as usize + 1).unwrap_or(0);
-        let mut slot_of = vec![TOMBSTONE; max_id.max(self.slot_of.len())];
-        for (id, p) in pts {
-            let coord = cell_of(p.get(..dims).unwrap_or(&[]), side);
-            let Some(&ci) = index.get(&coord) else {
-                continue;
-            };
-            let ci = ci as usize;
-            let slot = match cells.get_mut(ci) {
-                Some(rec) => {
-                    let s = rec.end as usize;
-                    rec.end += 1;
-                    s
-                }
-                None => continue,
-            };
-            for (k, &x) in p.iter().take(dims).enumerate() {
-                if let Some(dst) = cols.get_mut(k * n + slot) {
-                    *dst = x;
-                }
-                let base = ci * dims + k;
-                if let Some(mn) = bbox_min.get_mut(base) {
-                    *mn = mn.min(x);
-                }
-                if let Some(mx) = bbox_max.get_mut(base) {
-                    *mx = mx.max(x);
+        // Live points are finite and `new` validated ε, so the build
+        // cannot fail; if it did, the layout would stay as it is.
+        let Ok(batch) = PointStore::from_flat(dims, rows)
+            .and_then(|points| CellMajorStore::build(&points, self.store.eps))
+        else {
+            return;
+        };
+        let mut fresh = Self::from_cell_major(batch);
+        // The build numbered the live points by rank; restore their ids.
+        fresh.slot_of = vec![TOMBSTONE; self.slot_of.len()];
+        for (slot, id) in fresh.store.orig_ids.iter_mut().enumerate() {
+            if let Some(&orig) = ids.get(*id as usize) {
+                *id = orig;
+                if let Some(s) = fresh.slot_of.get_mut(orig as usize) {
+                    *s = slot as u32;
                 }
             }
-            if let Some(dst) = orig_ids.get_mut(slot) {
-                *dst = *id;
-            }
-            if let Some(s) = slot_of.get_mut(*id as usize) {
-                *s = slot as u32;
-            }
         }
-        self.store.n = n;
-        self.store.cols = cols;
-        self.store.orig_ids = orig_ids;
-        self.store.cells = cells;
-        self.store.index = index;
-        self.store.bbox_min = bbox_min;
-        self.store.bbox_max = bbox_max;
-        self.caps = caps;
-        self.slot_of = slot_of;
-        self.live = pts.len();
-        self.tail = cursor;
-        self.dead_slots = 0;
+        fresh.rebuilds = self.rebuilds;
+        fresh.compactions = self.compactions + 1;
+        *self = fresh;
     }
 }
 
@@ -706,7 +714,7 @@ mod tests {
             .collect();
         let s = store_2d(&pts);
         let eps = 1.0;
-        let m = MutableCellMajor::from_store(&s, eps).unwrap();
+        let m = MutableCellMajor::from_cell_major(CellMajorStore::build(&s, eps).unwrap());
         let reference: Vec<(PointId, Vec<f64>)> =
             s.iter().map(|(id, p)| (id, p.to_vec())).collect();
         check_invariants(&m, &reference);
@@ -809,6 +817,29 @@ mod tests {
             })
             .collect();
         check_invariants(&m, &reference);
+    }
+
+    #[test]
+    fn compaction_keeps_every_live_id_and_its_point() {
+        // One hot cell grows while every even id is removed again, so the
+        // live ids are sparse when the relocations' tombstones force a
+        // compaction.
+        let mut m = MutableCellMajor::new(2, 1.0).unwrap();
+        let mut reference: Vec<(PointId, Vec<f64>)> = Vec::new();
+        let mut id = 0u32;
+        while m.compactions() == 0 {
+            assert!(id < 10_000, "tombstones must eventually compact");
+            let p = vec![0.1 + f64::from(id) * 1e-4, 0.2];
+            assert!(m.insert(id, &p).unwrap());
+            reference.push((id, p));
+            if id % 2 == 1 {
+                let (even, _) = reference.swap_remove(reference.len() - 2);
+                assert!(m.remove(even));
+            }
+            id += 1;
+        }
+        check_invariants(&m, &reference);
+        check_queries(&m, &reference, 1.0);
     }
 
     #[test]

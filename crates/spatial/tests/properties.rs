@@ -311,7 +311,7 @@ fn neighbor_sweep_refuses_a_mutable_table() {
     let store = PointStore::from_rows(2, rows).unwrap();
     let batch = CellMajorStore::build(&store, eps).unwrap();
     assert!(batch.neighbor_sweep(&offsets).is_ok());
-    let mut m = MutableCellMajor::from_store(&store, eps).unwrap();
+    let mut m = MutableCellMajor::from_cell_major(batch);
     let mut live: Vec<u32> = (0..60).collect();
     let mut next_id = 60u32;
     let mut steps = 0;
