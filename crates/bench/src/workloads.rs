@@ -6,10 +6,7 @@
 //! The ε values can be used unchanged because the generators emit data at
 //! the same coordinate scale as the originals (meters / mercator-meters).
 
-use std::path::Path;
-
 use dbscout_data::generators::{enlarge, geolife_like, osm_like};
-use dbscout_data::io::write_binary;
 use dbscout_data::sampling::sample_fraction;
 use dbscout_rng::Rng;
 use dbscout_spatial::PointStore;
@@ -72,32 +69,6 @@ pub fn uniform2d(n: usize, seed: u64) -> PointStore {
     PointStore::from_rows(2, rows).expect("generator rows are finite by construction")
 }
 
-/// Default cardinality of the streaming-ingest workload.
-pub const STREAMING1M_N: usize = 1_000_000;
-
-/// ε for the streaming workload (same uniform 2-D domain as
-/// [`uniform2d`], so every grid cell is occupied).
-pub const STREAMING1M_EPS: f64 = UNIFORM2D_EPS;
-
-/// minPts for the streaming workload.
-pub const STREAMING1M_MIN_PTS: usize = UNIFORM2D_MIN_PTS;
-
-/// Seed of the streaming workload generator.
-pub const STREAMING1M_SEED: u64 = 0x57EA;
-
-/// The streaming-ingest workload: `n` points drawn by [`uniform2d`],
-/// written to `path` in the versioned binary format so benchmarks can
-/// stream them back through a `BinarySource`. Returns the in-memory
-/// store for the materialized baseline.
-// Bench workload setup panics loudly on I/O failure, like the
-// generators do on impossible construction errors.
-#[allow(clippy::expect_used)]
-pub fn streaming1m(n: usize, path: impl AsRef<Path>) -> PointStore {
-    let store = uniform2d(n, STREAMING1M_SEED);
-    write_binary(path, &store).expect("write streaming workload file");
-    store
-}
-
 /// The Geolife-like workload at cardinality `n`.
 pub fn geolife(n: usize) -> PointStore {
     geolife_like(n, 0x6E01)
@@ -155,20 +126,6 @@ mod tests {
     fn workloads_have_expected_dims() {
         assert_eq!(geolife(1_000).dims(), 3);
         assert_eq!(osm(1_000).dims(), 2);
-    }
-
-    #[test]
-    fn streaming_workload_round_trips_through_its_binary_file() {
-        use dbscout_data::{materialize, BinarySource, PointSource};
-
-        let path = std::env::temp_dir().join("dbscout-bench-streaming-test.bin");
-        let store = streaming1m(500, &path);
-        assert_eq!(store.len(), 500);
-        let mut source = BinarySource::open(&path, 64).unwrap();
-        assert_eq!(source.len_hint(), Some(500));
-        let read_back = materialize(&mut source).unwrap();
-        assert_eq!(read_back.flat(), store.flat());
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -14,8 +14,6 @@ usage:
                    [--engine native|distributed] [--labeled]
                    [--output <csv>] [--threads <usize>]
                    [--kernel scalar|unrolled|auto]
-                   [--backend in-process|process] [--workers <usize>]
-                   [--respawn-budget <usize>]
                    [--from-binary] [--batch-size <usize>]
                    [--max-task-retries <usize>] [--permissive-ingest]
                    [--trace-out <json>] [--report-json <json>] [--progress]
@@ -103,13 +101,18 @@ pub struct Flags {
 }
 
 impl Flags {
-    fn parse(args: &[String]) -> Result<Self, CliError> {
+    /// Parses `args`, rejecting any `--key` not in `accepted` so a typo
+    /// or a retired flag fails loudly instead of being ignored.
+    fn parse(args: &[String], accepted: &[&str]) -> Result<Self, CliError> {
         let mut values = HashMap::new();
         let mut iter = args.iter().peekable();
         while let Some(a) = iter.next() {
             let Some(key) = a.strip_prefix("--") else {
                 return Err(CliError::new(format!("unexpected argument {a:?}")));
             };
+            if !accepted.contains(&key) {
+                return Err(CliError::new(format!("unknown flag --{key}")));
+            }
             match iter.peek() {
                 Some(v) if !v.starts_with("--") => {
                     values.insert(key.to_string(), (*v).clone());
@@ -150,24 +153,64 @@ impl Flags {
 }
 
 /// Parses `args` and runs the selected subcommand, returning its report.
+/// Each subcommand names the flags it reads; any other flag is a usage
+/// error raised before the subcommand does any work.
 pub fn run(args: &[String]) -> Result<String, CliError> {
     let (cmd, rest) = args
         .split_first()
         .ok_or_else(|| CliError::new("no subcommand given"))?;
-    let flags = Flags::parse(rest)?;
-    match cmd.as_str() {
-        "detect" => commands::detect(&flags),
-        "generate" => commands::generate(&flags),
-        "kdist" => commands::kdist(&flags),
-        "info" => commands::info(&flags),
-        "sweep" => commands::sweep(&flags),
-        "compare" => commands::compare(&flags),
-        "serve" => crate::serve::serve(&flags),
-        // Hidden: how `--backend process` re-invokes this binary as a
-        // worker. Never typed by hand, so it stays out of the usage text.
-        "worker" => commands::worker(&flags),
-        other => Err(CliError::new(format!("unknown subcommand {other:?}"))),
-    }
+    type Command = fn(&Flags) -> Result<String, CliError>;
+    let (accepted, command): (&[&str], Command) = match cmd.as_str() {
+        "detect" => (
+            &[
+                "input",
+                "eps",
+                "min-pts",
+                "engine",
+                "labeled",
+                "output",
+                "threads",
+                "kernel",
+                "from-binary",
+                "batch-size",
+                "max-task-retries",
+                "permissive-ingest",
+                "trace-out",
+                "report-json",
+                "progress",
+            ],
+            commands::detect,
+        ),
+        "generate" => (
+            &["dataset", "output", "n", "seed", "labeled", "format"],
+            commands::generate,
+        ),
+        "kdist" => (&["input", "k", "labeled"], commands::kdist),
+        "info" => (&["input", "eps", "labeled"], commands::info),
+        "sweep" => (
+            &["input", "min-pts", "from", "to", "steps", "labeled"],
+            commands::sweep,
+        ),
+        "compare" => (&["input", "eps", "min-pts", "k"], commands::compare),
+        "serve" => (
+            &[
+                "input",
+                "eps",
+                "min-pts",
+                "from-binary",
+                "labeled",
+                "batch-size",
+                "kernel",
+                "threads",
+                "socket",
+                "trace-out",
+                "report-json",
+            ],
+            crate::serve::serve,
+        ),
+        other => return Err(CliError::new(format!("unknown subcommand {other:?}"))),
+    };
+    command(&Flags::parse(rest, accepted)?)
 }
 
 #[cfg(test)]
@@ -178,9 +221,15 @@ mod tests {
         s.iter().map(|x| x.to_string()).collect()
     }
 
+    const ACCEPTED: &[&str] = &["eps", "min-pts", "labeled", "output"];
+
     #[test]
     fn flags_parse_pairs_and_presence() {
-        let f = Flags::parse(&argv(&["--eps", "0.5", "--labeled", "--min-pts", "5"])).unwrap();
+        let f = Flags::parse(
+            &argv(&["--eps", "0.5", "--labeled", "--min-pts", "5"]),
+            ACCEPTED,
+        )
+        .unwrap();
         assert_eq!(f.require::<f64>("eps").unwrap(), 0.5);
         assert_eq!(f.require::<usize>("min-pts").unwrap(), 5);
         assert!(f.has("labeled"));
@@ -189,27 +238,85 @@ mod tests {
 
     #[test]
     fn missing_required_flag_is_an_error() {
-        let f = Flags::parse(&[]).unwrap();
+        let f = Flags::parse(&[], ACCEPTED).unwrap();
         let e = f.require::<f64>("eps").unwrap_err();
         assert!(e.to_string().contains("--eps"));
     }
 
     #[test]
     fn invalid_value_is_an_error() {
-        let f = Flags::parse(&argv(&["--eps", "abc"])).unwrap();
+        let f = Flags::parse(&argv(&["--eps", "abc"]), ACCEPTED).unwrap();
         assert!(f.require::<f64>("eps").is_err());
         assert!(f.get::<f64>("eps", 1.0).is_err());
     }
 
     #[test]
     fn positional_arguments_rejected() {
-        assert!(Flags::parse(&argv(&["stray"])).is_err());
+        assert!(Flags::parse(&argv(&["stray"]), ACCEPTED).is_err());
     }
 
     #[test]
     fn unknown_subcommand_rejected() {
         assert!(run(&argv(&["frobnicate"])).is_err());
         assert!(run(&[]).is_err());
+    }
+
+    /// Runs `args` and returns the usage error it must raise.
+    fn usage_error(args: &[&str]) -> CliError {
+        let e = run(&argv(args)).unwrap_err();
+        assert_eq!(e.kind, ErrorKind::Usage, "{e}");
+        e
+    }
+
+    #[test]
+    fn detect_rejects_retired_backend_flags() {
+        let base = [
+            "detect",
+            "--input",
+            "/nonexistent.bin",
+            "--from-binary",
+            "--eps",
+            "1",
+            "--min-pts",
+            "5",
+        ];
+        // Without the extra flags the run gets as far as the missing
+        // input; with them it must stop before doing any work.
+        assert_eq!(run(&argv(&base)).unwrap_err().kind, ErrorKind::Data);
+        let e = usage_error(&[&base[..], &["--backend", "process", "--workers", "2"]].concat());
+        assert!(e.message.contains("--backend"), "{e}");
+    }
+
+    #[test]
+    fn detect_rejects_a_misspelled_flag() {
+        let e = usage_error(&[
+            "detect",
+            "--input",
+            "/nonexistent.bin",
+            "--eps",
+            "1",
+            "--min-pts",
+            "5",
+            "--thraeds",
+            "2",
+        ]);
+        assert!(e.message.contains("--thraeds"), "{e}");
+    }
+
+    #[test]
+    fn serve_rejects_an_unknown_flag() {
+        let e = usage_error(&[
+            "serve",
+            "--input",
+            "/nonexistent.csv",
+            "--eps",
+            "1",
+            "--min-pts",
+            "5",
+            "--bogus-flag",
+            "3",
+        ]);
+        assert!(e.message.contains("--bogus-flag"), "{e}");
     }
 
     #[test]

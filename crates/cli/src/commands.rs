@@ -7,16 +7,13 @@ use std::time::Instant;
 
 use dbscout_core::{
     build_run_report, DbscoutError, DbscoutParams, DetectorBuilder, ExecutionConfig, KernelKind,
-    NativeOptions, PhaseTimings, RunInfo, PHASE_NAMES,
+    PhaseTimings, RunInfo, PHASE_NAMES,
 };
 use dbscout_data::generators as gen;
 use dbscout_data::io::{read_csv_with, write_binary, write_csv, IngestMode, QuarantineReport};
 use dbscout_data::kdist::{elbow_eps, kdist_graph};
 use dbscout_data::{materialize, BinarySource, CsvIngest, PointSource, DEFAULT_BATCH_SIZE};
-use dbscout_dataflow::{
-    ExecutionBackend, ExecutionContext, FaultPlan, MetricsSnapshot, ProcessPoolStats, StageRecord,
-    WorkerSpec, DEFAULT_RESPAWN_BUDGET,
-};
+use dbscout_dataflow::{ExecutionContext, FaultPlan, MetricsSnapshot, StageRecord};
 use dbscout_spatial::{Grid, PointStore};
 use dbscout_telemetry::{Recorder, Span, SpanKind, TraceCollector};
 
@@ -101,104 +98,12 @@ fn synthesize_phase_spans(recorder: &dyn Recorder, started: Instant, timings: &P
     }
 }
 
-/// Hidden `dbscout worker`: serve this process as a shard worker over
-/// stdin/stdout until the driver hangs up. Spawned by `--backend
-/// process`, never typed by hand; its stdout carries IPC frames, so the
-/// report it returns is empty.
-pub fn worker(_flags: &Flags) -> Result<String, CliError> {
-    dbscout_core::run_worker(
-        dbscout_telemetry::peak_rss_bytes,
-        dbscout_telemetry::cpu_time_us,
-    )
-    .map_err(engine_err)?;
-    Ok(String::new())
-}
-
-/// Builds the worker-kill fault plan for `--backend process`, if any
-/// chaos knobs are set: `DBSCOUT_CHAOS_SEED` draws one seeded
-/// mid-dispatch SIGKILL per stage; `DBSCOUT_WORKER_KILL`
-/// (`<stage>:<task>:<times>`, empty stage = every stage) scripts kills
-/// on a task's first `times` dispatches; `DBSCOUT_WORKER_KILL_AT_END`
-/// (`<stage>:<slot>`) SIGKILLs an idle worker after a stage completes.
-fn worker_fault_plan(chaos_seed: Option<u64>) -> Result<Option<FaultPlan>, CliError> {
-    let on_dispatch = std::env::var("DBSCOUT_WORKER_KILL").ok();
-    let at_end = std::env::var("DBSCOUT_WORKER_KILL_AT_END").ok();
-    if chaos_seed.is_none() && on_dispatch.is_none() && at_end.is_none() {
-        return Ok(None);
-    }
-    let stage_of = |s: &str| (!s.is_empty()).then(|| s.to_string());
-    let mut builder = FaultPlan::builder(chaos_seed.unwrap_or(0));
-    if chaos_seed.is_some() {
-        builder = builder.max_worker_kills_per_stage(1);
-    }
-    if let Some(spec) = on_dispatch {
-        // Split from the right: stage names may themselves contain ':'.
-        let mut parts = spec.rsplitn(3, ':');
-        let (times, task, stage) = (parts.next(), parts.next(), parts.next());
-        match (
-            stage,
-            task.and_then(|t| t.parse().ok()),
-            times.and_then(|t| t.parse().ok()),
-        ) {
-            (Some(stage), Some(task), Some(times)) => {
-                builder = builder.kill_worker_on_dispatch(stage_of(stage), task, times);
-            }
-            _ => {
-                return Err(CliError::new(format!(
-                    "invalid DBSCOUT_WORKER_KILL {spec:?} (expected <stage>:<task>:<times>)"
-                )))
-            }
-        }
-    }
-    if let Some(spec) = at_end {
-        let mut parts = spec.rsplitn(2, ':');
-        let (slot, stage) = (parts.next(), parts.next());
-        match (stage, slot.and_then(|s| s.parse().ok())) {
-            (Some(stage), Some(slot)) => {
-                builder = builder.kill_worker_at_stage_end(stage_of(stage), slot);
-            }
-            _ => {
-                return Err(CliError::new(format!(
-                    "invalid DBSCOUT_WORKER_KILL_AT_END {spec:?} (expected <stage>:<slot>)"
-                )))
-            }
-        }
-    }
-    Ok(Some(builder.build()))
-}
-
-/// Names the next CSV-input spill file for the process backend (workers
-/// read the shared input from disk, so non-binary input is re-encoded
-/// as a temporary `DBSC` file for the run).
-fn spill_path() -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
-    let seq = SPILL_SEQ.fetch_add(1, Ordering::SeqCst);
-    std::env::temp_dir().join(format!("dbscout-spill-{}-{seq}.dbsc", std::process::id()))
-}
-
 /// `dbscout detect`: read points, run DBSCOUT, report / write outliers.
 pub fn detect(flags: &Flags) -> Result<String, CliError> {
     let input: String = flags.require("input")?;
     let eps: f64 = flags.require("eps")?;
     let min_pts: usize = flags.require("min-pts")?;
     let engine: String = flags.get("engine", "native".to_string())?;
-    let backend: String = flags.get("backend", "in-process".to_string())?;
-    let workers: usize = flags.get("workers", 4)?;
-    let respawn_budget: usize = flags.get("respawn-budget", DEFAULT_RESPAWN_BUDGET)?;
-    match backend.as_str() {
-        "in-process" | "process" => {}
-        other => {
-            return Err(CliError::new(format!(
-                "unknown backend {other:?} (expected in-process or process)"
-            )))
-        }
-    }
-    if backend == "process" && engine != "native" {
-        return Err(CliError::new(
-            "--backend process drives the native engine only; drop --engine distributed",
-        ));
-    }
     let labeled = flags.has("labeled");
     let from_binary = flags.has("from-binary");
     let batch_size: usize = flags.get("batch-size", DEFAULT_BATCH_SIZE)?;
@@ -252,8 +157,7 @@ pub fn detect(flags: &Flags) -> Result<String, CliError> {
     // the engine arms below read from it instead of re-parsing flags.
     let exec = ExecutionConfig::new()
         .with_threads(flags.get("threads", 0)?)
-        .with_kernel(parse_kernel(&flags.get("kernel", "auto".to_string())?)?)
-        .with_workers(workers);
+        .with_kernel(parse_kernel(&flags.get("kernel", "auto".to_string())?)?);
 
     // The streaming path never materializes the dataset. It needs the
     // native engine (the distributed one partitions an in-memory store)
@@ -286,62 +190,12 @@ pub fn detect(flags: &Flags) -> Result<String, CliError> {
     let t = Instant::now();
     let mut fault_tolerance: Option<MetricsSnapshot> = None;
     let mut stage_records: Vec<StageRecord> = Vec::new();
-    let mut process_stats: Option<ProcessPoolStats> = None;
     // 0 = "auto" for the native engine's thread count.
-    let run_workers;
-    let mut run_partitions = 0u64;
+    let echo_workers;
+    let mut echo_partitions = 0u64;
     let result = match engine.as_str() {
-        "native" if backend == "process" => {
-            run_workers = workers as u64;
-            let exe = std::env::current_exe()
-                .map_err(|e| CliError::engine(format!("cannot locate own executable: {e}")))?;
-            let mut builder = ExecutionContext::builder()
-                .backend(ExecutionBackend::Process { workers })
-                .worker_spec(WorkerSpec::new(exe).arg("worker"))
-                .respawn_budget(respawn_budget)
-                .max_task_retries(max_task_retries);
-            if let Some(plan) = worker_fault_plan(chaos_seed)? {
-                builder = builder.fault_plan(plan);
-            }
-            if let Some(r) = &recorder {
-                builder = builder.recorder(Arc::clone(r));
-            }
-            let ctx = builder.build();
-            let before = ctx.metrics().snapshot();
-            // Workers read the shared input from disk, so CSV (or any
-            // materialized) input is spilled to a temporary DBSC file.
-            let (bin_path, spill) = if from_binary {
-                (std::path::PathBuf::from(&input), false)
-            } else {
-                let st = store
-                    .as_ref()
-                    .ok_or_else(|| CliError::new("internal: no dataset loaded"))?;
-                let path = spill_path();
-                write_binary(&path, st).map_err(data_err)?;
-                (path, true)
-            };
-            let detection = dbscout_core::detect_with_process_workers(
-                &ctx,
-                &bin_path,
-                batch_size,
-                params,
-                NativeOptions::default(),
-                exec.kernel,
-            );
-            if spill {
-                std::fs::remove_file(&bin_path).ok();
-            }
-            fault_tolerance = Some(ctx.metrics().snapshot().since(&before));
-            stage_records = ctx.metrics().stage_records();
-            process_stats = ctx.process_stats();
-            if let Some(c) = &collector {
-                ctx.metrics().emit_stage_spans(c.as_ref());
-            }
-            ctx.shutdown_process_pool();
-            detection.map_err(detect_err)?
-        }
         "native" => {
-            run_workers = exec.threads as u64;
+            echo_workers = exec.threads as u64;
             let builder = DetectorBuilder::new(params).execution(exec);
             match (&store, &mut source) {
                 (Some(st), _) => builder.build_native().detect(st).map_err(engine_err)?,
@@ -362,8 +216,8 @@ pub fn detect(flags: &Flags) -> Result<String, CliError> {
                 builder = builder.recorder(Arc::clone(r));
             }
             let ctx = builder.build();
-            run_workers = ctx.workers() as u64;
-            run_partitions = ctx.default_partitions() as u64;
+            echo_workers = ctx.workers() as u64;
+            echo_partitions = ctx.default_partitions() as u64;
             let st = store
                 .as_ref()
                 .ok_or_else(|| CliError::new("internal: no dataset loaded"))?;
@@ -386,7 +240,7 @@ pub fn detect(flags: &Flags) -> Result<String, CliError> {
     // (never "auto") and the in-process thread count. The distributed
     // engine's distance path is scalar and its parallelism is the
     // worker count echoed above.
-    let (run_kernel, run_threads) = if engine == "native" {
+    let (echo_kernel, echo_threads) = if engine == "native" {
         (
             exec.resolved_kernel().as_str().to_owned(),
             exec.resolved_threads() as u64,
@@ -397,15 +251,12 @@ pub fn detect(flags: &Flags) -> Result<String, CliError> {
     if engine == "native" {
         if let Some(c) = &collector {
             synthesize_phase_spans(c.as_ref(), t, &result.timings);
-            // Kernel work totals as Chrome Trace counter events. The
-            // process backend already emitted cumulative per-stage
-            // points via `emit_stage_spans`; for in-process runs the
-            // run total is the only sample.
-            if backend != "process" {
-                let end = t + result.timings.total();
-                for (name, value) in result.stats.kernel.named() {
-                    c.record_counter_point(name, end, value);
-                }
+            // Kernel work totals as Chrome Trace counter events: the
+            // native engine records no stages, so the run total is the
+            // only sample.
+            let end = t + result.timings.total();
+            for (name, value) in result.stats.kernel.named() {
+                c.record_counter_point(name, end, value);
             }
         }
     }
@@ -418,14 +269,9 @@ pub fn detect(flags: &Flags) -> Result<String, CliError> {
     // `write!` into a String is infallible; the results are discarded.
     let _ = writeln!(
         out,
-        "{points} points, eps = {eps}, minPts = {min_pts}, engine = {engine}{}{}{}",
+        "{points} points, eps = {eps}, minPts = {min_pts}, engine = {engine}{}{}",
         if engine == "native" {
-            format!(", kernel = {run_kernel}, threads = {run_threads}")
-        } else {
-            String::new()
-        },
-        if backend == "process" {
-            format!(", backend = process ({workers} workers)")
+            format!(", kernel = {echo_kernel}, threads = {echo_threads}")
         } else {
             String::new()
         },
@@ -445,16 +291,6 @@ pub fn detect(flags: &Flags) -> Result<String, CliError> {
         result.stats.core_cells,
     );
     quarantine_summary(&mut out, &quarantine);
-    if let Some(ps) = &process_stats {
-        if ps.worker_kills > 0 || ps.worker_respawns > 0 || ps.poisoned_tasks > 0 {
-            let _ = writeln!(
-                out,
-                "worker failures: {} kill(s), {} respawn(s) (budget {respawn_budget}), \
-                 {} task reassignment(s), {} poisoned task(s)",
-                ps.worker_kills, ps.worker_respawns, ps.task_reassignments, ps.poisoned_tasks,
-            );
-        }
-    }
     if let Some(m) = fault_tolerance {
         if m.task_retries > 0 || m.speculative_launches > 0 || m.injected_faults > 0 {
             let _ = writeln!(
@@ -497,10 +333,10 @@ pub fn detect(flags: &Flags) -> Result<String, CliError> {
             points,
             dimensions: dims,
             engine: engine.clone(),
-            partitions: run_partitions,
-            workers: run_workers,
-            kernel: run_kernel.clone(),
-            threads: run_threads,
+            partitions: echo_partitions,
+            workers: echo_workers,
+            kernel: echo_kernel.clone(),
+            threads: echo_threads,
             chaos_seed,
             peak_rss_bytes: dbscout_telemetry::peak_rss_bytes(),
         };
@@ -510,7 +346,6 @@ pub fn detect(flags: &Flags) -> Result<String, CliError> {
             &result,
             &fault_tolerance.unwrap_or_default(),
             &stage_records,
-            process_stats.as_ref(),
             elapsed,
         );
         std::fs::write(path, report.to_json()).map_err(data_err)?;
@@ -1335,6 +1170,85 @@ mod tests {
                 .to_string()
         };
         assert_eq!(outliers(&materialized), outliers(&dist));
+
+        // Traced streamed runs at 1 and 4 threads: each trace is
+        // well-formed, and the kernel totals are sums over a disjoint
+        // partition of the cell range, so they match across thread counts.
+        let mut kernel_totals = Vec::new();
+        for threads in ["1", "4"] {
+            let trace = tmp(&format!("stream-trace-t{threads}.json"));
+            let report = tmp(&format!("stream-report-t{threads}.json"));
+            let traced = run(&argv(&[
+                "detect",
+                "--input",
+                &bin,
+                "--from-binary",
+                "--eps",
+                "0.6",
+                "--min-pts",
+                "5",
+                "--threads",
+                threads,
+                "--trace-out",
+                &trace,
+                "--report-json",
+                &report,
+            ]))
+            .unwrap();
+            assert!(traced.contains("streamed"), "{traced}");
+            assert_eq!(counts(&materialized), counts(&traced));
+            assert_valid_chrome_trace(&std::fs::read_to_string(&trace).unwrap());
+            let doc = parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
+            let totals = doc.get("totals").unwrap();
+            let named: Vec<u64> = dbscout_telemetry::KERNEL_COUNTER_NAMES
+                .iter()
+                .map(|k| totals.get(k).unwrap().as_u64().unwrap())
+                .collect();
+            kernel_totals.push(named);
+        }
+        assert!(
+            kernel_totals[0].iter().sum::<u64>() > 0,
+            "counters must be live"
+        );
+        assert_eq!(kernel_totals[0], kernel_totals[1]);
+    }
+
+    /// Checks a Chrome Trace's shape: a non-empty array in which every
+    /// event is a complete (`X`) or counter (`C`) event, `X` timestamps
+    /// are monotone within each (pid, tid) lane, and `C` events name a
+    /// declared kernel counter with a numeric value.
+    fn assert_valid_chrome_trace(trace: &str) {
+        use std::collections::BTreeMap;
+        let doc = dbscout_telemetry::json::parse(trace).unwrap();
+        let events = doc.as_array().expect("trace must be a JSON array");
+        assert!(!events.is_empty(), "trace must not be empty");
+        let mut last_ts: BTreeMap<(u64, u64), u64> = BTreeMap::new();
+        for e in events {
+            let ts = e.get("ts").unwrap().as_u64().unwrap();
+            match e.get("ph").unwrap().as_str().unwrap() {
+                "X" => {
+                    assert!(e.get("dur").unwrap().as_u64().is_some());
+                    let pid = e.get("pid").unwrap().as_u64().unwrap();
+                    let tid = e.get("tid").unwrap().as_u64().unwrap();
+                    let prev = last_ts.entry((pid, tid)).or_insert(0);
+                    assert!(
+                        ts >= *prev,
+                        "span timestamps must be monotone per lane: {ts} < {prev} in ({pid}, {tid})"
+                    );
+                    *prev = ts;
+                }
+                "C" => {
+                    let name = e.get("name").unwrap().as_str().unwrap();
+                    assert!(
+                        dbscout_telemetry::KERNEL_COUNTER_NAMES.contains(&name),
+                        "undeclared counter {name:?}"
+                    );
+                    let args = e.get("args").unwrap();
+                    assert!(args.get("value").unwrap().as_u64().is_some());
+                }
+                other => panic!("unexpected event phase {other:?}"),
+            }
+        }
     }
 
     #[test]

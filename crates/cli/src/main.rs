@@ -7,7 +7,13 @@
 //!                  --output pts.csv [--labeled]
 //! dbscout kdist    --input pts.csv --k 5
 //! dbscout info     --input pts.csv [--eps 0.5]
+//! dbscout serve    --input pts.csv --eps 0.5 --min-pts 5 [--socket path]
 //! ```
+//!
+//! `--threads` is the one parallelism knob: the native engine runs its
+//! passes on that many threads of this process. Each subcommand names
+//! the flags it reads (the full list is `cli::USAGE`); any other flag is
+//! a usage error.
 
 // Unit tests may panic freely; library code is held to the panic-freedom
 // gates in `[workspace.lints]` and `cargo xtask lint`.

@@ -1,5 +1,5 @@
 //! Live progress reporting for `--progress`: a [`Recorder`] that turns
-//! the engine's span/counter stream into rate-limited stderr lines.
+//! the engine's span stream into rate-limited stderr lines.
 //!
 //! This lives in the CLI binary on purpose — library crates are
 //! print-free (lint XL006); the only place allowed to talk to a
@@ -20,14 +20,12 @@ struct State {
     stage: String,
     /// Task spans seen so far (attempts, including speculative ones).
     tasks: u64,
-    /// Worker processes killed or lost so far.
-    worker_kills: u64,
     /// When the last line was written; `None` before the first.
     last_emit: Option<Instant>,
 }
 
-/// Streams coarse progress (current stage, tasks completed, worker
-/// failures) to stderr as the engine records spans and counters.
+/// Streams coarse progress (current stage, tasks completed) to stderr as
+/// the engine records task spans.
 pub struct ProgressReporter {
     state: Mutex<State>,
 }
@@ -41,7 +39,7 @@ impl ProgressReporter {
     }
 
     /// Emits a line if enough time has passed since the previous one
-    /// (worker failures always print — they are rare and important).
+    /// (or `force`, on a stage change).
     fn emit(&self, state: &mut State, force: bool) {
         let now = Instant::now();
         let due = state
@@ -51,13 +49,8 @@ impl ProgressReporter {
             return;
         }
         state.last_emit = Some(now);
-        let kills = if state.worker_kills > 0 {
-            format!(", {} worker failure(s)", state.worker_kills)
-        } else {
-            String::new()
-        };
         eprintln!(
-            "progress: {} — {} task(s) done{kills}",
+            "progress: {} — {} task(s) done",
             if state.stage.is_empty() {
                 "starting"
             } else {
@@ -89,17 +82,6 @@ impl Recorder for ProgressReporter {
         state.tasks += 1;
         self.emit(&mut state, stage_changed);
     }
-
-    fn record_counter(&self, name: &str, delta: u64) {
-        if name != "worker_kills" {
-            return;
-        }
-        let Ok(mut state) = self.state.lock() else {
-            return;
-        };
-        state.worker_kills += delta;
-        self.emit(&mut state, true);
-    }
 }
 
 /// Fans every recorder event out to several sinks, so `--progress` can
@@ -122,12 +104,6 @@ impl Recorder for TeeRecorder {
         }
     }
 
-    fn record_counter(&self, name: &str, delta: u64) {
-        for sink in &self.sinks {
-            sink.record_counter(name, delta);
-        }
-    }
-
     fn record_counter_point(&self, name: &str, at: Instant, value: u64) {
         for sink in &self.sinks {
             sink.record_counter_point(name, at, value);
@@ -141,7 +117,7 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn task_spans_and_kill_counters_update_state() {
+    fn task_spans_update_state() {
         let p = ProgressReporter::new();
         let t = Instant::now();
         for i in 0..3 {
@@ -150,19 +126,16 @@ mod tests {
                     .arg("partition", i as u64),
             );
         }
-        // Non-task spans and unrelated counters are ignored.
+        // Non-task spans are ignored.
         p.record_span(Span::new(
             "core-point pass",
             SpanKind::Stage,
             t,
             Duration::ZERO,
         ));
-        p.record_counter("task_retries", 5);
-        p.record_counter("worker_kills", 2);
         let state = p.state.lock().unwrap();
         assert_eq!(state.stage, "core-point pass: shard");
         assert_eq!(state.tasks, 3);
-        assert_eq!(state.worker_kills, 2);
     }
 
     #[test]

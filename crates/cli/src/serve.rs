@@ -437,7 +437,6 @@ pub fn serve(flags: &Flags) -> Result<String, CliError> {
             &result,
             &MetricsSnapshot::default(),
             &[],
-            None,
             elapsed,
         );
         // The snapshot's per-run kernel counters are zero by design (the

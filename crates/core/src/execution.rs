@@ -1,10 +1,9 @@
 //! The unified execution configuration.
 //!
 //! Every knob that decides *how* a detection runs — never *what* it
-//! returns — lives in one [`ExecutionConfig`] value: worker threads,
-//! distance kernel, process-worker count, and the deterministic
-//! schedule seed. The CLI maps its `--threads`, `--kernel`, `--workers`,
-//! and `--schedule-seed` flags into this struct in exactly one place, and
+//! returns — lives in one [`ExecutionConfig`] value: the worker-thread
+//! count and the distance kernel. The CLI maps its `--threads` and
+//! `--kernel` flags into this struct in exactly one place, and
 //! [`crate::DetectorBuilder::execution`] consumes it; the per-field
 //! builder methods remain as thin shims over the same state.
 //!
@@ -14,7 +13,7 @@
 
 use dbscout_spatial::KernelKind;
 
-/// How a detection executes: threads, kernel, workers, seed.
+/// How a detection executes: worker threads and distance kernel.
 ///
 /// All fields are observability/performance knobs — a property suite
 /// pins that no combination changes labels or kernel-counter totals.
@@ -39,17 +38,10 @@ pub struct ExecutionConfig {
     /// Distance kernel for the cell-major hot loops — see
     /// [`Self::resolved_kernel`].
     pub kernel: KernelKind,
-    /// Worker processes for the process backend / distributed engine;
-    /// `0` means the backend's default.
-    pub workers: usize,
-    /// Seed for the dataflow scheduler's deterministic task order;
-    /// `None` keeps the default schedule.
-    pub schedule_seed: Option<u64>,
 }
 
 impl ExecutionConfig {
-    /// The default configuration: all cores, `Auto` kernel, default
-    /// worker count, default schedule.
+    /// The default configuration: all cores, `Auto` kernel.
     pub fn new() -> Self {
         Self::default()
     }
@@ -63,18 +55,6 @@ impl ExecutionConfig {
     /// Sets the distance kernel.
     pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
         self.kernel = kernel;
-        self
-    }
-
-    /// Sets the process/distributed worker count (`0` = backend default).
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers;
-        self
-    }
-
-    /// Sets the deterministic schedule seed.
-    pub fn with_schedule_seed(mut self, seed: Option<u64>) -> Self {
-        self.schedule_seed = seed;
         self
     }
 
@@ -107,8 +87,6 @@ mod tests {
         let cfg = ExecutionConfig::new();
         assert_eq!(cfg.threads, 0);
         assert_eq!(cfg.kernel, KernelKind::Auto);
-        assert_eq!(cfg.workers, 0);
-        assert_eq!(cfg.schedule_seed, None);
         assert!(cfg.resolved_threads() >= 1);
     }
 
@@ -116,13 +94,9 @@ mod tests {
     fn setters_chain_and_resolve() {
         let cfg = ExecutionConfig::new()
             .with_threads(3)
-            .with_kernel(KernelKind::Auto)
-            .with_workers(2)
-            .with_schedule_seed(Some(7));
+            .with_kernel(KernelKind::Auto);
         assert_eq!(cfg.threads, 3);
         assert_eq!(cfg.resolved_threads(), 3);
-        assert_eq!(cfg.workers, 2);
-        assert_eq!(cfg.schedule_seed, Some(7));
         // Auto resolves to the unrolled kernel; an explicit kernel stays.
         assert_eq!(cfg.resolved_kernel(), KernelKind::Unrolled);
         let explicit = cfg.with_kernel(KernelKind::Scalar);

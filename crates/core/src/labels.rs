@@ -63,7 +63,7 @@ pub struct RunStats {
     pub distance_computations: u64,
     /// Kernel work counters summed over the core-point and outlier
     /// passes. Sums over a disjoint partition of the cell range, so
-    /// identical across thread counts, schedules, and backends.
+    /// identical across thread counts and schedules.
     pub kernel: KernelCounters,
 }
 

@@ -59,7 +59,6 @@ pub mod incremental;
 pub mod labels;
 pub mod native;
 pub mod params;
-pub mod process;
 pub mod reference;
 pub mod report;
 pub mod scores;
@@ -75,6 +74,5 @@ pub use incremental::IncrementalDbscout;
 pub use labels::{OutlierResult, PhaseTimings, PointLabel, RunStats};
 pub use native::{detect_outliers, Dbscout, ExecutionLayout, NativeOptions};
 pub use params::DbscoutParams;
-pub use process::{detect_with_process_workers, run_worker, WorkerHandler};
-pub use report::{build_run_report, process_report, stage_report, RunInfo};
+pub use report::{build_run_report, stage_report, RunInfo};
 pub use scores::{outlier_scores, ScoredResult};

@@ -444,14 +444,12 @@ impl Dbscout {
 /// core *slots*, the indices of cells promoted by a non-dense core
 /// point, and the kernel work counters spent.
 ///
-/// Shared verbatim by the threaded chunks of
-/// [`Dbscout::detect`] and the process-worker shards of
-/// [`crate::process`] — which is what makes the two backends' labels
-/// *and* work counters identical by construction: a cell's work is a
-/// pure function of the layout, so any partition of `0..num_cells` into
-/// ranges sums to the same totals. The same holds for `kernel`: the
-/// unrolled kernels tally exactly the comparisons the scalar loop
-/// makes, so counter totals are kernel-invariant too.
+/// Run by every threaded chunk of [`Dbscout::detect`]. A cell's work is
+/// a pure function of the layout, so any partition of `0..num_cells`
+/// into ranges sums to the same labels *and* work counters: both are
+/// identical across thread counts by construction. The same holds for
+/// `kernel`: the unrolled kernels tally exactly the comparisons the
+/// scalar loop makes, so counter totals are kernel-invariant too.
 ///
 /// Neighbor cells come from a [`dbscout_spatial::NeighborSweep`] started
 /// afresh for this range, so the list for a cell does not depend on
@@ -529,8 +527,8 @@ pub(crate) fn core_points_in_range(
 /// The phase-5 kernel over one contiguous cell range: finds the outlier
 /// *slots* among points of non-core cells in `range` (Algorithm 5),
 /// given the global core-slot bitmap, plus the kernel work counters
-/// spent. Shared by both backends exactly like
-/// [`core_points_in_range`], and fails the same way.
+/// spent. Run per chunk exactly like [`core_points_in_range`], and
+/// fails the same way.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn outliers_in_range(
     cm: &CellMajorStore,

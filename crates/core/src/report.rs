@@ -5,10 +5,9 @@
 
 use std::time::Duration;
 
-use dbscout_dataflow::{MetricsSnapshot, ProcessPoolStats, StageRecord};
+use dbscout_dataflow::{MetricsSnapshot, StageRecord};
 use dbscout_telemetry::{
-    DatasetEcho, ParamsEcho, PhaseReport, ProcessReport, RunReport, StageReport, TotalsReport,
-    WorkerReport,
+    DatasetEcho, ParamsEcho, PhaseReport, RunReport, StageReport, TotalsReport,
 };
 
 use crate::distributed::PHASE_NAMES;
@@ -35,8 +34,7 @@ pub struct RunInfo {
     /// `"unrolled"`; callers resolve `Auto` before echoing — see
     /// [`crate::ExecutionConfig::resolved_kernel`]).
     pub kernel: String,
-    /// The in-process worker-thread count the run resolved to (0 when
-    /// no thread pool ran in-process).
+    /// The worker-thread count the run resolved to.
     pub threads: u64,
     /// The `DBSCOUT_CHAOS_SEED` in effect, if any.
     pub chaos_seed: Option<u64>,
@@ -66,9 +64,6 @@ pub fn stage_report(record: &StageRecord) -> StageReport {
         speculative_launches: record.speculative_launches,
         speculative_wins: record.speculative_wins,
         injected_faults: record.injected_faults,
-        worker_kills: record.worker_kills,
-        worker_respawns: record.worker_respawns,
-        task_reassignments: record.task_reassignments,
         task_duration_p50_us: micros(record.task_durations.p50()),
         task_duration_p95_us: micros(record.task_durations.p95()),
         task_duration_max_us: micros(record.task_durations.max()),
@@ -79,48 +74,19 @@ pub fn stage_report(record: &StageRecord) -> StageReport {
     }
 }
 
-/// Converts the process pool's run summary into its report form.
-pub fn process_report(stats: &ProcessPoolStats) -> ProcessReport {
-    ProcessReport {
-        workers: stats.workers as u64,
-        workers_spawned: stats.workers_spawned,
-        worker_kills: stats.worker_kills,
-        worker_respawns: stats.worker_respawns,
-        task_reassignments: stats.task_reassignments,
-        poisoned_tasks: stats.poisoned_tasks,
-        child_peak_rss_bytes: stats.child_peak_rss_bytes,
-        child_cpu_time_us: stats.child_cpu_time_us,
-        per_worker: stats
-            .per_worker
-            .iter()
-            .map(|w| WorkerReport {
-                slot: w.slot as u64,
-                spawns: w.spawns,
-                kills: w.kills,
-                respawns: w.respawns,
-                tasks_completed: w.tasks_completed,
-                peak_rss_bytes: w.peak_rss_bytes,
-                cpu_time_us: w.cpu_time_us,
-            })
-            .collect(),
-    }
-}
-
 /// Builds the complete run report.
 ///
 /// `metrics` supplies the whole-run aggregates (pass
 /// `ctx.metrics().snapshot()` for the distributed engine, or
 /// [`MetricsSnapshot::default`] for the native one), `stage_records` the
-/// per-stage detail (`ctx.metrics().stage_records()`), `process` the
-/// pool summary when the process backend ran (`ctx.process_stats()`),
-/// and `wall_clock` the end-to-end detection time.
+/// per-stage detail (`ctx.metrics().stage_records()`), and `wall_clock`
+/// the end-to-end detection time.
 pub fn build_run_report(
     info: &RunInfo,
     params: DbscoutParams,
     result: &OutlierResult,
     metrics: &MetricsSnapshot,
     stage_records: &[StageRecord],
-    process: Option<&ProcessPoolStats>,
     wall_clock: Duration,
 ) -> RunReport {
     let timings = result.timings;
@@ -157,7 +123,6 @@ pub fn build_run_report(
         },
         phases,
         stages: stage_records.iter().map(stage_report).collect(),
-        process: process.map(process_report),
         serve: None,
         totals: TotalsReport {
             stages: metrics.stages,
@@ -172,20 +137,14 @@ pub fn build_run_report(
             speculative_launches: metrics.speculative_launches,
             speculative_wins: metrics.speculative_wins,
             injected_faults: metrics.injected_faults,
-            worker_kills: metrics.worker_kills,
-            worker_respawns: metrics.worker_respawns,
-            task_reassignments: metrics.task_reassignments,
             outliers: result.num_outliers() as u64,
-            // Kernel totals come from the result's own counters (not the
-            // engine metrics) so native in-process runs and the process
-            // backend report byte-identical values.
+            // Kernel totals come from the result's own counters, not the
+            // engine metrics: the native engine records no stages.
             cells_visited: result.stats.kernel.cells_visited,
             bbox_prunes: result.stats.kernel.bbox_prunes,
             early_exit_hits: result.stats.kernel.early_exit_hits,
             distance_evals: result.stats.kernel.distance_evals,
             peak_rss_bytes: info.peak_rss_bytes,
-            child_peak_rss_bytes: process.map_or(0, |p| p.child_peak_rss_bytes),
-            child_cpu_time_us: process.map_or(0, |p| p.child_cpu_time_us),
             wall_clock_us: micros(wall_clock),
         },
     }
@@ -238,7 +197,6 @@ mod tests {
             &result,
             &ctx.metrics().snapshot(),
             &ctx.metrics().stage_records(),
-            None,
             started.elapsed(),
         );
 
@@ -283,7 +241,6 @@ mod tests {
             &result,
             &ctx.metrics().snapshot(),
             &ctx.metrics().stage_records(),
-            None,
             Duration::from_millis(12),
         );
         let doc = parse(&report.to_json()).unwrap();
@@ -332,7 +289,6 @@ mod tests {
             &result,
             &MetricsSnapshot::default(),
             &[],
-            None,
             Duration::from_millis(1),
         );
         assert!(report.stages.is_empty());

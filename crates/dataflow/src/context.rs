@@ -11,26 +11,7 @@ use crate::dataset::Dataset;
 use crate::error::{EngineError, Result};
 use crate::executor::{self, lock_unpoisoned, SpeculationConfig, StageOptions};
 use crate::fault::FaultPlan;
-use crate::metrics::{EngineMetrics, StageRecord};
-use crate::worker::{ProcessPool, ProcessPoolConfig, ProcessPoolStats, WorkerSpec};
-
-/// Which failure domain executes stage tasks.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub enum ExecutionBackend {
-    /// Threads in this process (the default): tasks share an address
-    /// space; a panicking task is caught and retried, but a task that
-    /// aborts the process takes the whole job down.
-    #[default]
-    InProcess,
-    /// Shared-nothing child processes: tasks are serialized descriptors
-    /// shipped over pipes to `workers` worker processes, and a worker
-    /// that dies (SIGKILL, OOM, wedge) is respawned and its work
-    /// re-dispatched — see [`crate::worker`] for the recovery model.
-    Process {
-        /// Number of worker processes.
-        workers: usize,
-    },
-}
+use crate::metrics::EngineMetrics;
 
 /// Default task-retry budget: a task may fail twice and still succeed on
 /// its third attempt (the spirit of Spark's `spark.task.maxFailures = 4`,
@@ -79,13 +60,6 @@ pub struct ExecutionContext {
     /// Caller-visible phase label (e.g. `"core-point pass"`) prefixed onto
     /// every stage name while set.
     stage: Mutex<Option<String>>,
-    backend: ExecutionBackend,
-    worker_spec: Option<WorkerSpec>,
-    respawn_budget: usize,
-    /// The process-worker pool, spawned lazily on the first process
-    /// stage. Taken out of the mutex for the duration of a stage (the
-    /// guard is never held across worker I/O) and put back after.
-    pool: Mutex<Option<ProcessPool>>,
     metrics: EngineMetrics,
     /// Span sink installed at build time; `None` (the default) keeps the
     /// engine span-free — a single branch per stage, nothing per task.
@@ -101,7 +75,6 @@ impl fmt::Debug for ExecutionContext {
             .field("speculation", &self.speculation)
             .field("fault_plan", &self.fault_plan)
             .field("schedule_seed", &self.schedule_seed)
-            .field("backend", &self.backend)
             .field("recorder", &self.recorder.is_some())
             .finish_non_exhaustive()
     }
@@ -194,99 +167,6 @@ impl ExecutionContext {
             stage: &label,
         };
         executor::run_stage(&opts, tasks)
-    }
-
-    /// Which failure domain executes stage tasks.
-    pub fn backend(&self) -> &ExecutionBackend {
-        &self.backend
-    }
-
-    /// Whether stages run on the process-worker backend.
-    pub fn is_process_backend(&self) -> bool {
-        matches!(self.backend, ExecutionBackend::Process { .. })
-    }
-
-    /// Runs one stage of serialized task descriptors on the
-    /// process-worker pool, returning results in task order. The pool is
-    /// spawned lazily on the first call and reused (with its respawn
-    /// budget and accumulated statistics) across stages. `op` names the
-    /// stage exactly as [`run_stage`](Self::run_stage) would.
-    ///
-    /// Errors with [`EngineError::Internal`] when the context was not
-    /// built with [`ExecutionBackend::Process`] and a worker spec.
-    pub fn run_process_stage(&self, op: &str, tasks: Vec<Vec<u8>>) -> Result<Vec<Vec<u8>>> {
-        let label = match lock_unpoisoned(&self.stage).as_deref() {
-            Some(phase) => format!("{phase}:{op}"),
-            None => op.to_owned(),
-        };
-        let ExecutionBackend::Process { workers } = self.backend else {
-            return Err(EngineError::Internal {
-                message: format!(
-                    "stage {label:?} asked for process workers on an in-process context"
-                ),
-            });
-        };
-        // Take the pool out of the mutex for the stage's duration so no
-        // lock is held across worker I/O (and a second caller gets a
-        // clean error instead of a deadlock).
-        let mut pool = match lock_unpoisoned(&self.pool).take() {
-            Some(pool) => pool,
-            None => {
-                let spec = self
-                    .worker_spec
-                    .clone()
-                    .ok_or_else(|| EngineError::Internal {
-                        message: "process backend requires a worker spec (builder.worker_spec)"
-                            .to_owned(),
-                    })?;
-                ProcessPool::spawn(
-                    spec,
-                    ProcessPoolConfig {
-                        workers,
-                        respawn_budget: self.respawn_budget,
-                        max_task_retries: self.max_task_retries,
-                        fault_plan: self.fault_plan.clone(),
-                    },
-                )?
-            }
-        };
-        let mut record = StageRecord::new(&label);
-        record.tasks = tasks.len() as u64;
-        // Deaths and respawns are worth recording even when the stage
-        // fails — the failed stage is exactly the interesting one — so
-        // they are derived from the pool's lifetime counters rather than
-        // the (success-only) stage outcome.
-        let before = pool.stats();
-        let outcome = pool.run_stage(&label, tasks, self.recorder.as_deref());
-        record.duration = record.started.elapsed();
-        let after = pool.stats();
-        record.worker_kills = after.worker_kills.saturating_sub(before.worker_kills);
-        record.worker_respawns = after.worker_respawns.saturating_sub(before.worker_respawns);
-        record.task_reassignments = after
-            .task_reassignments
-            .saturating_sub(before.task_reassignments);
-        if let Ok(o) = &outcome {
-            record.task_retries = o.task_retries;
-        }
-        self.metrics.push_stage(record);
-        // Put the pool back even on error: its statistics stay readable
-        // and later stages may still run on the survivors.
-        *lock_unpoisoned(&self.pool) = Some(pool);
-        outcome.map(|o| o.results)
-    }
-
-    /// Lifetime statistics of the process-worker pool, if one has been
-    /// spawned.
-    pub fn process_stats(&self) -> Option<ProcessPoolStats> {
-        lock_unpoisoned(&self.pool).as_ref().map(ProcessPool::stats)
-    }
-
-    /// Shuts the process-worker pool down (idempotent; the pool also
-    /// shuts down when the context drops).
-    pub fn shutdown_process_pool(&self) {
-        if let Some(mut pool) = lock_unpoisoned(&self.pool).take() {
-            pool.shutdown();
-        }
     }
 
     /// The error for mixing datasets of `self` and `other`.
@@ -388,9 +268,6 @@ pub struct ExecutionContextBuilder {
     speculation: Option<SpeculationConfig>,
     fault_plan: Option<FaultPlan>,
     schedule_seed: Option<u64>,
-    backend: ExecutionBackend,
-    worker_spec: Option<WorkerSpec>,
-    respawn_budget: Option<usize>,
     recorder: Option<Arc<dyn Recorder>>,
 }
 
@@ -403,9 +280,6 @@ impl fmt::Debug for ExecutionContextBuilder {
             .field("speculation", &self.speculation)
             .field("fault_plan", &self.fault_plan)
             .field("schedule_seed", &self.schedule_seed)
-            .field("backend", &self.backend)
-            .field("worker_spec", &self.worker_spec)
-            .field("respawn_budget", &self.respawn_budget)
             .field("recorder", &self.recorder.is_some())
             .finish()
     }
@@ -456,35 +330,6 @@ impl ExecutionContextBuilder {
         self
     }
 
-    /// Selects the failure domain for stage execution (defaults to
-    /// [`ExecutionBackend::InProcess`]). [`ExecutionBackend::Process`]
-    /// also requires [`worker_spec`](Self::worker_spec).
-    pub fn backend(mut self, backend: ExecutionBackend) -> Self {
-        if let ExecutionBackend::Process { workers } = backend {
-            self.backend = ExecutionBackend::Process {
-                workers: workers.max(1),
-            };
-        } else {
-            self.backend = backend;
-        }
-        self
-    }
-
-    /// How to launch worker processes for the process backend (typically
-    /// the current executable with a hidden `worker` subcommand).
-    pub fn worker_spec(mut self, spec: WorkerSpec) -> Self {
-        self.worker_spec = Some(spec);
-        self
-    }
-
-    /// Total worker (re)spawn attempts the process pool may make over
-    /// its lifetime (defaults to
-    /// [`DEFAULT_RESPAWN_BUDGET`](crate::worker::DEFAULT_RESPAWN_BUDGET)).
-    pub fn respawn_budget(mut self, budget: usize) -> Self {
-        self.respawn_budget = Some(budget);
-        self
-    }
-
     /// Installs a span sink (e.g. a
     /// [`TraceCollector`](dbscout_telemetry::TraceCollector)): every task
     /// attempt emits a span into it, and detectors running on the context
@@ -510,12 +355,6 @@ impl ExecutionContextBuilder {
             fault_plan: self.fault_plan,
             schedule_seed: self.schedule_seed,
             stage: Mutex::new(None),
-            backend: self.backend,
-            worker_spec: self.worker_spec,
-            respawn_budget: self
-                .respawn_budget
-                .unwrap_or(crate::worker::DEFAULT_RESPAWN_BUDGET),
-            pool: Mutex::new(None),
             metrics: EngineMetrics::new(),
             recorder: self.recorder,
         })
@@ -580,28 +419,6 @@ mod tests {
         }
         ctx.clear_stage();
         assert_eq!(ctx.current_stage(), None);
-    }
-
-    #[test]
-    fn process_stage_on_an_in_process_context_is_an_error() {
-        let ctx = ExecutionContext::builder().workers(2).build();
-        assert_eq!(ctx.backend(), &ExecutionBackend::InProcess);
-        assert!(!ctx.is_process_backend());
-        let err = ctx.run_process_stage("join", vec![Vec::new()]).unwrap_err();
-        assert!(matches!(err, EngineError::Internal { .. }), "{err:?}");
-        assert!(ctx.process_stats().is_none());
-    }
-
-    #[test]
-    fn process_backend_clamps_workers_and_reports_itself() {
-        let ctx = ExecutionContext::builder()
-            .backend(ExecutionBackend::Process { workers: 0 })
-            .build();
-        assert_eq!(ctx.backend(), &ExecutionBackend::Process { workers: 1 });
-        assert!(ctx.is_process_backend());
-        // No stage has run: the pool is never spawned eagerly.
-        assert!(ctx.process_stats().is_none());
-        ctx.shutdown_process_pool();
     }
 
     #[test]

@@ -40,21 +40,6 @@ pub enum EngineError {
         /// Configuration of the right-hand dataset's context.
         right: ContextConfig,
     },
-    /// The process backend lost worker processes faster than its respawn
-    /// budget could replace them: every slot is dead and no respawn is
-    /// allowed, so the stage cannot make progress. This is the
-    /// whole-worker failure domain ("a machine died"), distinct from
-    /// [`EngineError::TaskFailed`] ("a closure failed").
-    WorkerLost {
-        /// Name of the stage that was running when the pool died.
-        stage: String,
-        /// Slot index of the last worker whose loss exhausted the pool.
-        worker: usize,
-        /// Respawns performed before the budget ran out.
-        respawns: usize,
-        /// What killed the pool (deadline misses, SIGKILLs, spawn errors).
-        message: String,
-    },
     /// An engine-internal invariant failed to hold. Surfaced as an error
     /// instead of a panic so a broken scheduler cannot take down a scan.
     Internal {
@@ -87,18 +72,6 @@ impl fmt::Display for EngineError {
                     f,
                     "datasets belong to different execution contexts \
                      (left: {left}, right: {right})"
-                )
-            }
-            EngineError::WorkerLost {
-                stage,
-                worker,
-                respawns,
-                message,
-            } => {
-                write!(
-                    f,
-                    "worker {worker} lost during stage {stage:?} with the respawn budget \
-                     exhausted ({respawns} respawn(s) used): {message}"
                 )
             }
             EngineError::Internal { message } => {
@@ -145,21 +118,6 @@ mod tests {
         assert!(s.contains("core-point pass:join"), "{s}");
         assert!(s.contains("2 attempt(s)"), "{s}");
         assert!(s.contains("attempt 1: boom; attempt 2: boom again"), "{s}");
-    }
-
-    #[test]
-    fn display_worker_lost() {
-        let err = EngineError::WorkerLost {
-            stage: "core-point pass".into(),
-            worker: 2,
-            respawns: 8,
-            message: "heartbeat deadline missed".into(),
-        };
-        let s = err.to_string();
-        assert!(s.contains("worker 2"), "{s}");
-        assert!(s.contains("core-point pass"), "{s}");
-        assert!(s.contains("8 respawn(s)"), "{s}");
-        assert!(s.contains("heartbeat deadline missed"), "{s}");
     }
 
     #[test]

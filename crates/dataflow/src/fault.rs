@@ -42,21 +42,6 @@ struct ScriptedFault {
     kind: FaultKind,
 }
 
-/// One scripted whole-worker kill (SIGKILL, process backend only).
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ScriptedWorkerKill {
-    stage_contains: Option<String>,
-    /// For dispatch kills: the task index whose dispatch triggers the
-    /// kill. For stage-end kills: the worker slot to kill.
-    target: usize,
-    /// Dispatch kills only: how many dispatches of the task get their
-    /// hosting worker killed (`2` is the poison-task scenario).
-    times: usize,
-    /// Whether the kill fires at task dispatch or after the stage's
-    /// results are all collected (shuffle written).
-    at_stage_end: bool,
-}
-
 /// A reproducible schedule of task faults (see the module docs).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
@@ -64,8 +49,6 @@ pub struct FaultPlan {
     max_faults_per_task: u32,
     stage_filter: Option<String>,
     scripted: Vec<ScriptedFault>,
-    worker_kills: Vec<ScriptedWorkerKill>,
-    max_worker_kills_per_stage: u32,
 }
 
 impl FaultPlan {
@@ -133,85 +116,6 @@ impl FaultPlan {
         }
         mix(self.seed, stage, partition as u64, 0xC0DE) % (u64::from(self.max_faults_per_task) + 1)
     }
-
-    /// The worker-kill events to fire when tasks of `stage` are
-    /// dispatched, as sorted `(task index, kill count)` pairs: the hosting
-    /// worker is SIGKILLed right after each of the task's first
-    /// `kill count` dispatches, leaving the task in flight on a dead
-    /// process — the "machine died mid-stage" failure.
-    ///
-    /// Scripted kills ([`FaultPlanBuilder::kill_worker_on_dispatch`])
-    /// compose with seeded ones: with
-    /// [`FaultPlanBuilder::max_worker_kills_per_stage`] set to `k`,
-    /// exactly `k` tasks per matching stage are chosen by the seed (the
-    /// seed picks *where*, `k` picks *how many*), each killed on its first
-    /// dispatch. Decisions are a pure function of `(seed, stage,
-    /// num_tasks)` — replaying a plan replays the same kills.
-    pub fn worker_kills_on_dispatch(&self, stage: &str, num_tasks: usize) -> Vec<(usize, usize)> {
-        let mut kills: Vec<(usize, usize)> = Vec::new();
-        for k in &self.worker_kills {
-            if k.at_stage_end || !self.kill_stage_matches(k.stage_contains.as_deref(), stage) {
-                continue;
-            }
-            kills.push((k.target, k.times.max(1)));
-        }
-        if self.max_worker_kills_per_stage > 0 && num_tasks > 0 && self.seeded_stage_matches(stage)
-        {
-            // Draw until `max` *distinct* tasks are chosen (capped by the
-            // task count), so "k kills per stage" means exactly k.
-            let want = (self.max_worker_kills_per_stage as usize).min(num_tasks);
-            let mut chosen: Vec<usize> = Vec::with_capacity(want);
-            let mut draw = 0u64;
-            while chosen.len() < want {
-                let task = (mix(self.seed, stage, draw, 0x4B11) % num_tasks as u64) as usize;
-                draw += 1;
-                if !chosen.contains(&task) {
-                    chosen.push(task);
-                }
-            }
-            kills.extend(chosen.into_iter().map(|task| (task, 1)));
-        }
-        // Merge duplicate tasks (scripted + seeded may overlap) keeping
-        // the larger kill count, and sort for deterministic iteration.
-        kills.sort_unstable();
-        kills.dedup_by(|later, earlier| {
-            if later.0 == earlier.0 {
-                earlier.1 = earlier.1.max(later.1);
-                true
-            } else {
-                false
-            }
-        });
-        kills
-    }
-
-    /// Worker slots to SIGKILL once all of `stage`'s results have been
-    /// collected — an idle-worker death the pool only discovers on the
-    /// next stage (heartbeat deadline or EOF), modelling a machine dying
-    /// after its shuffle output was already fetched.
-    pub fn worker_kills_at_stage_end(&self, stage: &str) -> Vec<usize> {
-        let mut slots: Vec<usize> = self
-            .worker_kills
-            .iter()
-            .filter(|k| {
-                k.at_stage_end && self.kill_stage_matches(k.stage_contains.as_deref(), stage)
-            })
-            .map(|k| k.target)
-            .collect();
-        slots.sort_unstable();
-        slots.dedup();
-        slots
-    }
-
-    fn kill_stage_matches(&self, needle: Option<&str>, stage: &str) -> bool {
-        needle.is_none_or(|needle| stage.contains(needle))
-    }
-
-    fn seeded_stage_matches(&self, stage: &str) -> bool {
-        self.stage_filter
-            .as_deref()
-            .is_none_or(|needle| stage.contains(needle))
-    }
 }
 
 /// Builder for [`FaultPlan`].
@@ -254,53 +158,6 @@ impl FaultPlanBuilder {
             partition,
             attempt,
             kind,
-        });
-        self
-    }
-
-    /// Enables seeded whole-worker kills (process backend): in every
-    /// stage matching the seeded-fault stage filter, exactly `max` tasks
-    /// — chosen by the seed — get their hosting worker SIGKILLed on first
-    /// dispatch.
-    pub fn max_worker_kills_per_stage(mut self, max: u32) -> Self {
-        self.plan.max_worker_kills_per_stage = max;
-        self
-    }
-
-    /// Scripts whole-worker kills at task dispatch: in stages whose name
-    /// contains `stage` (`None` = every stage), the worker hosting task
-    /// `task` is SIGKILLed right after each of the task's first `times`
-    /// dispatches. `times >= 2` makes the same task kill distinct
-    /// workers — the poison-task scenario.
-    pub fn kill_worker_on_dispatch(
-        mut self,
-        stage: Option<impl Into<String>>,
-        task: usize,
-        times: usize,
-    ) -> Self {
-        self.plan.worker_kills.push(ScriptedWorkerKill {
-            stage_contains: stage.map(Into::into),
-            target: task,
-            times,
-            at_stage_end: false,
-        });
-        self
-    }
-
-    /// Scripts a whole-worker kill after a stage completes: once every
-    /// result of a stage whose name contains `stage` (`None` = every
-    /// stage) has been collected, worker slot `slot` is SIGKILLed while
-    /// idle — a death the pool discovers on the next stage.
-    pub fn kill_worker_at_stage_end(
-        mut self,
-        stage: Option<impl Into<String>>,
-        slot: usize,
-    ) -> Self {
-        self.plan.worker_kills.push(ScriptedWorkerKill {
-            stage_contains: stage.map(Into::into),
-            target: slot,
-            times: 1,
-            at_stage_end: true,
         });
         self
     }
@@ -396,61 +253,6 @@ mod tests {
             Some(FaultKind::Delay(Duration::from_millis(1)))
         );
         assert_eq!(plan.fault_count("map", 0), 0);
-    }
-
-    #[test]
-    fn scripted_worker_kills_hit_their_stage_and_merge() {
-        let plan = FaultPlan::builder(0)
-            .kill_worker_on_dispatch(Some("core-point"), 3, 2)
-            .kill_worker_on_dispatch(None::<String>, 3, 1)
-            .kill_worker_on_dispatch(None::<String>, 1, 1)
-            .kill_worker_at_stage_end(Some("core-point"), 0)
-            .build();
-        // Duplicate task 3 keeps the larger kill count; output is sorted.
-        assert_eq!(
-            plan.worker_kills_on_dispatch("core-point pass", 8),
-            vec![(1, 1), (3, 2)]
-        );
-        assert_eq!(
-            plan.worker_kills_on_dispatch("outlier pass", 8),
-            vec![(1, 1), (3, 1)]
-        );
-        assert_eq!(plan.worker_kills_at_stage_end("core-point pass"), vec![0]);
-        assert!(plan.worker_kills_at_stage_end("outlier pass").is_empty());
-    }
-
-    #[test]
-    fn seeded_worker_kills_are_deterministic_and_exact_in_count() {
-        let plan = FaultPlan::builder(42).max_worker_kills_per_stage(1).build();
-        let a = plan.worker_kills_on_dispatch("core-point pass", 16);
-        let b = plan.worker_kills_on_dispatch("core-point pass", 16);
-        assert_eq!(a, b);
-        assert_eq!(a.len(), 1, "exactly one seeded kill per stage: {a:?}");
-        assert!(a[0].0 < 16);
-        assert_eq!(a[0].1, 1);
-        // The seed picks *where*: another seed moves the kill somewhere
-        // (checked over several stages so a single collision can't pass).
-        let other = FaultPlan::builder(43).max_worker_kills_per_stage(1).build();
-        let moved = ["s0", "s1", "s2", "s3", "s4", "s5", "s6", "s7"]
-            .iter()
-            .any(|s| plan.worker_kills_on_dispatch(s, 64) != other.worker_kills_on_dispatch(s, 64));
-        assert!(moved, "seeds 42 and 43 produced identical kill plans");
-        // No tasks, no kills.
-        assert!(plan
-            .worker_kills_on_dispatch("core-point pass", 0)
-            .is_empty());
-    }
-
-    #[test]
-    fn stage_filter_gates_seeded_worker_kills() {
-        let plan = FaultPlan::builder(9)
-            .max_worker_kills_per_stage(2)
-            .only_stages_containing("outlier")
-            .build();
-        assert_eq!(plan.worker_kills_on_dispatch("outlier pass", 8).len(), 2);
-        assert!(plan
-            .worker_kills_on_dispatch("core-point pass", 8)
-            .is_empty());
     }
 
     #[test]

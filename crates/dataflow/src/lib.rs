@@ -63,22 +63,15 @@ pub mod dataset;
 pub mod error;
 pub mod executor;
 pub mod fault;
-pub mod ipc;
 pub mod metrics;
 pub mod ops;
 pub mod pair;
 pub mod shuffle;
-pub mod worker;
 
 pub use broadcast::Broadcast;
-pub use context::{ContextConfig, ExecutionBackend, ExecutionContext, ExecutionContextBuilder};
+pub use context::{ContextConfig, ExecutionContext, ExecutionContextBuilder};
 pub use dataset::Dataset;
 pub use error::{EngineError, Result};
 pub use executor::{run_exclusive_tasks, SpeculationConfig, StageOptions};
 pub use fault::{FaultKind, FaultPlan, FaultPlanBuilder};
-pub use ipc::{IpcError, WireSpan};
 pub use metrics::{EngineMetrics, MetricsSnapshot, StageRecord};
-pub use worker::{
-    serve_worker, ProcessPool, ProcessPoolConfig, ProcessPoolStats, StageOutcome, TaskSpans,
-    WorkerSpec, WorkerStats, DEFAULT_RESPAWN_BUDGET, ENV_WORKER_SLOT,
-};

@@ -51,17 +51,9 @@ pub struct StageRecord {
     pub speculative_wins: u64,
     /// Faults injected by a [`crate::FaultPlan`].
     pub injected_faults: u64,
-    /// Worker processes lost during the stage (process backend: SIGKILL,
-    /// crash, or heartbeat-deadline miss).
-    pub worker_kills: u64,
-    /// Worker processes respawned during the stage (process backend).
-    pub worker_respawns: u64,
-    /// Tasks re-dispatched to a surviving worker after their host died
-    /// (process backend).
-    pub task_reassignments: u64,
     /// Kernel work counters summed over the stage's tasks. Totals are
     /// sums over a disjoint partition of the cell range, so they are
-    /// invariant across thread counts, schedules, and backends —
+    /// invariant across thread counts and schedules —
     /// deterministic, unlike every timing field here.
     pub kernel: KernelCounters,
     /// Durations of the winning attempt of each completed task.
@@ -85,9 +77,6 @@ impl StageRecord {
             speculative_launches: 0,
             speculative_wins: 0,
             injected_faults: 0,
-            worker_kills: 0,
-            worker_respawns: 0,
-            task_reassignments: 0,
             kernel: KernelCounters::new(),
             task_durations: DurationHistogram::new(),
         }
@@ -204,9 +193,6 @@ impl EngineMetrics {
                     .arg("speculative_launches", r.speculative_launches)
                     .arg("speculative_wins", r.speculative_wins)
                     .arg("injected_faults", r.injected_faults)
-                    .arg("worker_kills", r.worker_kills)
-                    .arg("worker_respawns", r.worker_respawns)
-                    .arg("task_reassignments", r.task_reassignments)
                     .arg("cells_visited", r.kernel.cells_visited)
                     .arg("bbox_prunes", r.kernel.bbox_prunes)
                     .arg("early_exit_hits", r.kernel.early_exit_hits)
@@ -244,9 +230,6 @@ impl EngineMetrics {
                 .saturating_add(r.speculative_launches);
             s.speculative_wins = s.speculative_wins.saturating_add(r.speculative_wins);
             s.injected_faults = s.injected_faults.saturating_add(r.injected_faults);
-            s.worker_kills = s.worker_kills.saturating_add(r.worker_kills);
-            s.worker_respawns = s.worker_respawns.saturating_add(r.worker_respawns);
-            s.task_reassignments = s.task_reassignments.saturating_add(r.task_reassignments);
         }
         s
     }
@@ -287,13 +270,6 @@ pub struct MetricsSnapshot {
     /// Faults injected by a [`crate::FaultPlan`] (all kinds, delays
     /// included).
     pub injected_faults: u64,
-    /// Worker processes lost (process backend).
-    pub worker_kills: u64,
-    /// Worker processes respawned (process backend).
-    pub worker_respawns: u64,
-    /// Tasks re-dispatched after their host worker died (process
-    /// backend).
-    pub task_reassignments: u64,
 }
 
 impl MetricsSnapshot {
@@ -321,11 +297,6 @@ impl MetricsSnapshot {
                 .speculative_wins
                 .saturating_sub(earlier.speculative_wins),
             injected_faults: self.injected_faults.saturating_sub(earlier.injected_faults),
-            worker_kills: self.worker_kills.saturating_sub(earlier.worker_kills),
-            worker_respawns: self.worker_respawns.saturating_sub(earlier.worker_respawns),
-            task_reassignments: self
-                .task_reassignments
-                .saturating_sub(earlier.task_reassignments),
         }
     }
 }

@@ -178,24 +178,6 @@ impl CellMajorBuilder {
         self.n == 0
     }
 
-    /// Number of distinct non-empty ε-cells counted so far.
-    pub fn num_cells(&self) -> usize {
-        self.counts.len()
-    }
-
-    /// Per-cell point counts in the canonical cell-table order (records
-    /// ascending by cell coordinate) — exactly the order
-    /// [`Self::begin_scatter`] lays the cells out in, so a driver can
-    /// plan per-cell shards from pass 1 alone, before (or without) ever
-    /// running the scatter pass itself.
-    pub fn cell_counts_sorted(&self) -> Vec<u32> {
-        let mut keyed: Vec<(CellCoord, u32)> = Vec::with_capacity(self.counts.len());
-        // xlint: ordered -- entries are sorted by coordinate just below
-        keyed.extend(self.counts.iter().map(|(&coord, &k)| (coord, k)));
-        keyed.sort_unstable_by_key(|&(coord, _)| coord);
-        keyed.into_iter().map(|(_, k)| k).collect()
-    }
-
     /// Tallies one flat row-major batch (`len * dims` coordinates) into
     /// the per-cell counts. Coordinates are validated here — the batch
     /// must be a whole number of points and every value finite — so the
@@ -1741,32 +1723,6 @@ mod tests {
             b.count_batch(&[1.0, f64::NAN]),
             Err(SpatialError::NonFiniteCoordinate { point: 0, dim: 1 })
         ));
-    }
-
-    #[test]
-    fn builder_counts_match_the_scattered_cell_table() {
-        // The pass-1 accessors must describe exactly the cell table
-        // `begin_scatter` will lay out: same cell count, same per-cell
-        // counts, same canonical order.
-        let pts: Vec<[f64; 2]> = (0..97)
-            .map(|i| [((i * 37) % 50) as f64 * 0.3, ((i * 53) % 40) as f64 * 0.3])
-            .collect();
-        let s = store_2d(&pts);
-        let mut b = CellMajorBuilder::new(2, 1.5).unwrap();
-        for chunk in s.flat().chunks(16) {
-            b.count_batch(chunk).unwrap();
-        }
-        let num_cells = b.num_cells();
-        let counts = b.cell_counts_sorted();
-        assert_eq!(counts.len(), num_cells);
-        let mut sc = b.begin_scatter();
-        for chunk in s.flat().chunks(16) {
-            sc.scatter_batch(chunk).unwrap();
-        }
-        let cm = sc.finish().unwrap();
-        assert_eq!(num_cells, cm.num_cells());
-        let table_counts: Vec<u32> = cm.cells().iter().map(|r| r.len() as u32).collect();
-        assert_eq!(counts, table_counts);
     }
 
     /// Pass 2 of one batch: resolve it, then place it through `parts`

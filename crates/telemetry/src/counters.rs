@@ -6,9 +6,9 @@
 //! Each is a plain sum over the cells a kernel visited, and every kernel
 //! operates on a disjoint cell range — so the totals are a sum over a
 //! partition of `0..num_cells` and therefore do not depend on thread
-//! count, task schedule, or execution backend. That invariance is what
-//! lets them live in the deterministic (non-stripped) section of run
-//! reports and be pinned byte-identical across backends by test.
+//! count or task schedule. That invariance is what lets them live in
+//! the deterministic (non-stripped) section of run reports and be
+//! pinned byte-identical across thread counts by test.
 
 /// Canonical counter names, in the order they are reported. Trace
 /// counter events and report fields both use exactly these strings, so

@@ -40,7 +40,6 @@
 )]
 
 pub mod counters;
-pub mod cpu;
 pub mod histogram;
 pub mod json;
 pub mod report;
@@ -49,11 +48,10 @@ pub mod span;
 pub mod trace;
 
 pub use counters::{KernelCounters, KERNEL_COUNTER_NAMES};
-pub use cpu::cpu_time_us;
 pub use histogram::DurationHistogram;
 pub use report::{
-    strip_timing_lines, DatasetEcho, ParamsEcho, PhaseReport, ProcessReport, RunReport,
-    ServeReport, StageReport, TotalsReport, WorkerReport, REPORT_SCHEMA_VERSION,
+    strip_timing_lines, DatasetEcho, ParamsEcho, PhaseReport, RunReport, ServeReport, StageReport,
+    TotalsReport, REPORT_SCHEMA_VERSION,
 };
 pub use rss::peak_rss_bytes;
 pub use span::{ArgValue, Recorder, Span, SpanKind};

@@ -17,9 +17,9 @@ use crate::json::JsonWriter;
 ///
 /// History: v1 — initial field set; v2 — `totals.peak_rss_bytes`
 /// (process peak resident set, for the out-of-core ingest experiments);
-/// v3 — worker-failure counters (`worker_kills` / `worker_respawns` /
-/// `task_reassignments` per stage and in totals), the optional
-/// `process` section with per-worker attribution, and
+/// v3 — three worker-failure counters (deaths, replacements and task
+/// reassignments, per stage and in totals), the optional `process`
+/// section with per-worker attribution, and
 /// `totals.child_peak_rss_bytes` (sum of worker `VmHWM`), for the
 /// process-worker backend; v4 — kernel work counters (`cells_visited`,
 /// `bbox_prunes`, `early_exit_hits`, `distance_evals` per stage and in
@@ -31,8 +31,11 @@ use crate::json::JsonWriter;
 /// `"unrolled"`, never `"auto"`) and `threads` (the in-process
 /// worker-thread count); v6 — the optional `serve` section emitted by
 /// `dbscout serve` (per-op query counts, protocol errors, and the warm
-/// mutable-store maintenance counters `rebuilds` / `compactions`).
-pub const REPORT_SCHEMA_VERSION: u64 = 6;
+/// mutable-store maintenance counters `rebuilds` / `compactions`); v7 —
+/// the process-worker backend is gone, and with it the `process`
+/// section, v3's three worker-failure counters per stage and in totals,
+/// and `totals.child_peak_rss_bytes` / `totals.child_cpu_time_us`.
+pub const REPORT_SCHEMA_VERSION: u64 = 7;
 
 /// Echo of the input dataset, so a report is self-describing.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -61,8 +64,7 @@ pub struct ParamsEcho {
     /// The resolved distance kernel the run used (`"scalar"` or
     /// `"unrolled"` — `Auto` is resolved before echoing).
     pub kernel: String,
-    /// The in-process worker-thread count the run resolved to (0 when
-    /// the engine runs no thread pool, e.g. the process backend driver).
+    /// The worker-thread count the run resolved to.
     pub threads: u64,
     /// The `DBSCOUT_CHAOS_SEED` in effect, if any.
     pub chaos_seed: Option<u64>,
@@ -103,15 +105,9 @@ pub struct StageReport {
     pub speculative_wins: u64,
     /// Faults injected by the chaos plan.
     pub injected_faults: u64,
-    /// Worker processes that died (or were killed) during the stage.
-    pub worker_kills: u64,
-    /// Worker processes respawned during the stage.
-    pub worker_respawns: u64,
-    /// Tasks re-dispatched to a surviving worker after their host died.
-    pub task_reassignments: u64,
     /// Cells the stage's kernels iterated over. Like the other three
     /// kernel counters this is a sum over a disjoint partition of the
-    /// cell range, hence schedule/thread/backend-invariant.
+    /// cell range, hence schedule- and thread-invariant.
     pub cells_visited: u64,
     /// Neighbor cells skipped by the bounding-box minimum-distance test.
     pub bbox_prunes: u64,
@@ -155,12 +151,6 @@ pub struct TotalsReport {
     pub speculative_wins: u64,
     /// Total injected faults.
     pub injected_faults: u64,
-    /// Total worker-process deaths (process backend; 0 otherwise).
-    pub worker_kills: u64,
-    /// Total worker-process respawns.
-    pub worker_respawns: u64,
-    /// Total task reassignments to surviving workers.
-    pub task_reassignments: u64,
     /// Total cells visited by the detection kernels (deterministic; see
     /// [`StageReport::cells_visited`]).
     pub cells_visited: u64,
@@ -177,65 +167,8 @@ pub struct TotalsReport {
     /// to run — so [`strip_timing_lines`] removes it alongside the
     /// `_us` timing fields.
     pub peak_rss_bytes: u64,
-    /// Sum of the worker processes' peak resident sets (each worker's
-    /// `VmHWM`, self-reported over IPC), 0 for in-process runs.
-    /// Environment-derived, so stripped like `peak_rss_bytes`.
-    pub child_peak_rss_bytes: u64,
-    /// Sum of the worker processes' CPU time (utime + stime,
-    /// self-reported over IPC), microseconds; 0 for in-process runs.
-    /// The `_us` suffix keeps it out of the deterministic skeleton.
-    pub child_cpu_time_us: u64,
     /// End-to-end detection wall-clock, microseconds.
     pub wall_clock_us: u64,
-}
-
-/// One worker slot's lifetime counters (process backend).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WorkerReport {
-    /// Worker slot index.
-    pub slot: u64,
-    /// Processes spawned into the slot (1 + respawns).
-    pub spawns: u64,
-    /// Process deaths observed in the slot.
-    pub kills: u64,
-    /// Replacement processes spawned after a death.
-    pub respawns: u64,
-    /// Tasks the slot's processes completed.
-    pub tasks_completed: u64,
-    /// Largest `VmHWM` self-reported by any process of the slot, bytes.
-    pub peak_rss_bytes: u64,
-    /// Largest CPU time (utime + stime) self-reported by any process of
-    /// the slot, microseconds.
-    pub cpu_time_us: u64,
-}
-
-/// The process-worker pool's run summary (`--backend process` only).
-///
-/// Task→slot attribution depends on completion timing, so the whole
-/// section is operational detail: [`strip_timing_lines`] removes it
-/// from the deterministic skeleton. The plan-driven failure counters
-/// (`worker_kills`, `task_reassignments`) also appear per stage and in
-/// `totals`, which the skeleton keeps.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct ProcessReport {
-    /// Configured pool width.
-    pub workers: u64,
-    /// Total processes spawned over the run.
-    pub workers_spawned: u64,
-    /// Total worker-process deaths.
-    pub worker_kills: u64,
-    /// Total respawns.
-    pub worker_respawns: u64,
-    /// Total task reassignments.
-    pub task_reassignments: u64,
-    /// Tasks quarantined after killing two distinct workers.
-    pub poisoned_tasks: u64,
-    /// Sum of per-slot peak resident sets, bytes.
-    pub child_peak_rss_bytes: u64,
-    /// Sum of per-slot CPU time, microseconds.
-    pub child_cpu_time_us: u64,
-    /// Per-slot attribution.
-    pub per_worker: Vec<WorkerReport>,
 }
 
 /// A serving session's summary (`dbscout serve` only).
@@ -279,9 +212,6 @@ pub struct RunReport {
     pub phases: Vec<PhaseReport>,
     /// Per-stage engine records, in execution order.
     pub stages: Vec<StageReport>,
-    /// Process-worker pool summary; `None` for in-process runs (the
-    /// key is then absent from the JSON).
-    pub process: Option<ProcessReport>,
     /// Serving-session summary; `None` outside `dbscout serve` (the key
     /// is then absent from the JSON).
     pub serve: Option<ServeReport>,
@@ -336,9 +266,6 @@ impl RunReport {
             w.field_u64("speculative_launches", stage.speculative_launches);
             w.field_u64("speculative_wins", stage.speculative_wins);
             w.field_u64("injected_faults", stage.injected_faults);
-            w.field_u64("worker_kills", stage.worker_kills);
-            w.field_u64("worker_respawns", stage.worker_respawns);
-            w.field_u64("task_reassignments", stage.task_reassignments);
             w.field_u64("cells_visited", stage.cells_visited);
             w.field_u64("bbox_prunes", stage.bbox_prunes);
             w.field_u64("early_exit_hits", stage.early_exit_hits);
@@ -349,31 +276,6 @@ impl RunReport {
             w.end_object();
         }
         w.end_array();
-        if let Some(process) = &self.process {
-            w.begin_object_field("process");
-            w.field_u64("workers", process.workers);
-            w.field_u64("workers_spawned", process.workers_spawned);
-            w.field_u64("worker_kills", process.worker_kills);
-            w.field_u64("worker_respawns", process.worker_respawns);
-            w.field_u64("task_reassignments", process.task_reassignments);
-            w.field_u64("poisoned_tasks", process.poisoned_tasks);
-            w.field_u64("child_peak_rss_bytes", process.child_peak_rss_bytes);
-            w.field_u64("child_cpu_time_us", process.child_cpu_time_us);
-            w.begin_array_field("per_worker");
-            for worker in &process.per_worker {
-                w.begin_object();
-                w.field_u64("slot", worker.slot);
-                w.field_u64("spawns", worker.spawns);
-                w.field_u64("kills", worker.kills);
-                w.field_u64("respawns", worker.respawns);
-                w.field_u64("tasks_completed", worker.tasks_completed);
-                w.field_u64("peak_rss_bytes", worker.peak_rss_bytes);
-                w.field_u64("cpu_time_us", worker.cpu_time_us);
-                w.end_object();
-            }
-            w.end_array();
-            w.end_object();
-        }
         if let Some(serve) = &self.serve {
             w.begin_object_field("serve");
             w.field_u64("queries", serve.queries);
@@ -400,17 +302,12 @@ impl RunReport {
         w.field_u64("speculative_launches", self.totals.speculative_launches);
         w.field_u64("speculative_wins", self.totals.speculative_wins);
         w.field_u64("injected_faults", self.totals.injected_faults);
-        w.field_u64("worker_kills", self.totals.worker_kills);
-        w.field_u64("worker_respawns", self.totals.worker_respawns);
-        w.field_u64("task_reassignments", self.totals.task_reassignments);
         w.field_u64("cells_visited", self.totals.cells_visited);
         w.field_u64("bbox_prunes", self.totals.bbox_prunes);
         w.field_u64("early_exit_hits", self.totals.early_exit_hits);
         w.field_u64("distance_evals", self.totals.distance_evals);
         w.field_u64("outliers", self.totals.outliers);
         w.field_u64("peak_rss_bytes", self.totals.peak_rss_bytes);
-        w.field_u64("child_peak_rss_bytes", self.totals.child_peak_rss_bytes);
-        w.field_u64("child_cpu_time_us", self.totals.child_cpu_time_us);
         w.field_u64("wall_clock_us", self.totals.wall_clock_us);
         w.end_object();
         w.end_object();
@@ -418,36 +315,15 @@ impl RunReport {
     }
 }
 
-/// Drops every environment-derived piece of a rendered report — the
-/// wall-clock fields (key suffix `_us`), the RSS fields
-/// (`peak_rss_bytes` / `child_peak_rss_bytes`), the `worker_respawns`
-/// counters (whether a respawn lands inside a stage, or at all before
-/// shutdown, depends on the backoff clock racing stage progress), and
-/// the entire `process` section (task→worker attribution depends on
-/// completion timing) — leaving the deterministic skeleton.
-/// Chaos-seeded determinism tests byte-compare the result of two runs;
-/// the plan-driven `worker_kills` and `task_reassignments` counters
-/// survive in `stages` and `totals`.
+/// Drops every environment-derived line of a rendered report — the
+/// wall-clock fields (key suffix `_us`) and `peak_rss_bytes` — leaving
+/// the deterministic skeleton. Chaos-seeded determinism tests
+/// byte-compare the result of two runs.
 pub fn strip_timing_lines(report_json: &str) -> String {
     let mut out = String::new();
-    // Brace depth inside the skipped `process` block; 0 = not skipping.
-    // The section holds no string values, so counting braces is safe.
-    let mut skip_depth = 0usize;
     for line in report_json.lines() {
-        if skip_depth > 0 {
-            skip_depth += line.matches(['{', '[']).count();
-            skip_depth = skip_depth.saturating_sub(line.matches(['}', ']']).count());
-            continue;
-        }
-        let trimmed = line.trim_start();
-        if trimmed.starts_with("\"process\": {") {
-            skip_depth = 1;
-            continue;
-        }
-        if trimmed.starts_with('"')
-            && (line.contains("_us\":")
-                || line.contains("peak_rss_bytes\":")
-                || line.contains("\"worker_respawns\":"))
+        if line.trim_start().starts_with('"')
+            && (line.contains("_us\":") || line.contains("peak_rss_bytes\":"))
         {
             continue;
         }
@@ -494,9 +370,6 @@ mod tests {
                 tasks: 8,
                 records_in: 1000,
                 records_out: 900,
-                worker_kills: 1,
-                worker_respawns: 1,
-                task_reassignments: 1,
                 cells_visited: 64,
                 bbox_prunes: 12,
                 early_exit_hits: 3,
@@ -506,44 +379,18 @@ mod tests {
                 task_duration_max_us: wall,
                 ..StageReport::default()
             }],
-            // Attribution varies run to run: the slot hosting the killed
-            // task depends on completion timing, like `wall` does.
-            process: Some(ProcessReport {
-                workers: 4,
-                workers_spawned: 5,
-                worker_kills: 1,
-                worker_respawns: 1,
-                task_reassignments: 1,
-                poisoned_tasks: 0,
-                child_peak_rss_bytes: wall * 4096,
-                child_cpu_time_us: wall * 7,
-                per_worker: vec![WorkerReport {
-                    slot: wall % 4,
-                    spawns: 2,
-                    kills: 1,
-                    respawns: 1,
-                    tasks_completed: 3,
-                    peak_rss_bytes: wall * 1024,
-                    cpu_time_us: wall * 7,
-                }],
-            }),
             serve: None,
             totals: TotalsReport {
                 stages: 1,
                 tasks: 8,
                 records_in: 1000,
                 records_out: 900,
-                worker_kills: 1,
-                worker_respawns: 1,
-                task_reassignments: 1,
                 cells_visited: 64,
                 bbox_prunes: 12,
                 early_exit_hits: 3,
                 distance_evals: 4096,
                 outliers: 17,
                 peak_rss_bytes: wall * 1024,
-                child_peak_rss_bytes: wall * 4096,
-                child_cpu_time_us: wall * 7,
                 wall_clock_us: wall * 3,
                 ..TotalsReport::default()
             },
@@ -614,48 +461,11 @@ mod tests {
         assert!(!skeleton.contains("wall_clock_us"));
         assert!(!skeleton.contains("task_duration_p50_us"));
         // peak_rss_bytes varies run to run like the timings do — it must
-        // not survive into the comparable skeleton. Neither may the
-        // process section (timing-dependent task→worker attribution),
-        // while the deterministic stage/total failure counters stay.
+        // not survive into the comparable skeleton.
         assert!(!skeleton.contains("peak_rss_bytes"));
-        assert!(!skeleton.contains("per_worker"));
-        assert!(!skeleton.contains("workers_spawned"));
-        assert!(!skeleton.contains("worker_respawns"));
-        assert!(skeleton.contains("\"worker_kills\": 1"));
-        assert!(skeleton.contains("\"task_reassignments\": 1"));
-        // Kernel work counters are schedule-invariant and survive; the
-        // environment-derived CPU attribution does not (`_us` suffix).
+        // Kernel work counters are schedule-invariant and survive.
         assert!(skeleton.contains("\"cells_visited\": 64"));
         assert!(skeleton.contains("\"distance_evals\": 4096"));
-        assert!(!skeleton.contains("cpu_time_us"));
-    }
-
-    #[test]
-    fn in_process_reports_omit_the_process_section() {
-        let mut report = sample(3);
-        report.process = None;
-        let json = report.to_json();
-        assert!(!json.contains("\"process\""), "{json}");
-        assert!(parse(&json).is_ok());
-    }
-
-    #[test]
-    fn process_section_round_trips_through_parser() {
-        let doc = parse(&sample(9).to_json()).unwrap();
-        let process = doc.get("process").unwrap();
-        assert_eq!(process.get("workers").unwrap().as_u64(), Some(4));
-        assert_eq!(process.get("worker_kills").unwrap().as_u64(), Some(1));
-        let per_worker = process.get("per_worker").unwrap().as_array().unwrap();
-        assert_eq!(per_worker.len(), 1);
-        assert_eq!(per_worker[0].get("spawns").unwrap().as_u64(), Some(2));
-        assert_eq!(
-            doc.get("totals")
-                .unwrap()
-                .get("child_peak_rss_bytes")
-                .unwrap()
-                .as_u64(),
-            Some(9 * 4096)
-        );
     }
 
     #[test]

@@ -78,9 +78,6 @@ pub struct Span {
     /// Rendering lane (worker index for tasks, 0 for driver-side spans).
     /// Becomes the Chrome Trace `tid`.
     pub lane: u64,
-    /// Process the span ran in (Chrome Trace `pid`): 1 for the driver,
-    /// the worker's OS pid for spans merged from child processes.
-    pub pid: u64,
     /// Extra key-value arguments (partition, attempt, outcome, volumes).
     pub args: Vec<(&'static str, ArgValue)>,
 }
@@ -99,7 +96,6 @@ impl Span {
             start,
             duration,
             lane: 0,
-            pid: 1,
             args: Vec::new(),
         }
     }
@@ -108,14 +104,6 @@ impl Span {
     #[must_use]
     pub fn lane(mut self, lane: u64) -> Self {
         self.lane = lane;
-        self
-    }
-
-    /// Sets the owning process (Chrome Trace `pid`). The default, 1, is
-    /// the driver process.
-    #[must_use]
-    pub fn pid(mut self, pid: u64) -> Self {
-        self.pid = pid;
         self
     }
 
@@ -137,15 +125,11 @@ pub trait Recorder: Send + Sync {
     /// Records one completed span.
     fn record_span(&self, span: Span);
 
-    /// Records a named monotonic counter increment. The default discards
-    /// it; collectors that only care about spans need not override.
-    fn record_counter(&self, _name: &str, _delta: u64) {}
-
     /// Records a timestamped *cumulative* sample of a named counter
-    /// (rendered as a Chrome Trace `"ph": "C"` event). Unlike
-    /// [`record_counter`](Recorder::record_counter), `value` is the
+    /// (rendered as a Chrome Trace `"ph": "C"` event): `value` is the
     /// counter's running total at `at`, not a delta. The default
-    /// discards it.
+    /// discards it; collectors that only care about spans need not
+    /// override.
     fn record_counter_point(&self, _name: &str, _at: Instant, _value: u64) {}
 }
 
@@ -163,14 +147,12 @@ mod tests {
             Duration::from_millis(3),
         )
         .lane(7)
-        .pid(4242)
         .arg("partition", 4usize)
         .arg("speculative", true)
         .arg("outcome", "success");
         assert_eq!(s.name, "core-point pass");
         assert_eq!(s.kind.category(), "phase");
         assert_eq!(s.lane, 7);
-        assert_eq!(s.pid, 4242);
         assert_eq!(s.args.len(), 3);
         assert_eq!(s.args[0], ("partition", ArgValue::U64(4)));
         assert_eq!(s.args[1], ("speculative", ArgValue::Bool(true)));

@@ -54,8 +54,8 @@ impl TraceCollector {
             .clone()
     }
 
-    /// Counter totals accumulated via
-    /// [`record_counter`](Recorder::record_counter), sorted by name.
+    /// Counter totals, sorted by name: the largest sample each counter
+    /// reached via [`record_counter_point`](Recorder::record_counter_point).
     pub fn counters(&self) -> Vec<(String, u64)> {
         self.counters
             .lock()
@@ -79,8 +79,8 @@ impl TraceCollector {
 
     /// Renders the buffered spans as a Chrome Trace Event Format
     /// document: a JSON array of complete (`"ph": "X"`) events with
-    /// microsecond `ts`/`dur`, the span kind as `cat`, the owning
-    /// process as `pid`, and the span's key-value arguments under
+    /// microsecond `ts`/`dur`, the span kind as `cat`, `pid` 1, the
+    /// lane as `tid`, and the span's key-value arguments under
     /// `args` — followed by one counter (`"ph": "C"`) event per
     /// recorded counter sample. Events are ordered by start time (ties
     /// broken by name) so concurrent recording order does not leak into
@@ -91,7 +91,6 @@ impl TraceCollector {
             a.start
                 .cmp(&b.start)
                 .then_with(|| a.name.cmp(&b.name))
-                .then_with(|| a.pid.cmp(&b.pid))
                 .then_with(|| a.lane.cmp(&b.lane))
         });
         let mut w = JsonWriter::new();
@@ -105,7 +104,7 @@ impl TraceCollector {
             w.field_str("ph", "X");
             w.field_u64("ts", ts);
             w.field_u64("dur", dur);
-            w.field_u64("pid", span.pid);
+            w.field_u64("pid", 1);
             w.field_u64("tid", span.lane);
             w.begin_object_field("args");
             for (key, value) in &span.args {
@@ -147,12 +146,6 @@ impl Recorder for TraceCollector {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .push(span);
-    }
-
-    fn record_counter(&self, name: &str, delta: u64) {
-        let mut counters = self.counters.lock().unwrap_or_else(PoisonError::into_inner);
-        let slot = counters.entry(name.to_owned()).or_insert(0);
-        *slot = slot.saturating_add(delta);
     }
 
     fn record_counter_point(&self, name: &str, at: Instant, value: u64) {
@@ -253,35 +246,6 @@ mod tests {
     }
 
     #[test]
-    fn merged_spans_keep_their_worker_pid_lane() {
-        let collector = TraceCollector::new();
-        let t0 = collector.epoch;
-        collector.record_span(Span::new(
-            "driver",
-            SpanKind::Stage,
-            t0,
-            Duration::from_millis(2),
-        ));
-        collector.record_span(
-            Span::new("shard", SpanKind::Task, t0, Duration::from_millis(1)).pid(4242),
-        );
-        let doc = parse(&collector.to_chrome_trace()).unwrap();
-        let events = doc.as_array().unwrap();
-        let pid_of = |name: &str| {
-            events
-                .iter()
-                .find(|e| e.get("name").unwrap().as_str() == Some(name))
-                .unwrap()
-                .get("pid")
-                .unwrap()
-                .as_u64()
-                .unwrap()
-        };
-        assert_eq!(pid_of("driver"), 1);
-        assert_eq!(pid_of("shard"), 4242);
-    }
-
-    #[test]
     fn counter_points_render_as_counter_events() {
         let collector = TraceCollector::new();
         let t0 = collector.epoch;
@@ -307,21 +271,6 @@ mod tests {
         assert_eq!(
             collector.counters(),
             vec![("distance_evals".to_owned(), 120)]
-        );
-    }
-
-    #[test]
-    fn counters_accumulate_by_name() {
-        let collector = TraceCollector::new();
-        collector.record_counter("shuffle_records", 5);
-        collector.record_counter("shuffle_records", 7);
-        collector.record_counter("broadcasts", 1);
-        assert_eq!(
-            collector.counters(),
-            vec![
-                ("broadcasts".to_owned(), 1),
-                ("shuffle_records".to_owned(), 12)
-            ]
         );
     }
 }

@@ -13,7 +13,7 @@ use dbscout_telemetry::REPORT_SCHEMA_VERSION;
 
 /// Keys every `stages[]` entry must carry (besides the string `label`).
 /// The trailing four are the kernel work counters added in schema v4.
-const STAGE_COUNTERS: [&str; 20] = [
+const STAGE_COUNTERS: [&str; 17] = [
     "tasks",
     "records_in",
     "records_out",
@@ -24,9 +24,6 @@ const STAGE_COUNTERS: [&str; 20] = [
     "speculative_launches",
     "speculative_wins",
     "injected_faults",
-    "worker_kills",
-    "worker_respawns",
-    "task_reassignments",
     "task_duration_p50_us",
     "task_duration_p95_us",
     "task_duration_max_us",
@@ -36,10 +33,9 @@ const STAGE_COUNTERS: [&str; 20] = [
     "distance_evals",
 ];
 
-/// Keys the `totals` object must carry. Schema v4 adds the four kernel
-/// work counters (backend- and thread-invariant) plus the aggregate
-/// child CPU time.
-const TOTALS_COUNTERS: [&str; 24] = [
+/// Keys the `totals` object must carry. Schema v4 added the four kernel
+/// work counters (thread-invariant).
+const TOTALS_COUNTERS: [&str; 19] = [
     "stages",
     "tasks",
     "records_in",
@@ -52,42 +48,13 @@ const TOTALS_COUNTERS: [&str; 24] = [
     "speculative_launches",
     "speculative_wins",
     "injected_faults",
-    "worker_kills",
-    "worker_respawns",
-    "task_reassignments",
     "outliers",
     "peak_rss_bytes",
-    "child_peak_rss_bytes",
-    "child_cpu_time_us",
     "wall_clock_us",
     "cells_visited",
     "bbox_prunes",
     "early_exit_hits",
     "distance_evals",
-];
-
-/// Keys the optional `process` section must carry (process backend
-/// runs only; in-process reports omit the section entirely).
-const PROCESS_COUNTERS: [&str; 8] = [
-    "workers",
-    "workers_spawned",
-    "worker_kills",
-    "worker_respawns",
-    "task_reassignments",
-    "poisoned_tasks",
-    "child_peak_rss_bytes",
-    "child_cpu_time_us",
-];
-
-/// Keys every `process.per_worker[]` entry must carry.
-const WORKER_COUNTERS: [&str; 7] = [
-    "slot",
-    "spawns",
-    "kills",
-    "respawns",
-    "tasks_completed",
-    "peak_rss_bytes",
-    "cpu_time_us",
 ];
 
 /// Keys the optional `serve` section must carry (schema v6; `dbscout
@@ -202,38 +169,6 @@ pub fn check_report(source: &str) -> Vec<String> {
         None => errors.push("stages: missing or not an array".to_string()),
     }
 
-    // The process section is optional (present only for `--backend
-    // process` runs) but fully validated when present.
-    if let Some(process) = doc.get("process") {
-        if process.as_object().is_some() {
-            for key in PROCESS_COUNTERS {
-                expect_u64(&mut errors, process, "process", key);
-            }
-            match process.get("per_worker").and_then(Value::as_array) {
-                Some(per_worker) => {
-                    for (i, worker) in per_worker.iter().enumerate() {
-                        let section = format!("process.per_worker[{i}]");
-                        for key in WORKER_COUNTERS {
-                            expect_u64(&mut errors, worker, &section, key);
-                        }
-                    }
-                    // The array must cover the configured pool width.
-                    if let Some(workers) = process.get("workers").and_then(Value::as_u64) {
-                        if per_worker.len() as u64 != workers {
-                            errors.push(format!(
-                                "process.per_worker: {} entries for {workers} workers",
-                                per_worker.len()
-                            ));
-                        }
-                    }
-                }
-                None => errors.push("process.per_worker: missing or not an array".to_string()),
-            }
-        } else {
-            errors.push("process: not an object".to_string());
-        }
-    }
-
     // The serve section is optional (present only for `dbscout serve`
     // sessions) but fully validated when present. Internal consistency:
     // `queries` counts every answered request, so it can never be
@@ -323,7 +258,6 @@ mod tests {
                 tasks: 8,
                 ..StageReport::default()
             }],
-            process: None,
             serve: None,
             totals: TotalsReport {
                 stages: 1,
@@ -354,58 +288,6 @@ mod tests {
                 "no error for {section}: {errors:?}"
             );
         }
-    }
-
-    #[test]
-    fn process_section_is_validated_when_present() {
-        use dbscout_telemetry::{ProcessReport, WorkerReport};
-
-        let mut report = valid_report();
-        report.process = Some(ProcessReport {
-            workers: 2,
-            workers_spawned: 3,
-            worker_kills: 1,
-            worker_respawns: 1,
-            task_reassignments: 1,
-            poisoned_tasks: 0,
-            child_peak_rss_bytes: 4096,
-            child_cpu_time_us: 1500,
-            per_worker: (0..2)
-                .map(|slot| WorkerReport {
-                    slot,
-                    spawns: 1 + slot,
-                    kills: slot,
-                    respawns: slot,
-                    tasks_completed: 4,
-                    peak_rss_bytes: 2048,
-                    cpu_time_us: 750,
-                })
-                .collect(),
-        });
-        let errors = check_report(&report.to_json());
-        assert!(errors.is_empty(), "{errors:?}");
-
-        // A per-worker array narrower than the pool is a violation...
-        if let Some(p) = &mut report.process {
-            p.per_worker.pop();
-        }
-        let errors = check_report(&report.to_json());
-        assert!(
-            errors.iter().any(|e| e.contains("process.per_worker")),
-            "{errors:?}"
-        );
-        // ...and a per-worker entry missing a counter is caught.
-        if let Some(p) = &mut report.process {
-            p.per_worker = vec![WorkerReport::default()];
-            p.workers = 1;
-        }
-        let json = report
-            .to_json()
-            .lines()
-            .filter(|l| !l.contains("\"tasks_completed\""))
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert!(!check_report(&json).is_empty());
     }
 
     #[test]

@@ -1346,16 +1346,16 @@ mod tests {
 
     #[test]
     fn telemetry_merge_over_hash_order_is_flagged() {
-        // The shape of the parent-side span merge: child telemetry keyed
-        // by worker pid. Emitting spans in hash order would make the
-        // merged trace (and anything derived from it) nondeterministic.
+        // A span merge over telemetry keyed by pid: emitting spans in
+        // hash order would make the merged trace (and anything derived
+        // from it) nondeterministic.
         let src = "struct Merge { spans_by_pid: HashMap<u64, Vec<WireSpan>> }\n\
                    fn flush(m: &Merge, rec: &dyn Recorder) {\n\
                    m.spans_by_pid.iter().for_each(|(pid, s)| emit(rec, *pid, s));\n}";
         let d = run_determinism(src);
         assert_eq!(d.first().map(|d| (d.rule, d.line)), Some(("XL007", 3)));
-        // The actual implementation merges counters by saturating
-        // addition, which is order-free and carries the waiver.
+        // Merging counters by saturating addition is order-free and
+        // carries the waiver.
         let waived = "struct Merge { counters: HashMap<String, u64> }\n\
                       fn total(m: &Merge) -> u64 {\n\
                       // xlint: ordered -- saturating sums commute\n\
@@ -1418,9 +1418,9 @@ mod tests {
 
     #[test]
     fn telemetry_merge_must_drop_stdout_guard_before_joining() {
-        // The shape of the worker pool's telemetry path: the stdout-frame
-        // lock must not be held across the reader-thread join, or a
-        // blocked writer wedges shutdown.
+        // A telemetry drain: the stdout-frame lock must not be held
+        // across the reader-thread join, or a blocked writer wedges
+        // shutdown.
         let src = "fn drain(pool: &Pool) {\n\
                    let mut out = lock_unpoisoned(&pool.stdout);\n\
                    out.write_frame(f);\n    reader.join();\n}";

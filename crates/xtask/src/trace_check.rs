@@ -3,8 +3,8 @@
 //!
 //! The trace writer emits a JSON array of Trace Event Format objects:
 //! complete spans (`"ph": "X"`) and cumulative counter samples
-//! (`"ph": "C"`). CI runs this checker against a fresh process-backend
-//! trace so a writer regression (unsorted lanes, an undeclared counter
+//! (`"ph": "C"`). CI runs this checker against fresh native and
+//! distributed traces so a writer regression (unsorted lanes, an undeclared counter
 //! name, a span without a duration) fails the build instead of shipping
 //! an artifact `chrome://tracing` silently misrenders.
 
@@ -125,8 +125,7 @@ mod tests {
                 t + Duration::from_millis(1),
                 Duration::from_millis(2),
             )
-            .lane(1)
-            .pid(4242),
+            .lane(1),
         );
         c.record_counter_point("distance_evals", t + Duration::from_millis(5), 99);
         c.to_chrome_trace()

@@ -331,7 +331,6 @@ mod binary {
                 tasks: 8,
                 ..StageReport::default()
             }],
-            process: None,
             serve: None,
             totals: TotalsReport {
                 stages: 1,
