@@ -31,6 +31,7 @@
 //! would receive, without changing detector state. All human-facing
 //! output goes to stderr; stdout carries protocol frames only.
 
+use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::Arc;
 use std::time::Instant;
@@ -190,7 +191,11 @@ fn handle(state: &mut ServeState, line: &str) -> (String, &'static str, bool) {
         "outliers" => {
             let ids = state.inc.outliers();
             state.report.outlier_queries += 1;
-            let mut out = format!(
+            // One allocation: an id prints as at most 10 digits and a
+            // comma, and `write!` formats it straight into the answer.
+            let mut out = String::with_capacity(64 + ids.len() * 11);
+            let _ = write!(
+                out,
                 "{{\"ok\":true,\"op\":\"outliers\",\"count\":{},\"ids\":[",
                 ids.len()
             );
@@ -198,7 +203,7 @@ fn handle(state: &mut ServeState, line: &str) -> (String, &'static str, bool) {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&id.to_string());
+                let _ = write!(out, "{id}");
             }
             out.push_str("]}");
             (out, "outliers", false)

@@ -177,9 +177,11 @@ impl Dbscout {
     /// columns; then the shared phases 2–5 run. Both passes read the
     /// source in groups of up to `threads` batches and compute each
     /// point's cell once: pass 1 tallies batch `i` of a group in lane
-    /// `i`, and pass 2 resolves the group's points to cell indices in
-    /// parallel over its batches, then places them in parallel over
-    /// disjoint cell ranges. The result is identical to materializing the
+    /// `i` and records each point's cell, and pass 2 checks each point
+    /// against its recorded cell in parallel over the group's batches,
+    /// then places the points in parallel over disjoint cell ranges.
+    /// Peak memory also holds the recorded cells, 4 bytes a point,
+    /// until pass 2 finishes. The result is identical to materializing the
     /// source and calling [`Self::detect`] at any thread count — the
     /// equivalence suite pins labels *and* stats.
     pub fn detect_source(&self, source: &mut dyn PointSource) -> Result<OutlierResult> {
@@ -209,15 +211,23 @@ impl Dbscout {
     /// Phase 1, grid partitioning (Algorithm 1), fused with the
     /// cell-major permutation: a two-pass counting sort by cell over
     /// `input`, read as groups of up to `threads` batches. Each pass
-    /// computes and hashes every point's cell once.
+    /// computes every point's cell once, and only pass 1 hashes it.
     ///
     /// * Pass 1: lane `i` tallies batch `i` of every group into its own
-    ///   [`CellMajorBuilder`], and the lanes merge once at the end. Cell
-    ///   counts are sums, so the split cannot change the totals.
-    /// * [`CellMajorBuilder::begin_scatter`] lays out the cell table.
-    /// * Pass 2, per group: *resolve* maps each point to its cell index,
-    ///   in parallel over the batches, reading only the cell table; then
-    ///   *place* writes the points, in parallel over
+    ///   [`CellMajorBuilder`]: it interns each point's cell in the lane's
+    ///   compact cell table and records the lane-local cell number under
+    ///   the point's arrival id. The lanes merge once at the end, each
+    ///   lane's cells interned in the tally once and its recorded cells
+    ///   renumbered. Cell counts are sums, so the split cannot change
+    ///   the totals.
+    /// * [`CellMajorBuilder::begin_scatter`] sorts the cell table,
+    ///   renumbers the recorded cells into their sorted ranks and lays
+    ///   out the records.
+    /// * Pass 2, per group: *resolve* maps each point to its recorded
+    ///   cell and checks that the point's recomputed cell has that
+    ///   cell's coordinates ([`SpatialError::StreamMismatch`] otherwise),
+    ///   in parallel over the batches, with no hash lookup; then *place*
+    ///   writes the points, in parallel over
     ///   [`CellMajorScatter::shards`], each shard writing only its own
     ///   cells.
     ///

@@ -89,17 +89,34 @@ pub fn cell_side(eps: f64, dims: usize) -> f64 {
     (eps / (dims as f64).sqrt()).next_down()
 }
 
-/// The cell containing `point`, for cells of side `side`.
+/// The cell containing `point`, for cells of side `side`: each
+/// coordinate is `(x / side).floor() as i64`, saturating at the ends of
+/// `i64` (and 0 for NaN).
 #[inline]
 pub fn cell_of(point: &[f64], side: f64) -> CellCoord {
     debug_assert!(point.len() <= MAX_DIMS);
     let mut c = [0i64; MAX_DIMS];
     for (out, &x) in c.iter_mut().zip(point) {
-        *out = (x / side).floor() as i64;
+        *out = floor_to_i64(x / side);
     }
     CellCoord {
         dims: point.len() as u8,
         c,
+    }
+}
+
+/// `q.floor() as i64`, without the `floor` call the baseline x86-64
+/// target makes: truncate (the cast saturates, NaN gives 0), then step
+/// down when truncation rounded a negative fraction up. Above 2^53 in
+/// magnitude every `f64` is an integer, so the comparison is exact
+/// wherever the step can apply.
+#[inline]
+fn floor_to_i64(q: f64) -> i64 {
+    let t = q as i64;
+    if (t as f64) > q {
+        t.saturating_sub(1)
+    } else {
+        t
     }
 }
 
@@ -200,6 +217,43 @@ mod tests {
         assert_eq!(cell_of(&[0.5, 0.5], side).coords(), &[0, 0]);
         // (1.9, -0.9) lies in cell (1, -1).
         assert_eq!(cell_of(&[1.9, -0.9], side).coords(), &[1, -1]);
+    }
+
+    #[test]
+    fn floor_to_i64_is_floor_then_cast() {
+        let edges = [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            -1.0,
+            -1.5,
+            2.5,
+            -2.5,
+            1e-300,
+            -1e-300,
+            f64::MIN_POSITIVE,
+            4503599627370496.5,
+            -4503599627370497.0,
+            9007199254740993.0,
+            -9007199254740993.0,
+            -(2f64.powi(63)),
+            2f64.powi(63),
+            -9.3e18,
+            9.3e18,
+            1e300,
+            -1e300,
+            f64::MAX,
+            f64::MIN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for q in edges {
+            for q in [q, q.next_up(), q.next_down()] {
+                assert_eq!(floor_to_i64(q), q.floor() as i64, "{q:e}");
+            }
+        }
     }
 
     #[test]

@@ -10,11 +10,13 @@
 //! * coordinates are stored column-major (`col(k)[slot]` is dimension `k`
 //!   of the point in `slot`), so a distance scan over a cell streams
 //!   `d` dense `f64` slices instead of hopping between point rows;
-//! * cells are sorted by [`CellCoord`], each described by a
-//!   [`CellRecord`] `(coord, start..end)` — neighbor cells of a query
-//!   cell tend to be nearby in the record table and in the buffer, and
-//!   a [`NeighborSweep`] finds them with forward cursors instead of
-//!   hash probes;
+//! * cells are sorted by [`CellCoord`], each described by an 8-byte
+//!   [`CellRecord`] `start..end`; the coordinates live once in a compact
+//!   cell table (flat `i64`s plus 8-byte index buckets) that answers
+//!   [`CellMajorStore::cell_index`] and [`CellMajorStore::cell_coord`].
+//!   Neighbor cells of a query cell tend to be nearby in the table and in
+//!   the buffer, and a [`NeighborSweep`] finds them with forward cursors
+//!   instead of hash probes;
 //! * `orig_ids` maps a slot back to the [`PointId`] of the source
 //!   [`PointStore`], so per-point labels can be scattered back;
 //! * every cell carries the tight bounding box of its *actual* points
@@ -35,12 +37,10 @@
 //!    contain no point within ε of *any* point of the query cell, because
 //!    box-to-box minimum distance lower-bounds every point pair.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 use std::ops::Range;
 
 use crate::cell::{cell_of, cell_side, CellCoord, MAX_DIMS};
+use crate::cell_table::CellTable;
 use crate::distance::{
     accumulate_sq_dists_x4, sq_dists_2d_x8, sq_dists_3d_x4, KernelKind, LANES_2D, LANES_ND,
 };
@@ -48,14 +48,11 @@ use crate::error::SpatialError;
 use crate::neighbors::NeighborOffsets;
 use crate::points::{PointId, PointStore};
 
-pub(crate) type DetState = BuildHasherDefault<DefaultHasher>;
-
-/// One cell of a [`CellMajorStore`]: its coordinate and the slot range
-/// its points occupy in the columnar buffer.
+/// One cell of a [`CellMajorStore`]: the slot range its points occupy in
+/// the columnar buffer. Eight bytes; the cell's coordinate lives in the
+/// store's cell table ([`CellMajorStore::cell_coord`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellRecord {
-    /// The ε-cell coordinate.
-    pub coord: CellCoord,
     /// First slot of the cell's run (inclusive).
     pub start: u32,
     /// One past the last slot of the cell's run.
@@ -106,13 +103,13 @@ pub struct CellMajorStore {
     /// Non-empty cells, ascending by coordinate (batch builds; a mutable
     /// layout may append cells out of order).
     pub(crate) cells: Vec<CellRecord>,
-    /// Whether `cells` is known to strictly ascend by coordinate — the
+    /// Whether the cells are known to strictly ascend by coordinate — the
     /// precondition of [`NeighborSweep`]. The batch build checks it when
     /// it lays the table out; a mutable layout, which appends new cells,
     /// never sets it.
     pub(crate) sorted: bool,
-    /// Cell coordinate → index into `cells`.
-    pub(crate) index: HashMap<CellCoord, u32, DetState>,
+    /// Cell `i`'s coordinate, and coordinate → `i`.
+    pub(crate) table: CellTable,
     /// Tight per-cell bounding boxes: cell `c`'s box spans
     /// `bbox_min[c*dims..(c+1)*dims]` .. `bbox_max[..]`.
     pub(crate) bbox_min: Vec<f64>,
@@ -130,15 +127,32 @@ pub struct CellMajorStore {
 /// final slot. Because points are replayed in id order and each cell's
 /// cursor advances monotonically, slots within a cell ascend in original
 /// id — the exact canonical layout [`CellMajorStore::build`] defines —
-/// while peak memory is the finished layout plus one batch, never the
-/// whole raw input plus a sort buffer.
+/// while peak memory is the finished layout plus the recorded cells and
+/// one batch, never the whole raw input plus a sort buffer.
+///
+/// Pass 1 is the only pass that hashes a cell. The tally keeps its cells
+/// in a compact table (at d = 3, ~40 bytes a cell: coordinates and index
+/// buckets) and records each point's cell number by arrival id, 4 bytes
+/// a point. The recording is the tally: [`Self::begin_scatter`] sizes
+/// the runs from it, and pass 2 only has to check the cell it is told.
 #[derive(Debug)]
 pub struct CellMajorBuilder {
     dims: usize,
     eps: f64,
     side: f64,
     n: usize,
-    counts: HashMap<CellCoord, u32, DetState>,
+    /// This tally's cells, numbered in the order they were first met.
+    table: CellTable,
+    /// Every counted batch's cell numbers, with its first arrival id.
+    recorded: Vec<Recording>,
+}
+
+/// The cell numbers of one counted batch, point by point.
+#[derive(Debug)]
+struct Recording {
+    /// Arrival id of the batch's first point in the whole stream.
+    first: usize,
+    cells: Vec<u32>,
 }
 
 impl CellMajorBuilder {
@@ -164,7 +178,8 @@ impl CellMajorBuilder {
             eps,
             side: cell_side(eps, dims),
             n: 0,
-            counts: HashMap::default(),
+            table: CellTable::new(dims),
+            recorded: Vec::new(),
         })
     }
 
@@ -178,10 +193,12 @@ impl CellMajorBuilder {
         self.n == 0
     }
 
-    /// Tallies one flat row-major batch (`len * dims` coordinates) into
-    /// the per-cell counts. Coordinates are validated here — the batch
-    /// must be a whole number of points and every value finite — so the
-    /// scatter pass can trust the replayed stream.
+    /// Tallies the next flat row-major batch of the stream (`len * dims`
+    /// coordinates; its first point's arrival id is the count so far):
+    /// records each point's cell, adding cells not met before.
+    /// Coordinates are validated here — the batch must be a whole number
+    /// of points and every value finite — so the scatter pass can trust
+    /// the replayed stream.
     pub fn count_batch(&mut self, coords: &[f64]) -> Result<(), SpatialError> {
         self.count_batch_at(self.n, coords)
     }
@@ -189,7 +206,8 @@ impl CellMajorBuilder {
     /// [`Self::count_batch`] for a tally that sees only some batches of
     /// the stream, such as one lane of a parallel pass 1: `first` is the
     /// arrival id of the batch's first point in the whole stream, which
-    /// is the point a [`SpatialError::NonFiniteCoordinate`] names.
+    /// is the point a [`SpatialError::NonFiniteCoordinate`] names and the
+    /// id the recorded cells are filed under.
     pub fn count_batch_at(&mut self, first: usize, coords: &[f64]) -> Result<(), SpatialError> {
         if !coords.len().is_multiple_of(self.dims) {
             return Err(SpatialError::DimensionMismatch {
@@ -197,19 +215,24 @@ impl CellMajorBuilder {
                 got: coords.len() % self.dims,
             });
         }
+        let mut cells = Vec::with_capacity(coords.len() / self.dims);
         for (i, p) in coords.chunks_exact(self.dims).enumerate() {
             check_finite(first + i, p)?;
-            *self.counts.entry(cell_of(p, self.side)).or_insert(0) += 1;
+            cells.push(self.table.intern(cell_of(p, self.side).coords()).0);
         }
-        self.n += coords.len() / self.dims;
+        self.n += cells.len();
+        if !cells.is_empty() {
+            self.recorded.push(Recording { first, cells });
+        }
         Ok(())
     }
 
-    /// Folds another pass-1 tally into this one. Cell counts are sums, so
-    /// the merge is order-insensitive: counting batch shards on separate
-    /// workers and merging yields exactly the tally of one sequential
-    /// pass, whatever the shard split — the count half of the parallel
-    /// two-pass build.
+    /// Folds another pass-1 tally into this one: `other`'s cells are
+    /// interned here once each, and its recorded cells are renumbered
+    /// into this tally's numbering. Cell counts are sums, so the merge is
+    /// order-insensitive: counting batch shards on separate workers and
+    /// merging yields exactly the tally of one sequential pass, whatever
+    /// the shard split — the count half of the parallel two-pass build.
     ///
     /// # Errors
     ///
@@ -227,45 +250,55 @@ impl CellMajorBuilder {
         if other.eps.to_bits() != self.eps.to_bits() {
             return Err(SpatialError::StreamMismatch);
         }
-        // xlint: ordered -- additive merge into a map is order-insensitive
-        for (coord, k) in other.counts {
-            *self.counts.entry(coord).or_insert(0) += k;
+        let renumber: Vec<u32> = (0..other.table.len())
+            .map(|j| self.table.intern(other.table.coord(j)).0)
+            .collect();
+        for mut rec in other.recorded {
+            for ci in &mut rec.cells {
+                *ci = renumber.get(*ci as usize).copied().unwrap_or(*ci);
+            }
+            self.recorded.push(rec);
         }
         self.n += other.n;
         Ok(())
     }
 
-    /// Finishes pass 1: lays out the cell table (records ascending by
-    /// coordinate, prefix-summed slot ranges) and allocates the columnar
-    /// buffers at their final size, returning the pass-2 scatter state.
+    /// Finishes pass 1: sorts the cell table by coordinate, renumbers the
+    /// recorded cells into their sorted ranks while counting them, lays
+    /// out the records (prefix-summed slot ranges), and allocates the
+    /// columnar buffers at their final size, returning the pass-2 scatter
+    /// state.
     pub fn begin_scatter(self) -> CellMajorScatter {
         let Self {
             dims,
             eps,
             side,
             n,
-            counts,
+            mut table,
+            mut recorded,
         } = self;
-        // xlint: ordered -- drained entries are sorted by coordinate just below
-        let mut keyed: Vec<(CellCoord, u32)> = counts.into_iter().collect();
-        keyed.sort_unstable_by_key(|&(coord, _)| coord);
-        let mut cells = Vec::with_capacity(keyed.len());
-        let mut cursors = Vec::with_capacity(keyed.len());
+        let rank = table.sort();
+        let mut counts = vec![0u32; rank.len()];
+        for rec in &mut recorded {
+            for ci in &mut rec.cells {
+                *ci = rank.get(*ci as usize).copied().unwrap_or(*ci);
+                if let Some(count) = counts.get_mut(*ci as usize) {
+                    *count += 1;
+                }
+            }
+        }
+        recorded.sort_unstable_by_key(|rec| rec.first);
+        let mut cells = Vec::with_capacity(counts.len());
+        let mut cursors = Vec::with_capacity(counts.len());
         let mut next = 0u32;
-        for (coord, count) in keyed {
+        for count in counts {
             cells.push(CellRecord {
-                coord,
                 start: next,
                 end: next + count,
             });
             cursors.push(next);
             next += count;
         }
-        let index = cells
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.coord, i as u32))
-            .collect();
         CellMajorScatter {
             dims,
             eps,
@@ -274,7 +307,8 @@ impl CellMajorBuilder {
             cols: vec![0.0f64; n * dims],
             orig_ids: vec![0; n],
             cells,
-            index,
+            table,
+            recorded,
             bbox_min: Vec::new(),
             bbox_max: Vec::new(),
             cursors,
@@ -296,15 +330,19 @@ fn check_finite(id: usize, p: &[f64]) -> Result<(), SpatialError> {
 /// into the cell-contiguous columns sized by [`CellMajorBuilder`].
 ///
 /// Each batch goes through two steps. [`Self::resolve`] maps every point
-/// to the index of its cell; it only reads the cell table, so batches
-/// resolve in parallel. [`ScatterShard::place`] then writes the points
-/// into their slots; each shard owns a disjoint range of cells, so shards
-/// place in parallel. A point's cell is computed and hashed once.
+/// to the index of its cell: it takes the cell pass 1 recorded for the
+/// point's arrival id and checks that the point still lies in it, with
+/// no hash lookup. It only reads the scatter, so batches resolve in
+/// parallel. [`ScatterShard::place`] then writes the points into their
+/// slots; each shard owns a disjoint range of cells, so shards place in
+/// parallel.
 ///
-/// Any disagreement with pass 1 — a point landing in a cell that was
-/// never counted, a cell receiving more points than counted, or the
-/// stream ending short — yields [`SpatialError::StreamMismatch`] instead
-/// of a corrupt layout.
+/// Any disagreement with pass 1 yields [`SpatialError::StreamMismatch`]
+/// instead of a corrupt layout: a point outside the cell recorded for
+/// its arrival id (whether or not pass 1 counted the cell it moved to),
+/// a point past the counted stream, a cell receiving more points than
+/// counted, or the stream ending short. The recorded cells cost 4 bytes
+/// a point until [`Self::finish`] drops them.
 #[derive(Debug)]
 pub struct CellMajorScatter {
     dims: usize,
@@ -314,7 +352,10 @@ pub struct CellMajorScatter {
     cols: Vec<f64>,
     orig_ids: Vec<PointId>,
     cells: Vec<CellRecord>,
-    index: HashMap<CellCoord, u32, DetState>,
+    table: CellTable,
+    /// Pass 1's recorded cells, renumbered into sorted ranks and ordered
+    /// by first arrival id.
+    recorded: Vec<Recording>,
     bbox_min: Vec<f64>,
     bbox_max: Vec<f64>,
     cursors: Vec<u32>,
@@ -324,13 +365,17 @@ pub struct CellMajorScatter {
 impl CellMajorScatter {
     /// Resolves one flat row-major batch: the cell index of each of its
     /// points, in order, for [`ScatterShard::place`]. `first` is the
-    /// arrival id of the batch's first point, which a
-    /// [`SpatialError::NonFiniteCoordinate`] names.
+    /// arrival id of the batch's first point; each point gets the cell
+    /// pass 1 recorded under its arrival id, after its recomputed cell is
+    /// checked to have that cell's coordinates. The batches need not be
+    /// cut as in pass 1.
     ///
     /// # Errors
     ///
-    /// [`SpatialError::StreamMismatch`] for a point in a cell pass 1
-    /// never counted, besides the shape and finiteness errors of
+    /// [`SpatialError::StreamMismatch`] for a point outside its recorded
+    /// cell or with no recorded cell, and
+    /// [`SpatialError::NonFiniteCoordinate`] naming the arrival id of a
+    /// non-finite point, besides the shape error of
     /// [`CellMajorBuilder::count_batch`].
     pub fn resolve(&self, first: usize, coords: &[f64]) -> Result<Vec<u32>, SpatialError> {
         if !coords.len().is_multiple_of(self.dims) {
@@ -339,16 +384,30 @@ impl CellMajorScatter {
                 got: coords.len() % self.dims,
             });
         }
-        let mut cells = Vec::with_capacity(coords.len() / self.dims);
-        for (i, p) in coords.chunks_exact(self.dims).enumerate() {
-            check_finite(first + i, p)?;
-            let ci = self
-                .index
-                .get(&cell_of(p, self.side))
+        let end = first + coords.len() / self.dims;
+        let mut points = coords.chunks_exact(self.dims);
+        let mut resolved = Vec::with_capacity(end - first);
+        let mut id = first;
+        let mut run = self
+            .recorded
+            .partition_point(|rec| rec.first + rec.cells.len() <= first);
+        while id < end {
+            let recorded = self
+                .recorded
+                .get(run)
+                .and_then(|rec| rec.cells.get(id.checked_sub(rec.first)?..))
                 .ok_or(SpatialError::StreamMismatch)?;
-            cells.push(*ci);
+            for (&ci, p) in recorded.iter().zip(points.by_ref().take(end - id)) {
+                check_finite(id, p)?;
+                if cell_of(p, self.side).coords() != self.table.coord(ci as usize) {
+                    return Err(SpatialError::StreamMismatch);
+                }
+                resolved.push(ci);
+                id += 1;
+            }
+            run += 1;
         }
-        Ok(cells)
+        Ok(resolved)
     }
 
     /// Places one flat row-major batch into the layout: a
@@ -496,21 +555,13 @@ impl CellMajorScatter {
             n: self.n,
             cols: self.cols,
             orig_ids: self.orig_ids,
-            sorted: ascending(&self.cells),
+            sorted: self.table.ascending(),
             cells: self.cells,
-            index: self.index,
+            table: self.table,
             bbox_min: self.bbox_min,
             bbox_max: self.bbox_max,
         })
     }
-}
-
-/// Whether `cells` strictly ascends by coordinate.
-fn ascending(cells: &[CellRecord]) -> bool {
-    cells.windows(2).all(|w| match w {
-        [a, b] => a.coord < b.coord,
-        _ => true,
-    })
 }
 
 /// Splits `buf` at the given ascending absolute offsets, yielding
@@ -699,9 +750,17 @@ impl CellMajorStore {
         self.cells.get(idx)
     }
 
-    /// Index of the cell with coordinate `coord`, if non-empty.
+    /// Index of the cell with coordinate `coord`, if non-empty: one
+    /// SipHash of its live coordinates and a probe of the cell table's
+    /// 8-byte buckets.
     pub fn cell_index(&self, coord: &CellCoord) -> Option<u32> {
-        self.index.get(coord).copied()
+        self.table.lookup(coord.coords())
+    }
+
+    /// The integer coordinates of cell `idx`, if in range: `dims` values
+    /// read from the cell table's flat coordinate array.
+    pub fn cell_coord(&self, idx: usize) -> Option<&[i64]> {
+        self.table.get(idx)
     }
 
     /// Slot → original point id permutation.
@@ -1303,8 +1362,8 @@ impl NeighborSweep<'_> {
     /// distance lower-bounds every point pair.
     pub fn neighbors_into(&mut self, idx: usize, prune_eps_sq: Option<f64>, out: &mut Vec<u32>) {
         out.clear();
-        let cells = self.store.cells.as_slice();
-        let Some(query) = cells.get(idx).map(|r| r.coord.coords()) else {
+        let table = &self.store.table;
+        let Some(query) = table.get(idx) else {
             return;
         };
         let Some((&q_last, q_prefix)) = query.split_last() else {
@@ -1337,9 +1396,9 @@ impl NeighborSweep<'_> {
             let (Some(lo), Some(hi)) = (lo.get(..dims), hi.get(..dims)) else {
                 continue;
             };
-            *cursor = seek(cells, *cursor, lo);
-            for (nidx, rec) in cells.iter().enumerate().skip(*cursor) {
-                if rec.coord.coords() > hi {
+            *cursor = seek(table, *cursor, lo);
+            for nidx in *cursor..table.len() {
+                if table.coord(nidx) > hi {
                     break;
                 }
                 if let Some(eps_sq) = prune_eps_sq {
@@ -1355,17 +1414,25 @@ impl NeighborSweep<'_> {
 
 /// The first index at or after `from` whose cell is not below `target`,
 /// found by exponential search from `from` (cheap when the answer is
-/// near, logarithmic when it is far). `cells[from..]` must ascend.
-fn seek(cells: &[CellRecord], from: usize, target: &[i64]) -> usize {
-    let rest = cells.get(from..).unwrap_or_default();
-    let below = |r: &CellRecord| r.coord.coords() < target;
+/// near, logarithmic when it is far). The cells from `from` on must
+/// ascend.
+fn seek(table: &CellTable, from: usize, target: &[i64]) -> usize {
+    let len = table.len();
+    let below = |i: usize| table.coord(i) < target;
     let mut bound = 1;
-    while bound <= rest.len() && rest.get(bound - 1).is_some_and(below) {
+    while from + bound <= len && below(from + bound - 1) {
         bound *= 2;
     }
-    let lo = bound / 2;
-    let hi = bound.min(rest.len());
-    from + lo + rest.get(lo..hi).map_or(0, |s| s.partition_point(below))
+    let (mut lo, mut hi) = (from + bound / 2, (from + bound).min(len));
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if below(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
 }
 
 #[cfg(test)]
@@ -1381,6 +1448,12 @@ mod tests {
         let mut buf = [0.0; MAX_DIMS];
         cm.point_into(slot, &mut buf);
         buf[..cm.dims()].to_vec()
+    }
+
+    #[test]
+    fn cell_record_is_eight_bytes() {
+        // The coordinate lives in the cell table, not in the record.
+        assert_eq!(std::mem::size_of::<CellRecord>(), 8);
     }
 
     #[test]
@@ -1403,11 +1476,14 @@ mod tests {
         let s = store_2d(&[[0.2, 0.2], [9.0, 9.0], [0.8, 0.8], [1.1, -0.3], [1.9, -0.9]]);
         let cm = CellMajorStore::build(&s, 2f64.sqrt()).unwrap();
         let mut next = 0u32;
-        for w in cm.cells().windows(2) {
-            assert!(w[0].coord < w[1].coord, "cells out of order");
+        for i in 1..cm.num_cells() {
+            assert!(
+                cm.cell_coord(i - 1) < cm.cell_coord(i),
+                "cells out of order"
+            );
         }
-        for rec in cm.cells() {
-            assert_eq!(rec.start, next, "gap before {:?}", rec.coord);
+        for (i, rec) in cm.cells().iter().enumerate() {
+            assert_eq!(rec.start, next, "gap before {:?}", cm.cell_coord(i));
             assert!(rec.end > rec.start);
             next = rec.end;
         }
@@ -1418,10 +1494,10 @@ mod tests {
     fn ids_ascend_within_each_cell() {
         let s = store_2d(&[[0.3, 0.3], [0.1, 0.1], [0.2, 0.2], [7.0, 7.0]]);
         let cm = CellMajorStore::build(&s, 2f64.sqrt()).unwrap();
-        for rec in cm.cells() {
+        for (i, rec) in cm.cells().iter().enumerate() {
             let ids = &cm.orig_ids()[rec.range()];
             for w in ids.windows(2) {
-                assert!(w[0] < w[1], "ids not ascending in {:?}", rec.coord);
+                assert!(w[0] < w[1], "ids not ascending in {:?}", cm.cell_coord(i));
             }
         }
     }
@@ -1430,8 +1506,9 @@ mod tests {
     fn index_round_trips() {
         let s = store_2d(&[[0.5, 0.5], [10.0, -3.0]]);
         let cm = CellMajorStore::build(&s, 1.0).unwrap();
-        for (i, rec) in cm.cells().iter().enumerate() {
-            assert_eq!(cm.cell_index(&rec.coord), Some(i as u32));
+        for i in 0..cm.num_cells() {
+            let coord = CellCoord::from_slice(cm.cell_coord(i).unwrap());
+            assert_eq!(cm.cell_index(&coord), Some(i as u32));
         }
         assert_eq!(cm.cell_index(&CellCoord::from_slice(&[999, 999])), None);
     }
@@ -1453,7 +1530,7 @@ mod tests {
                     cm.min_sq_dist_to_bbox(&p, idx),
                     0.0,
                     "point {p:?} escapes bbox of {:?}",
-                    rec.coord
+                    cm.cell_coord(idx)
                 );
             }
         }
@@ -1560,7 +1637,7 @@ mod tests {
             let s = PointStore::from_rows(dims, rows).unwrap();
             let cm = CellMajorStore::build(&s, 10.0).unwrap();
             let q: Vec<f64> = (0..dims).map(|k| 0.2 * k as f64).collect();
-            for rec in cm.cells() {
+            for (ci, rec) in cm.cells().iter().enumerate() {
                 let eps_sq = 0.45;
                 let mut scalar = Vec::new();
                 let cs = cm.collect_within_kernel(
@@ -1578,7 +1655,7 @@ mod tests {
                     KernelKind::Unrolled,
                     &mut unrolled,
                 );
-                assert_eq!(scalar, unrolled, "dims {dims} cell {:?}", rec.coord);
+                assert_eq!(scalar, unrolled, "dims {dims} cell {:?}", cm.cell_coord(ci));
                 assert_eq!(cs, cu);
                 assert_eq!(cs, rec.len() as u64);
                 // Hits ascend in slot order and match brute force.
@@ -1753,6 +1830,19 @@ mod tests {
                 Err(SpatialError::StreamMismatch)
             ));
 
+            // A point moving into another cell that pass 1 did count.
+            let mut b = CellMajorBuilder::new(2, 1.0).unwrap();
+            b.count_batch(&[0.1, 0.1, 5.0, 5.0, 9.0, 9.0]).unwrap();
+            let mut sc = b.begin_scatter();
+            assert!(matches!(
+                sc.resolve(0, &[0.1, 0.1, 9.0, 9.0, 5.0, 5.0]),
+                Err(SpatialError::StreamMismatch)
+            ));
+            assert!(matches!(
+                resolve_and_place(&mut sc, parts, 1, &[0.1, 0.1]),
+                Err(SpatialError::StreamMismatch)
+            ));
+
             // A cell receiving more points than were counted (the last
             // cell, so with several shards the last shard catches it).
             let mut b = CellMajorBuilder::new(2, 1.0).unwrap();
@@ -1760,7 +1850,13 @@ mod tests {
             let mut sc = b.begin_scatter();
             resolve_and_place(&mut sc, parts, 0, &[0.1, 0.1, 5.0, 5.0, 9.0, 9.0]).unwrap();
             assert!(matches!(
-                resolve_and_place(&mut sc, parts, 3, &[9.15, 9.15]),
+                resolve_and_place(&mut sc, parts, 2, &[9.15, 9.15]),
+                Err(SpatialError::StreamMismatch)
+            ));
+
+            // A point past the counted stream.
+            assert!(matches!(
+                sc.resolve(3, &[9.15, 9.15]),
                 Err(SpatialError::StreamMismatch)
             ));
         }
@@ -1782,7 +1878,7 @@ mod tests {
             Err(SpatialError::NonFiniteCoordinate { point: 101, dim: 1 })
         ));
         let mut b = CellMajorBuilder::new(2, 1.0).unwrap();
-        b.count_batch(&[0.0, 0.0]).unwrap();
+        b.count_batch(&[0.0; 18]).unwrap();
         let sc = b.begin_scatter();
         assert!(matches!(
             sc.resolve(7, &[0.0, 0.0, f64::INFINITY, 0.0]),
@@ -1830,7 +1926,7 @@ mod tests {
                 .map(|_| CellMajorBuilder::new(2, eps).unwrap())
                 .collect();
             for (i, batch) in batches.iter().enumerate() {
-                subs[i % workers].count_batch(batch).unwrap();
+                subs[i % workers].count_batch_at(i * 7, batch).unwrap();
             }
             let mut merged = CellMajorBuilder::new(2, eps).unwrap();
             for sub in subs.into_iter().rev() {
@@ -2009,9 +2105,10 @@ mod tests {
         let grid = crate::Grid::build(&s, eps).unwrap();
         let cm = CellMajorStore::build(&s, eps).unwrap();
         assert_eq!(cm.num_cells(), grid.num_cells());
-        for rec in cm.cells() {
+        for (i, rec) in cm.cells().iter().enumerate() {
             let ids = &cm.orig_ids()[rec.range()];
-            assert_eq!(grid.points_in(&rec.coord), Some(ids));
+            let coord = CellCoord::from_slice(cm.cell_coord(i).unwrap());
+            assert_eq!(grid.points_in(&coord), Some(ids));
         }
     }
 }

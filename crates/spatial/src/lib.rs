@@ -31,6 +31,7 @@
 )]
 pub mod cell;
 pub mod cell_major;
+mod cell_table;
 pub mod distance;
 pub mod error;
 pub mod grid;

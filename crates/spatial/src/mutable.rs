@@ -10,9 +10,10 @@
 //! [`CellMajorStore::any_flagged_within_kernel`],
 //! [`CellMajorStore::collect_within_kernel`]) run unchanged over the
 //! live slot ranges. A warm start adopts a finished batch layout
-//! ([`MutableCellMajor::from_cell_major`]): its cell table, index and
-//! boxes move over as they are, and each run is re-spaced once to open
-//! its slack. The mutability scheme:
+//! ([`MutableCellMajor::from_cell_major`]): its records, compact cell
+//! table (coordinates plus 8-byte index buckets) and boxes move over as
+//! they are, and each run is re-spaced once to open its slack. The
+//! mutability scheme:
 //!
 //! * **slack slots** — every cell's run is allocated with spare capacity
 //!   (`cap ≥ len`); an insert into a cell with slack writes one slot and
@@ -44,8 +45,9 @@
 
 use std::ops::Range;
 
-use crate::cell::{cell_of, cell_side, CellCoord, MAX_DIMS};
+use crate::cell::{cell_of, cell_side, MAX_DIMS};
 use crate::cell_major::{CellMajorStore, CellRecord};
+use crate::cell_table::CellTable;
 use crate::error::SpatialError;
 use crate::points::{PointId, PointStore};
 
@@ -71,7 +73,11 @@ fn headroom(len: usize) -> usize {
 ///
 /// The wrapped store's `n` is the *slot capacity* (column stride), not
 /// the live point count — use [`MutableCellMajor::live`] for the latter
-/// and trust only slots inside a [`CellRecord`] run.
+/// and trust only slots inside a [`CellRecord`] run. Cells are found
+/// through the store's compact cell table: an insert interns its cell
+/// with one SipHash and a probe of 8-byte buckets, and a new cell
+/// appends its coordinates to the table's flat array and an 8-byte
+/// record to the store.
 #[derive(Debug, Clone)]
 pub struct MutableCellMajor {
     store: CellMajorStore,
@@ -122,7 +128,7 @@ impl MutableCellMajor {
                 // New cells are appended out of order, so this layout
                 // never offers the sorted-table neighbor sweep.
                 sorted: false,
-                index: Default::default(),
+                table: CellTable::new(dims),
                 bbox_min: Vec::new(),
                 bbox_max: Vec::new(),
             },
@@ -139,9 +145,9 @@ impl MutableCellMajor {
     /// Adopts a finished batch layout — the warm-start path of the
     /// serving daemon, and the last step of a compaction. The live
     /// points, their ids (`orig_ids`, so id `i` is row `i` of the store
-    /// `batch` was built from), the cell table, its index and the tight
-    /// bounding boxes are `batch`'s. The table and index move over
-    /// without a rebuild; each cell's run is copied once to open its
+    /// `batch` was built from), the cell records, the cell table and the
+    /// tight bounding boxes are `batch`'s. The records and table move
+    /// over without a rebuild; each cell's run is copied once to open its
     /// slack gap behind it (`len / 4 + 2` slots).
     pub fn from_cell_major(batch: CellMajorStore) -> Self {
         let CellMajorStore {
@@ -152,7 +158,7 @@ impl MutableCellMajor {
             cols,
             orig_ids,
             mut cells,
-            index,
+            mut table,
             mut bbox_min,
             mut bbox_max,
             ..
@@ -194,6 +200,7 @@ impl MutableCellMajor {
             caps.push(cursor as u32);
         }
         cells.reserve_exact(spare);
+        table.reserve(spare);
         bbox_min.reserve_exact(spare * dims);
         bbox_max.reserve_exact(spare * dims);
         Self {
@@ -207,7 +214,7 @@ impl MutableCellMajor {
                 cells,
                 // New cells will be appended out of order.
                 sorted: false,
-                index,
+                table,
                 bbox_min,
                 bbox_max,
             },
@@ -320,9 +327,9 @@ impl MutableCellMajor {
             return Ok(false);
         }
         let coord = cell_of(point, self.store.side);
-        match self.store.index.get(&coord).copied() {
-            Some(ci) => self.insert_into_cell(ci as usize, id, point),
-            None => self.insert_new_cell(coord, id, point),
+        match self.store.table.intern(coord.coords()) {
+            (ci, false) => self.insert_into_cell(ci as usize, id, point),
+            (_, true) => self.insert_new_cell(id, point),
         }
         self.live += 1;
         if self.dead_slots > 64.max(self.live) {
@@ -343,7 +350,7 @@ impl MutableCellMajor {
         let mut buf = [0.0; MAX_DIMS];
         self.store.point_into(slot, &mut buf);
         let coord = cell_of(buf.get(..self.store.dims).unwrap_or(&[]), self.store.side);
-        let Some(&ci) = self.store.index.get(&coord) else {
+        let Some(ci) = self.store.table.lookup(coord.coords()) else {
             return false; // unreachable for a live id; stay panic-free
         };
         let Some(rec) = self.store.cells.get(ci as usize) else {
@@ -496,20 +503,17 @@ impl MutableCellMajor {
         self.retighten_bbox(ci);
     }
 
-    /// Insert into a coordinate with no cell yet: carve a small fresh
-    /// run from the tail.
-    fn insert_new_cell(&mut self, coord: CellCoord, id: PointId, point: &[f64]) {
+    /// Insert into a cell just interned as the table's last: carve a
+    /// small fresh run from the tail.
+    fn insert_new_cell(&mut self, id: PointId, point: &[f64]) {
         let new_cap = slack_for(1).max(2);
         self.reserve_tail(new_cap);
         let start = self.tail;
-        let ci = self.store.cells.len();
         self.store.cells.push(CellRecord {
-            coord,
             start: start as u32,
             end: start as u32 + 1,
         });
         self.caps.push((start + new_cap) as u32);
-        self.store.index.insert(coord, ci as u32);
         self.store.bbox_min.extend_from_slice(point);
         self.store.bbox_max.extend_from_slice(point);
         self.tail = start + new_cap;
@@ -722,13 +726,13 @@ mod tests {
         // Same cell decomposition as the immutable batch build.
         let batch = CellMajorStore::build(&s, eps).unwrap();
         assert_eq!(m.num_live_cells(), batch.num_cells());
-        for rec in batch.cells() {
-            let ci = m.store().cell_index(&rec.coord).expect("cell present");
+        for (i, rec) in batch.cells().iter().enumerate() {
+            let coord = crate::CellCoord::from_slice(batch.cell_coord(i).unwrap());
+            let ci = m.store().cell_index(&coord).expect("cell present");
             assert_eq!(
                 m.store().cells()[ci as usize].len(),
                 rec.len(),
-                "occupancy of {:?}",
-                rec.coord
+                "occupancy of {coord:?}"
             );
         }
     }

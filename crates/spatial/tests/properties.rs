@@ -12,13 +12,14 @@
     clippy::float_cmp
 )]
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use dbscout_rng::Rng;
-use dbscout_spatial::cell::{cell_side, max_sq_dist_to_cell, min_sq_dist_to_cell};
+use dbscout_spatial::cell::{cell_of, cell_side, max_sq_dist_to_cell, min_sq_dist_to_cell};
 use dbscout_spatial::distance::{dist, sq_dist};
 use dbscout_spatial::{
-    CellMajorStore, Grid, KdTree, MutableCellMajor, NeighborOffsets, PointStore, SpatialError,
+    CellCoord, CellMajorStore, Grid, KdTree, MutableCellMajor, NeighborOffsets, PointStore,
+    SpatialError, MAX_DIMS,
 };
 
 fn points_2d(rng: &mut Rng, max_n: usize) -> Vec<Vec<f64>> {
@@ -199,12 +200,12 @@ fn oracle_neighbors(
     idx: usize,
     prune_eps_sq: Option<f64>,
 ) -> Vec<u32> {
-    let query = cm.cells()[idx].coord.coords();
+    let query = cm.cell_coord(idx).unwrap();
     let mut hits: Vec<(usize, u32)> = Vec::new();
-    for (j, rec) in cm.cells().iter().enumerate() {
-        let diff: Vec<i128> = rec
-            .coord
-            .coords()
+    for j in 0..cm.num_cells() {
+        let diff: Vec<i128> = cm
+            .cell_coord(j)
+            .unwrap()
             .iter()
             .zip(query)
             .map(|(&c, &q)| i128::from(c) - i128::from(q))
@@ -287,7 +288,7 @@ fn neighbor_sweep_matches_brute_force_in_content_and_order() {
                             got,
                             oracle_neighbors(&cm, &rank, idx, prune),
                             "d={dims} eps={eps} prune={prune:?} cell {:?}",
-                            cm.cells()[idx].coord
+                            cm.cell_coord(idx)
                         );
                     }
                 }
@@ -320,11 +321,8 @@ fn neighbor_sweep_refuses_a_mutable_table() {
             m.store().neighbor_sweep(&offsets).unwrap_err(),
             SpatialError::UnsortedCells
         );
-        let sorted = m
-            .store()
-            .cells()
-            .windows(2)
-            .all(|w| w[0].coord < w[1].coord);
+        let s = m.store();
+        let sorted = (1..s.num_cells()).all(|i| s.cell_coord(i - 1) < s.cell_coord(i));
         if !sorted {
             break;
         }
@@ -340,6 +338,100 @@ fn neighbor_sweep_refuses_a_mutable_table() {
         } else {
             let victim = live.swap_remove(rng.gen_range(0..live.len()));
             assert!(m.remove(victim));
+        }
+    }
+}
+
+/// One coordinate of a point inside cell coordinate `c`: `i64::MIN` and
+/// `i64::MAX` are reached by saturation, the rest at the cell's middle.
+fn inside(c: i64, side: f64) -> f64 {
+    match c {
+        i64::MIN => -1e300,
+        i64::MAX => 1e300,
+        _ => (c as f64 + 0.5) * side,
+    }
+}
+
+#[test]
+fn cell_table_matches_a_btreemap_oracle() {
+    // The compact cell table, through the two layouts that own one: a
+    // mutable layout interns cells in arrival order (before any sort), a
+    // batch build numbers them by sorted rank. The oracle numbers keys
+    // by first arrival; its key order is the sorted order.
+    let mut rng = Rng::seed_from_u64(0xA007);
+    for dims in 1..=MAX_DIMS {
+        for _ in 0..3 {
+            let eps = rng.gen_range(0.5..4.0);
+            let side = cell_side(eps, dims);
+            let spread: i64 = if dims == 1 { 4000 } else { 30 };
+            let mut oracle: BTreeMap<Vec<i64>, u32> = BTreeMap::new();
+            let mut points_in: BTreeMap<Vec<i64>, usize> = BTreeMap::new();
+            let mut rows: Vec<Vec<f64>> = Vec::new();
+            // Enough cells for several index rehashes; every cell gets at
+            // most two points, so no run relocates or compacts and the
+            // mutable layout keeps its arrival numbering.
+            for _ in 0..rng.gen_range(1500..3000) {
+                let key: Vec<i64> = (0..dims)
+                    .map(|_| match rng.gen_range(0..20) {
+                        0 => i64::MIN,
+                        1 => i64::MAX,
+                        2 => 0,
+                        _ => rng.gen_range(-spread..spread),
+                    })
+                    .collect();
+                let row: Vec<f64> = key.iter().map(|&c| inside(c, side)).collect();
+                let key = cell_of(&row, side).coords().to_vec();
+                let seen = points_in.entry(key.clone()).or_insert(0);
+                if *seen == 2 {
+                    continue;
+                }
+                *seen += 1;
+                let next = oracle.len() as u32;
+                oracle.entry(key).or_insert(next);
+                rows.push(row);
+            }
+            let mut m = MutableCellMajor::new(dims, eps).unwrap();
+            for (id, row) in rows.iter().enumerate() {
+                assert!(m.insert(id as u32, row).unwrap());
+            }
+            assert_eq!((m.rebuilds(), m.compactions()), (0, 0));
+            let cm =
+                CellMajorStore::build(&PointStore::from_rows(dims, rows).unwrap(), eps).unwrap();
+            assert_eq!(m.store().num_cells(), oracle.len());
+            assert_eq!(cm.num_cells(), oracle.len());
+            let mut ranks = vec![false; oracle.len()];
+            for (rank, (key, &arrival)) in oracle.iter().enumerate() {
+                let coord = CellCoord::from_slice(key);
+                assert_eq!(m.store().cell_index(&coord), Some(arrival), "{key:?}");
+                assert_eq!(m.store().cell_coord(arrival as usize), Some(key.as_slice()));
+                let got = cm.cell_index(&coord).unwrap();
+                assert_eq!(got as usize, rank, "{key:?}");
+                assert_eq!(cm.cell_coord(rank), Some(key.as_slice()));
+                assert!(!std::mem::replace(&mut ranks[got as usize], true));
+                // Keys one step away in the last coordinate, and in the
+                // first, miss unless the oracle holds them.
+                for step in [-1i64, 1] {
+                    for dim in [dims - 1, 0] {
+                        let mut near = key.clone();
+                        let Some(v) = near[dim].checked_add(step) else {
+                            continue;
+                        };
+                        near[dim] = v;
+                        let want = oracle.get(&near);
+                        let coord = CellCoord::from_slice(&near);
+                        assert_eq!(m.store().cell_index(&coord), want.copied());
+                        assert_eq!(cm.cell_index(&coord).is_some(), want.is_some());
+                    }
+                }
+            }
+            assert!(ranks.iter().all(|&r| r), "ranks are a permutation");
+            for i in 1..cm.num_cells() {
+                assert!(
+                    cm.cell_coord(i - 1) < cm.cell_coord(i),
+                    "sorted coordinates ascend"
+                );
+            }
+            assert_eq!(cm.cell_coord(cm.num_cells()), None);
         }
     }
 }
