@@ -103,6 +103,8 @@ pub fn detect(flags: &Flags) -> Result<String, CliError> {
     let input: String = flags.require("input")?;
     let eps: f64 = flags.require("eps")?;
     let min_pts: usize = flags.require("min-pts")?;
+    // Parameters are checked before the input is read.
+    let params = DbscoutParams::new(eps, min_pts).map_err(|e| CliError::new(e.to_string()))?;
     let engine: String = flags.get("engine", "native".to_string())?;
     let labeled = flags.has("labeled");
     let from_binary = flags.has("from-binary");
@@ -185,7 +187,6 @@ pub fn detect(flags: &Flags) -> Result<String, CliError> {
         (None, Some(src)) => src.dims().unwrap_or(0) as u64,
         (None, None) => 0,
     };
-    let params = DbscoutParams::new(eps, min_pts).map_err(|e| CliError::new(e.to_string()))?;
 
     let t = Instant::now();
     let mut fault_tolerance: Option<MetricsSnapshot> = None;

@@ -54,7 +54,8 @@ fn arbitrary_flag_soup_never_panics() {
 
 #[test]
 fn detect_validates_numbers() {
-    for eps in ["-1", "0", "abc", ""] {
+    // 1e-320 and 1e200 parse, but their squares underflow and overflow.
+    for eps in ["-1", "0", "abc", "", "1e-320", "1e200"] {
         let err = run(vec![
             "detect".into(),
             "--input".into(),
@@ -66,6 +67,7 @@ fn detect_validates_numbers() {
         ])
         .unwrap_err();
         assert!(err.contains("error:"), "{err}");
+        assert!(err.contains("--eps") || err.contains("eps must"), "{err}");
         assert!(!err.contains("panicked"), "{err}");
     }
 }

@@ -21,7 +21,8 @@ pub type Result<T> = std::result::Result<T, DbscoutError>;
 /// Errors from configuring or running DBSCOUT.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DbscoutError {
-    /// ε must be finite and positive.
+    /// ε must be positive with a normal f64 square, i.e. between about
+    /// 1.5e-154 and 1.34e154 (see [`crate::DbscoutParams::new`]).
     InvalidEpsilon {
         /// The offending value.
         value: f64,
@@ -49,7 +50,10 @@ impl fmt::Display for DbscoutError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             DbscoutError::InvalidEpsilon { value } => {
-                write!(f, "eps must be finite and positive, got {value}")
+                write!(
+                    f,
+                    "eps must lie between about 1.5e-154 and 1.34e154 (eps² must be a normal f64), got {value}"
+                )
             }
             DbscoutError::InvalidMinPts { value } => {
                 write!(f, "minPts must be at least 1, got {value}")

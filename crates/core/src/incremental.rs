@@ -55,7 +55,7 @@ use dbscout_telemetry::KernelCounters;
 
 use crate::error::Result;
 use crate::labels::{OutlierResult, PhaseTimings, PointLabel, RunStats};
-use crate::native::ExecutionLayout;
+use crate::native::{take_run, ExecutionLayout};
 use crate::params::DbscoutParams;
 
 /// An exactly-maintained DBSCOUT state under point insertion and
@@ -158,7 +158,11 @@ impl IncrementalDbscout {
     /// sweep over its cell table, labels a point core at `minPts` or
     /// more and any other point covered iff a core point lies within ε,
     /// and then adopts the layout as the mutable store
-    /// ([`MutableCellMajor::from_cell_major`]). Counts and labels come
+    /// ([`MutableCellMajor::from_cell_major`]). The covered test reads
+    /// only neighbor cells that hold a core point, so it resolves them
+    /// from that side ([`CellMajorStore::neighbor_pairs`]): only cells
+    /// holding a core point are swept, and the pairs, 8 bytes each, are
+    /// freed before the layout is adopted. Counts and labels come
     /// from the distance tests [`Self::insert`] makes, not from the
     /// batch phases' Lemma 1/2 shortcuts, so the state equals inserting
     /// every point in order, field by field. Its kernel work is added to
@@ -243,31 +247,45 @@ impl IncrementalDbscout {
 
     /// The label of every slot of `batch`, given the slot-indexed `core`
     /// flags: Core where flagged, else Covered iff a core point lies
-    /// within ε. Cells with no core point are never scanned.
+    /// within ε. Only a cell's neighbors that hold a core point are read,
+    /// so they are resolved from that side
+    /// ([`CellMajorStore::neighbor_pairs`]): the cells holding a core
+    /// point are swept, and each lists the cells in reach that hold a
+    /// non-core point. A cell of both kinds lists itself. Sorted, the
+    /// pairs give each cell its neighbors holding a core point in sweep
+    /// order, so cells without a core point are never swept.
     fn seed_labels(&mut self, batch: &CellMajorStore, core: &[bool]) -> Result<Vec<PointLabel>> {
         let eps_sq = self.params.eps_sq();
-        let mut sweep = batch.neighbor_sweep(&self.offsets)?;
-        let mut nbrs: Vec<u32> = Vec::new();
         let mut buf = [0.0; MAX_DIMS];
         let cell_core = |rec: &CellRecord| core.get(rec.range()).unwrap_or_default();
-        let has_core: Vec<bool> = batch
+        let (has_core, all_core): (Vec<bool>, Vec<bool>) = batch
             .cells()
             .iter()
-            .map(|rec| cell_core(rec).contains(&true))
-            .collect();
+            .map(|rec| {
+                let flags = cell_core(rec);
+                (flags.contains(&true), flags.iter().all(|&c| c))
+            })
+            .unzip();
+        let mut core_neighbors = batch.neighbor_pairs(
+            &self.offsets,
+            (0..batch.num_cells()).filter(|&idx| has_core.get(idx) == Some(&true)),
+            |idx| all_core.get(idx) == Some(&false),
+            Some(eps_sq),
+        )?;
+        core_neighbors.sort_unstable();
+        let mut pairs = core_neighbors.as_slice();
         let mut labels = vec![PointLabel::Core; batch.len()];
-        for (idx, rec) in batch.cells().iter().enumerate() {
-            if cell_core(rec).iter().all(|&c| c) {
+        for ((idx, rec), &all) in batch.cells().iter().enumerate().zip(&all_core) {
+            if all {
                 continue;
             }
             self.counters.cells_visited += 1;
-            sweep.neighbors_into(idx, Some(eps_sq), &mut nbrs);
-            nbrs.retain(|&nidx| has_core.get(nidx as usize) == Some(&true));
+            let run = take_run(&mut pairs, idx);
             for (slot, _) in rec.range().zip(cell_core(rec)).filter(|(_, &c)| !c) {
                 batch.point_into(slot, &mut buf);
                 let q = buf.get(..batch.dims()).unwrap_or_default();
                 let mut covered = false;
-                for &nidx in &nbrs {
+                for &(_, nidx) in run {
                     if batch.min_sq_dist_to_bbox(q, nidx as usize) > eps_sq {
                         self.counters.bbox_prunes += 1;
                         continue;
@@ -367,8 +385,9 @@ impl IncrementalDbscout {
     /// Kernel work counters accumulated over every operation so far
     /// (the bulk load's two sweeps, then inserts, removals and probes),
     /// from the counted batch kernels (bbox prunes included). The bulk
-    /// load counts one visited cell per query cell of each sweep and one
-    /// early exit per point the second sweep finds covered.
+    /// load counts one visited cell per cell of the counting sweep and
+    /// per cell holding a non-core point, and one early exit per point
+    /// it finds covered.
     pub fn kernel_counters(&self) -> KernelCounters {
         self.counters
     }

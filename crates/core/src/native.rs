@@ -22,7 +22,7 @@
 use std::time::{Duration, Instant};
 
 use dbscout_data::{PointBatch, PointSource};
-use dbscout_dataflow::executor::{run_exclusive_tasks, run_tasks_with};
+use dbscout_dataflow::executor::{run_exclusive_tasks, run_tasks, run_tasks_with};
 use dbscout_spatial::{
     CellMajorBuilder, CellMajorStore, KernelKind, NeighborOffsets, PointStore, SpatialError,
     MAX_DIMS,
@@ -385,22 +385,43 @@ impl Dbscout {
         timings.core_map = t.elapsed();
 
         // Phase 5: outliers identification (Algorithm 5). Only non-core
-        // cells are scanned (Lemma 2); their pruned core neighbors are
-        // resolved once per cell.
+        // cells are scanned (Lemma 2), and they read only their pruned
+        // core neighbors. Those are resolved from the core side: each
+        // chunk sweeps its core cells and lists the non-core cells in
+        // reach, and one sort files every pair under its non-core cell.
         let t = Instant::now();
         let tasks: Vec<_> = chunks
             .iter()
             .map(|range| {
-                let cm = &cm;
                 let flags = &flags;
-                let offsets = &offsets;
+                let range = range.clone();
+                move || {
+                    cm.neighbor_pairs(
+                        offsets,
+                        range.clone().filter(|&idx| flags.is_core(idx)),
+                        |idx| !flags.is_core(idx),
+                        Some(eps_sq),
+                    )
+                }
+            })
+            .collect();
+        let mut core_neighbors: Vec<(u32, u32)> = Vec::new();
+        for pairs in run_tasks(self.threads, tasks)? {
+            core_neighbors.extend(pairs?);
+        }
+        core_neighbors.sort_unstable();
+        let tasks: Vec<_> = chunks
+            .iter()
+            .map(|range| {
+                let flags = &flags;
                 let core_slot = &core_slot;
+                let core_neighbors = &core_neighbors;
                 let range = range.clone();
                 move |scratch: &mut CellScratch| {
                     outliers_in_range(
                         cm,
                         flags,
-                        offsets,
+                        core_neighbors,
                         eps_sq,
                         options,
                         kind,
@@ -424,8 +445,7 @@ impl Dbscout {
                 }
             }
         }
-        for task in phase5 {
-            let (outliers, kc) = task?;
+        for (outliers, kc) in phase5 {
             for slot in outliers {
                 if let Some(l) = ids
                     .get(slot as usize)
@@ -537,23 +557,31 @@ pub(crate) fn core_points_in_range(
 /// The phase-5 kernel over one contiguous cell range: finds the outlier
 /// *slots* among points of non-core cells in `range` (Algorithm 5),
 /// given the global core-slot bitmap, plus the kernel work counters
-/// spent. Run per chunk exactly like [`core_points_in_range`], and
-/// fails the same way.
+/// spent.
+///
+/// `core_neighbors` holds `(non-core cell, core cell)` pairs sorted
+/// ascending, as [`CellMajorStore::neighbor_pairs`] lists them from the
+/// core side with the bbox prune. A non-core cell's run of pairs is
+/// exactly its pruned neighbor list filtered to core cells, in the same
+/// order, so the kernel sweeps no cell: it walks its non-core cells and
+/// their runs, and a cell with an empty run is all outliers. Each
+/// non-core cell counts as one visited cell, as when it was swept.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn outliers_in_range(
     cm: &CellMajorStore,
     flags: &CellFlags,
-    offsets: &NeighborOffsets,
+    core_neighbors: &[(u32, u32)],
     eps_sq: f64,
     options: NativeOptions,
     kernel: KernelKind,
     core_slot: &[bool],
     range: std::ops::Range<usize>,
     scratch: &mut CellScratch,
-) -> std::result::Result<(Vec<u32>, KernelCounters), SpatialError> {
-    let mut sweep = cm.neighbor_sweep(offsets)?;
+) -> (Vec<u32>, KernelCounters) {
     let mut outliers: Vec<u32> = Vec::new();
     let mut counters = KernelCounters::new();
+    let first = core_neighbors.partition_point(|&(cell, _)| (cell as usize) < range.start);
+    let mut pairs = core_neighbors.get(first..).unwrap_or_default();
     for idx in range {
         if flags.is_core(idx) {
             // Lemma 2: core cells contain no outliers.
@@ -561,11 +589,8 @@ pub(crate) fn outliers_in_range(
         }
         let Some(rec) = cm.cell(idx) else { continue };
         counters.cells_visited += 1;
-        sweep.neighbors_into(idx, Some(eps_sq), &mut scratch.neighbors);
-        scratch
-            .neighbors
-            .retain(|&nidx| flags.is_core(nidx as usize));
-        if scratch.neighbors.is_empty() {
+        let run = take_run(&mut pairs, idx);
+        if run.is_empty() {
             // O_ncn: no core cell in reach — all outliers.
             outliers.extend(rec.start..rec.end);
             continue;
@@ -577,7 +602,7 @@ pub(crate) fn outliers_in_range(
                 continue;
             };
             let mut covered = false;
-            for &nidx in &scratch.neighbors {
+            for &(_, nidx) in run {
                 let nidx = nidx as usize;
                 if cm.min_sq_dist_to_bbox(q, nidx) > eps_sq {
                     counters.bbox_prunes += 1;
@@ -606,13 +631,26 @@ pub(crate) fn outliers_in_range(
             }
         }
     }
-    Ok((outliers, counters))
+    (outliers, counters)
+}
+
+/// Splits the run of pairs filed under `cell` off the front of `pairs`,
+/// which ascend by cell: the cell's sources, in sorted order. Every cell
+/// below `cell` must already have been taken.
+pub(crate) fn take_run<'a>(pairs: &mut &'a [(u32, u32)], cell: usize) -> &'a [(u32, u32)] {
+    let len = pairs
+        .iter()
+        .take_while(|&&(c, _)| c as usize == cell)
+        .count();
+    let run = pairs.get(..len).unwrap_or_default();
+    *pairs = pairs.get(len..).unwrap_or_default();
+    run
 }
 
 /// Per-worker reusable scratch of the cell-major phases: the resolved
-/// neighbor-cell list and the gathered query point. Built once per worker
-/// by [`run_tasks_with`]; cleared by the kernels on use. The sweep
-/// cursors are not kept here: each task places its own.
+/// neighbor-cell list (phase 3) and the gathered query point. Built once
+/// per worker by [`run_tasks_with`]; cleared by the kernels on use. The
+/// sweep cursors are not kept here: each task places its own.
 pub(crate) struct CellScratch {
     neighbors: Vec<u32>,
     q: [f64; MAX_DIMS],

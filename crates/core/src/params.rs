@@ -8,7 +8,7 @@ use crate::error::{DbscoutError, Result};
 /// within `eps` of it (Definition 3).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DbscoutParams {
-    /// Neighborhood radius ε (finite, positive).
+    /// Neighborhood radius ε (positive, with a normal f64 square).
     pub eps: f64,
     /// Density threshold `minPts` (≥ 1).
     pub min_pts: usize,
@@ -17,11 +17,22 @@ pub struct DbscoutParams {
 impl DbscoutParams {
     /// Creates and validates a parameter set.
     ///
+    /// Every engine compares squared distances with ε², so ε² must be a
+    /// normal f64: ε between about 1.5e-154 and 1.34e154. Then a squared
+    /// distance that overflows to +∞ belongs to a pair farther apart than
+    /// ε, and one that underflows to 0 to a pair closer than ε, so every
+    /// comparison comes out as it would in exact arithmetic. Outside that
+    /// range ε² itself overflows or underflows, and points 2ε apart
+    /// would compare as within ε.
+    ///
     /// # Errors
     ///
-    /// Fails if `eps` is not finite-positive or `min_pts` is zero.
+    /// [`DbscoutError::InvalidEpsilon`] unless `eps` is positive with a
+    /// normal square (NaN, ±∞, zero, negative values and the two ends
+    /// above are rejected); [`DbscoutError::InvalidMinPts`] if `min_pts`
+    /// is zero.
     pub fn new(eps: f64, min_pts: usize) -> Result<Self> {
-        if !eps.is_finite() || eps <= 0.0 {
+        if !(eps > 0.0 && (eps * eps).is_normal()) {
             return Err(DbscoutError::InvalidEpsilon { value: eps });
         }
         if min_pts == 0 {
@@ -54,6 +65,39 @@ mod tests {
         for eps in [0.0, -1.0, f64::NAN, f64::INFINITY] {
             assert!(DbscoutParams::new(eps, 5).is_err(), "eps {eps} accepted");
         }
+    }
+
+    #[test]
+    fn eps_range_ends_where_its_square_stops_being_normal() {
+        // The smallest and largest ε whose square is a normal f64.
+        let smallest = 1.491_668_146_240_041_3e-154;
+        let largest = 1.340_780_792_994_259_6e154;
+        for eps in [smallest, largest] {
+            let p = DbscoutParams::new(eps, 2).unwrap();
+            assert!(p.eps_sq().is_normal(), "eps {eps}");
+        }
+        assert_eq!(smallest * smallest, f64::MIN_POSITIVE);
+        for eps in [
+            smallest.next_down(),
+            largest.next_up(),
+            1e-320,
+            1e155,
+            1e200,
+            -largest,
+            f64::MIN_POSITIVE,
+            f64::MAX,
+        ] {
+            assert_eq!(
+                DbscoutParams::new(eps, 2).unwrap_err(),
+                DbscoutError::InvalidEpsilon { value: eps },
+                "eps {eps:e}"
+            );
+        }
+        let message = DbscoutParams::new(1e200, 2).unwrap_err().to_string();
+        assert!(
+            message.contains("1.5e-154") && message.contains("1.34e154"),
+            "{message}"
+        );
     }
 
     #[test]

@@ -856,8 +856,48 @@ impl CellMajorStore {
             store: self,
             offsets,
             cursors: vec![0; offsets.columns().len()],
+            slab: 0..0,
             last: None,
         })
+    }
+
+    /// Lists `(target, source)` pairs of neighbor cells by sweeping only
+    /// the `source` cells: for each source, in the order given, every
+    /// cell of its [`NeighborSweep::neighbors_into`] list (with the same
+    /// optional bbox prune) that satisfies `is_target`.
+    ///
+    /// The neighbor relation is symmetric: the stencil holds `−o` with
+    /// every offset `o`, and [`Self::min_sq_dist_between_bboxes`] sums
+    /// the same gaps for `(a, b)` as for `(b, a)`. So `t` is on the
+    /// (pruned) list of `s` exactly when `s` is on the list of `t`, and
+    /// once the pairs are sorted, the run of each target holds exactly
+    /// the sources its own list would hold, in that list's order
+    /// (ascending cell index, which is offset order). A phase that reads
+    /// only the neighbors of one kind — phase 5 reads a non-core cell's
+    /// core neighbors — resolves from the side of that kind and never
+    /// sweeps a target. The pairs come back unsorted, in sweep order;
+    /// ascending sources make the sweep amortized O(1) per column.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::neighbor_sweep`].
+    pub fn neighbor_pairs(
+        &self,
+        offsets: &NeighborOffsets,
+        sources: impl IntoIterator<Item = usize>,
+        is_target: impl Fn(usize) -> bool,
+        prune_eps_sq: Option<f64>,
+    ) -> Result<Vec<(u32, u32)>, SpatialError> {
+        let mut sweep = self.neighbor_sweep(offsets)?;
+        let mut pairs = Vec::new();
+        for source in sources {
+            sweep.for_each_neighbor(source, prune_eps_sq, |target| {
+                if is_target(target) {
+                    pairs.push((target as u32, source as u32));
+                }
+            });
+        }
+        Ok(pairs)
     }
 
     /// Counts slots of `range` within `ε` of `q` (closed ball, given
@@ -1336,17 +1376,30 @@ impl CellMajorStore {
 /// query form one contiguous window of the table, and as the queries
 /// ascend each window only moves forward. The sweep keeps one cursor per
 /// column at the start of its last window; a query advances each cursor
-/// by exponential search, then reads the window. The first query — and
-/// any query below its predecessor — places the cursors afresh, so every
-/// query sequence gets exact answers and an ascending one pays amortized
-/// O(1) cursor moves per column.
+/// by exponential search, then reads the window.
+///
+/// Every neighbor's first coordinate also lies within ⌈√d⌉ of the
+/// query's, so all of a query's neighbors sit in one *slab* of the
+/// table, which two more forward cursors bound. When the slab holds no
+/// more cells than there are columns (5 at d = 2, 25 at d = 3), the
+/// query tests each of its cells against the stencil directly instead of
+/// seeking the columns: it then compares no more cells than the seeks
+/// would. The column cursors it leaves behind are stale but still below
+/// every later window, so a later seek only has further to go.
+///
+/// The first query — and any query below its predecessor — places the
+/// cursors afresh, so every query sequence gets exact answers and an
+/// ascending one pays amortized O(1) cursor moves per column.
 #[derive(Debug)]
 pub struct NeighborSweep<'a> {
     store: &'a CellMajorStore,
     offsets: &'a NeighborOffsets,
     /// Per column: the first table index not below the column's window
-    /// for the previous query.
+    /// for the last query that sought it.
     cursors: Vec<usize>,
+    /// The previous query's slab: the table indices of every cell whose
+    /// first coordinate lies within ⌈√d⌉ of the query's.
+    slab: Range<usize>,
     /// The previous query's cell index.
     last: Option<usize>,
 }
@@ -1360,19 +1413,60 @@ impl NeighborSweep<'_> {
     /// neighbor cells whose bounding box lies strictly farther than ε
     /// from this cell's bounding box are dropped — sound because the box
     /// distance lower-bounds every point pair.
+    ///
+    /// Offset order is ascending cell index, whether the list comes from
+    /// the column windows or from a direct scan of a small slab.
     pub fn neighbors_into(&mut self, idx: usize, prune_eps_sq: Option<f64>, out: &mut Vec<u32>) {
         out.clear();
-        let table = &self.store.table;
+        self.for_each_neighbor(idx, prune_eps_sq, |nidx| out.push(nidx as u32));
+    }
+
+    /// Calls `emit` with each cell [`Self::neighbors_into`] lists for
+    /// `idx`, in the same order.
+    fn for_each_neighbor(
+        &mut self,
+        idx: usize,
+        prune_eps_sq: Option<f64>,
+        mut emit: impl FnMut(usize),
+    ) {
+        let store = self.store;
+        let table = &store.table;
         let Some(query) = table.get(idx) else {
             return;
         };
-        let Some((&q_last, q_prefix)) = query.split_last() else {
+        let (Some(&q_first), Some((&q_last, q_prefix))) = (query.first(), query.split_last())
+        else {
             return;
         };
         if self.last.is_none_or(|last| idx < last) {
             self.cursors.fill(0);
+            self.slab = 0..0;
         }
         self.last = Some(idx);
+        let pruned = |nidx: usize| {
+            prune_eps_sq.is_some_and(|eps_sq| store.min_sq_dist_between_bboxes(idx, nidx) > eps_sq)
+        };
+
+        let first = |i: usize| table.coord(i).first().copied().unwrap_or(i64::MAX);
+        let reach = self.offsets.reach();
+        let slab_lo = q_first.saturating_sub_unsigned(reach);
+        let start = gallop(self.slab.start, table.len(), |i| first(i) < slab_lo);
+        let end = match q_first.checked_add_unsigned(reach) {
+            Some(slab_hi) => gallop(self.slab.end.max(start), table.len(), |i| {
+                first(i) <= slab_hi
+            }),
+            None => table.len(),
+        };
+        self.slab = start..end;
+        if end - start <= self.cursors.len() {
+            for nidx in start..end {
+                if self.offsets.contains_step(query, table.coord(nidx)) && !pruned(nidx) {
+                    emit(nidx);
+                }
+            }
+            return;
+        }
+
         let dims = query.len();
         let mut lo = [0i64; MAX_DIMS];
         'columns: for (col, cursor) in self.offsets.columns().iter().zip(&mut self.cursors) {
@@ -1396,29 +1490,25 @@ impl NeighborSweep<'_> {
             let (Some(lo), Some(hi)) = (lo.get(..dims), hi.get(..dims)) else {
                 continue;
             };
-            *cursor = seek(table, *cursor, lo);
+            *cursor = gallop(*cursor, table.len(), |i| table.coord(i) < lo);
             for nidx in *cursor..table.len() {
                 if table.coord(nidx) > hi {
                     break;
                 }
-                if let Some(eps_sq) = prune_eps_sq {
-                    if self.store.min_sq_dist_between_bboxes(idx, nidx) > eps_sq {
-                        continue;
-                    }
+                if !pruned(nidx) {
+                    emit(nidx);
                 }
-                out.push(nidx as u32);
             }
         }
     }
 }
 
-/// The first index at or after `from` whose cell is not below `target`,
-/// found by exponential search from `from` (cheap when the answer is
-/// near, logarithmic when it is far). The cells from `from` on must
-/// ascend.
-fn seek(table: &CellTable, from: usize, target: &[i64]) -> usize {
-    let len = table.len();
-    let below = |i: usize| table.coord(i) < target;
+/// The first index in `from..len` at which `below` fails, or `len`, found
+/// by exponential search from `from` (cheap when the answer is near,
+/// logarithmic when it is far). `below` must hold on a prefix of
+/// `from..len` and fail on the rest — true of "sorts below a bound" over
+/// an ascending table.
+fn gallop(from: usize, len: usize, below: impl Fn(usize) -> bool) -> usize {
     let mut bound = 1;
     while from + bound <= len && below(from + bound - 1) {
         bound *= 2;

@@ -32,6 +32,8 @@ use crate::error::SpatialError;
 #[derive(Debug, Clone)]
 pub struct NeighborOffsets {
     dims: usize,
+    /// ⌈√d⌉: no offset coordinate is larger in magnitude.
+    reach: u64,
     flat: Vec<i8>,
     columns: Vec<OffsetColumn>,
 }
@@ -63,15 +65,16 @@ impl NeighborOffsets {
         if dims > MAX_DIMS {
             return Err(SpatialError::TooManyDims { requested: dims });
         }
-        let r = (dims as f64).sqrt().ceil() as i64;
+        let r = reach(dims);
         let mut flat = Vec::new();
         let mut current = vec![0i8; dims];
-        enumerate(dims, r as i8, dims as i64, 0, 0, &mut current, &mut |off| {
+        enumerate(dims, r as i8, 0, 0, &mut current, &mut |off| {
             flat.extend_from_slice(off)
         });
         let columns = columns_of(&flat, dims);
         Ok(Self {
             dims,
+            reach: r,
             flat,
             columns,
         })
@@ -95,6 +98,31 @@ impl NeighborOffsets {
     /// Iterates over the offsets as `&[i8]` slices of length `dims`.
     pub fn iter(&self) -> impl Iterator<Item = &[i8]> + '_ {
         self.flat.chunks_exact(self.dims)
+    }
+
+    /// ⌈√d⌉, the largest magnitude of any offset coordinate: every
+    /// neighbor of a cell lies within this many cells of it in each
+    /// coordinate.
+    pub(crate) fn reach(&self) -> u64 {
+        self.reach
+    }
+
+    /// Whether the cell at `to` is a neighbor of the cell at `from`, i.e.
+    /// whether `to − from` is one of the offsets, decided by the stencil
+    /// condition itself rather than by a lookup. Each difference is taken
+    /// without overflow (`abs_diff`), so cells saturated at the ends of
+    /// `i64` compare exactly. Both slices hold `dims` coordinates.
+    #[inline]
+    pub(crate) fn contains_step(&self, from: &[i64], to: &[i64]) -> bool {
+        let mut penalty = 0;
+        for (&a, &b) in from.iter().zip(to) {
+            let diff = a.abs_diff(b);
+            if diff > self.reach {
+                return false;
+            }
+            penalty += gap_sq(diff);
+        }
+        penalty < self.dims as u64
     }
 
     /// The offset columns, in offset order.
@@ -164,10 +192,9 @@ pub fn count_k_d(dims: usize) -> Result<u64, SpatialError> {
     if dims > MAX_DIMS {
         return Err(SpatialError::TooManyDims { requested: dims });
     }
-    let r = (dims as f64).sqrt().ceil() as i8;
     let mut count = 0u64;
     let mut current = vec![0i8; dims];
-    enumerate(dims, r, dims as i64, 0, 0, &mut current, &mut |_| {
+    enumerate(dims, reach(dims) as i8, 0, 0, &mut current, &mut |_| {
         count += 1
     });
     Ok(count)
@@ -175,18 +202,32 @@ pub fn count_k_d(dims: usize) -> Result<u64, SpatialError> {
 
 /// The loose upper bound of Lemma 3: `(2⌈√d⌉ + 1)^d`.
 pub fn loose_upper_bound(dims: usize) -> u64 {
-    let r = (dims as f64).sqrt().ceil() as u64;
-    (2 * r + 1).pow(dims as u32)
+    (2 * reach(dims) + 1).pow(dims as u32)
+}
+
+/// ⌈√d⌉: the stencil condition bounds every offset coordinate by it.
+fn reach(dims: usize) -> u64 {
+    (dims as f64).sqrt().ceil() as u64
+}
+
+/// One coordinate's term of the stencil condition: the squared gap
+/// `max(|j| − 1, 0)²` that a difference of `|j|` cells leaves between two
+/// cells. Called only with `|j| ≤ ⌈√d⌉`.
+#[inline]
+fn gap_sq(abs_diff: u64) -> u64 {
+    let gap = abs_diff.saturating_sub(1);
+    gap * gap
 }
 
 /// DFS over offset vectors with penalty pruning. `penalty` accumulates
 /// `Σ max(|j_i|−1, 0)²`; a branch is cut as soon as it reaches `d`.
+/// [`NeighborOffsets::contains_step`] tests the same condition on a pair
+/// of cells.
 fn enumerate(
     dims: usize,
     r: i8,
-    d: i64,
     dim: usize,
-    penalty: i64,
+    penalty: u64,
     current: &mut Vec<i8>,
     emit: &mut impl FnMut(&[i8]),
 ) {
@@ -195,13 +236,12 @@ fn enumerate(
         return;
     }
     for j in -r..=r {
-        let gap = (j.unsigned_abs() as i64).saturating_sub(1).max(0);
-        let p = penalty + gap * gap;
-        if p < d {
+        let p = penalty + gap_sq(u64::from(j.unsigned_abs()));
+        if p < dims as u64 {
             if let Some(slot) = current.get_mut(dim) {
                 *slot = j;
             }
-            enumerate(dims, r, d, dim + 1, p, current, emit);
+            enumerate(dims, r, dim + 1, p, current, emit);
         }
     }
     if let Some(slot) = current.get_mut(dim) {
@@ -375,6 +415,45 @@ mod tests {
                 rebuilt, flat,
                 "columns must replay the offsets in order, d={d}"
             );
+        }
+    }
+
+    #[test]
+    fn contains_step_agrees_with_the_offsets() {
+        // Every difference in [−r−1, r+1]^d, applied at ordinary cells and
+        // at cells near both ends of i64 where only some targets exist.
+        for d in 1..=5usize {
+            let offs = NeighborOffsets::new(d).unwrap();
+            let set: std::collections::HashSet<Vec<i8>> = offs.iter().map(<[i8]>::to_vec).collect();
+            let r = offs.reach() as i8;
+            let span = (2 * r + 3) as usize;
+            for code in 0..span.pow(d as u32) {
+                let diff: Vec<i8> = (0..d)
+                    .map(|k| (code / span.pow(k as u32) % span) as i8 - r - 1)
+                    .collect();
+                let want = set.contains(&diff);
+                for base in [0i64, -7, i64::MAX, i64::MIN, i64::MAX - 1, i64::MIN + 2] {
+                    let from = vec![base; d];
+                    let to: Option<Vec<i64>> = from
+                        .iter()
+                        .zip(&diff)
+                        .map(|(&a, &j)| a.checked_add(i64::from(j)))
+                        .collect();
+                    let Some(to) = to else { continue };
+                    assert_eq!(
+                        offs.contains_step(&from, &to),
+                        want,
+                        "d={d} {diff:?} at {base}"
+                    );
+                    assert_eq!(offs.contains_step(&to, &from), want, "d={d} mirror");
+                }
+            }
+            // Differences far beyond i64 itself.
+            let low = vec![i64::MIN; d];
+            let high = vec![i64::MAX; d];
+            assert!(!offs.contains_step(&low, &high), "d={d}");
+            assert!(!offs.contains_step(&high, &low), "d={d}");
+            assert!(offs.contains_step(&high, &high), "d={d}");
         }
     }
 

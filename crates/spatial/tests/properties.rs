@@ -201,8 +201,17 @@ fn oracle_neighbors(
     prune_eps_sq: Option<f64>,
 ) -> Vec<u32> {
     let query = cm.cell_coord(idx).unwrap();
+    // No offset coordinate exceeds 3 (d ≤ 9); skipping cells farther out
+    // in some coordinate only saves the lookup.
+    let near = |j: usize| {
+        let coord = cm.cell_coord(j).unwrap();
+        coord
+            .iter()
+            .zip(query)
+            .all(|(&c, &q)| (i128::from(c) - i128::from(q)).abs() <= 3)
+    };
     let mut hits: Vec<(usize, u32)> = Vec::new();
-    for j in 0..cm.num_cells() {
+    for j in (0..cm.num_cells()).filter(|&j| near(j)) {
         let diff: Vec<i128> = cm
             .cell_coord(j)
             .unwrap()
@@ -244,6 +253,59 @@ fn clustered_rows(rng: &mut Rng, dims: usize, side: f64) -> Vec<Vec<f64>> {
     rows
 }
 
+/// A first-coordinate slab of cells wide enough that queries in it seek
+/// the stencil's columns (more cells than `columns` in reach of each
+/// other), then cells alone or in pairs in their slab — spaced more than
+/// 2⌈√d⌉ apart in the first coordinate, so their queries scan the slab —
+/// then a second wide slab. Ascending queries go dense → sparse → dense,
+/// so the column cursors go stale while the scan runs.
+fn slab_rows(rng: &mut Rng, dims: usize, side: f64, columns: usize) -> Vec<Vec<f64>> {
+    let reach = (dims as f64).sqrt().ceil();
+    let mut rows: Vec<Vec<f64>> = Vec::new();
+    // Three first coordinates, the rest spread over 12 cells: mostly one
+    // point a cell, so the slab holds more cells than there are columns.
+    let block = |rng: &mut Rng, x0: f64, rows: &mut Vec<Vec<f64>>| {
+        for _ in 0..columns + columns / 4 + 40 {
+            let mut p: Vec<f64> = (0..dims).map(|_| side * rng.gen_range(-6.0..6.0)).collect();
+            p[0] = side * (x0 + rng.gen_range(-1.5..1.5));
+            rows.push(p);
+        }
+    };
+    block(rng, 0.0, &mut rows);
+    let mut x = 2.0 * reach + 4.0;
+    for _ in 0..rng.gen_range(3..10) {
+        // A lone cell, or two within ⌈√d⌉ in the first coordinate that
+        // may or may not be neighbors.
+        for m in 0..rng.gen_range(1..=2) {
+            let mut p: Vec<f64> = (0..dims).map(|_| side * rng.gen_range(-3.0..3.0)).collect();
+            p[0] = side * (x + 0.5 + f64::from(m) * rng.gen_range(0.0..reach));
+            rows.push(p);
+        }
+        x += 3.0 * reach + 2.0;
+    }
+    block(rng, x + 2.0 * reach + 2.0, &mut rows);
+    rows
+}
+
+/// The number of stencil columns: distinct offset prefixes (every
+/// coordinate but the last).
+fn column_count(offsets: &NeighborOffsets) -> usize {
+    let prefixes: std::collections::HashSet<&[i8]> =
+        offsets.iter().map(|o| &o[..offsets.dims() - 1]).collect();
+    prefixes.len()
+}
+
+/// Whether a query of cell `idx` scans its slab: at most `columns` cells
+/// lie within ⌈√d⌉ of it in the first coordinate.
+fn scans_slab(cm: &CellMajorStore, idx: usize, columns: usize) -> bool {
+    let reach = i128::from((cm.dims() as f64).sqrt().ceil() as i64);
+    let first = |j: usize| i128::from(cm.cell_coord(j).unwrap()[0]);
+    let slab = (0..cm.num_cells())
+        .filter(|&j| (first(j) - first(idx)).abs() <= reach)
+        .count();
+    slab <= columns
+}
+
 /// Query sequences a phase can issue over a table of `n` cells: all of
 /// it, a tail starting mid-table, ascending subsets that skip cells and
 /// end at the last one, and an unordered sequence (which makes the sweep
@@ -272,17 +334,47 @@ fn neighbor_sweep_matches_brute_force_in_content_and_order() {
     for dims in 1..=5usize {
         let offsets = NeighborOffsets::new(dims).unwrap();
         let rank = offset_ranks(&offsets);
-        for _ in 0..12 {
+        let columns = column_count(&offsets);
+        let (mut scans, mut seeks) = (0, 0);
+        // Twelve clustered layouts, then a slab layout.
+        for round in 0..13 {
             let eps = rng.gen_range(0.2..20.0);
-            let rows = clustered_rows(&mut rng, dims, cell_side(eps, dims));
+            let side = cell_side(eps, dims);
+            let rows = if round < 12 {
+                clustered_rows(&mut rng, dims, side)
+            } else {
+                slab_rows(&mut rng, dims, side, columns)
+            };
             let store = PointStore::from_rows(dims, rows).unwrap();
             let cm = CellMajorStore::build(&store, eps).unwrap();
             let n = cm.num_cells();
+            let scan: Vec<bool> = (0..n).map(|i| scans_slab(&cm, i, columns)).collect();
+            scans += scan.iter().filter(|&&s| s).count();
+            seeks += scan.iter().filter(|&&s| !s).count();
+            let mut sequences = if round < 12 {
+                query_sequences(&mut rng, n)
+            } else {
+                vec![(0..n).collect()]
+            };
+            if round >= 12 {
+                // Dense → sparse → dense: a seeking query, every scanning
+                // query after it, then the next seeking query after those.
+                let first_seek = scan.iter().position(|&s| !s).unwrap();
+                let sparse: Vec<usize> = (first_seek + 1..n)
+                    .skip_while(|&i| !scan[i])
+                    .take_while(|&i| scan[i])
+                    .collect();
+                let resume = (sparse.last().unwrap() + 1..n).find(|&i| !scan[i]).unwrap();
+                let mut seq = vec![first_seek];
+                seq.extend(&sparse);
+                seq.extend(resume..n);
+                sequences.push(seq);
+            }
             for prune in [None, Some(eps * eps)] {
-                for seq in query_sequences(&mut rng, n) {
+                for seq in &sequences {
                     let mut sweep = cm.neighbor_sweep(&offsets).unwrap();
                     let mut got = Vec::new();
-                    for &idx in &seq {
+                    for &idx in seq {
                         sweep.neighbors_into(idx, prune, &mut got);
                         assert_eq!(
                             got,
@@ -292,6 +384,91 @@ fn neighbor_sweep_matches_brute_force_in_content_and_order() {
                         );
                     }
                 }
+            }
+        }
+        assert!(
+            scans > 0 && seeks > 0,
+            "d={dims}: {scans} scans, {seeks} seeks"
+        );
+    }
+}
+
+/// Splits `0..n` into `parts` contiguous ranges at random cut points
+/// (some may be empty).
+fn random_ranges(rng: &mut Rng, n: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
+    let mut cuts: Vec<usize> = (1..parts).map(|_| rng.gen_range(0..=n)).collect();
+    cuts.sort_unstable();
+    let mut ranges = Vec::new();
+    let mut start = 0;
+    for cut in cuts.into_iter().chain([n]) {
+        ranges.push(start..cut);
+        start = cut;
+    }
+    ranges
+}
+
+#[test]
+fn neighbor_pairs_sorted_give_each_target_its_sweep_list_of_sources() {
+    // Resolution from the source side, as phase 5 and the serve seed do
+    // it: the sources split into ranges like phase 5's chunks, the pairs
+    // concatenated and sorted. Each target's run must be its own forward
+    // sweep list filtered to sources, in the same order.
+    let mut rng = Rng::seed_from_u64(0xA008);
+    for dims in 1..=5usize {
+        let offsets = NeighborOffsets::new(dims).unwrap();
+        let columns = column_count(&offsets);
+        for round in 0..10 {
+            let eps = rng.gen_range(0.2..20.0);
+            let side = cell_side(eps, dims);
+            let rows = if round < 9 {
+                clustered_rows(&mut rng, dims, side)
+            } else {
+                slab_rows(&mut rng, dims, side, columns)
+            };
+            let store = PointStore::from_rows(dims, rows).unwrap();
+            let cm = CellMajorStore::build(&store, eps).unwrap();
+            let n = cm.num_cells();
+            let p_source = rng.gen_range(0.05..0.95);
+            let mut source: Vec<bool> = (0..n).map(|_| rng.gen_bool(p_source)).collect();
+            let mut target: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.5)).collect();
+            let both = rng.gen_range(0..n);
+            (source[both], target[both]) = (true, true);
+            let parts = rng.gen_range(1usize..=4);
+            for prune in [None, Some(eps * eps)] {
+                let mut pairs: Vec<(u32, u32)> = Vec::new();
+                for range in random_ranges(&mut rng, n, parts) {
+                    let listed = cm
+                        .neighbor_pairs(
+                            &offsets,
+                            range.clone().filter(|&i| source[i]),
+                            |i| target[i],
+                            prune,
+                        )
+                        .unwrap();
+                    assert!(listed.iter().all(|&(_, s)| range.contains(&(s as usize))));
+                    pairs.extend(listed);
+                }
+                pairs.sort_unstable();
+                let mut sweep = cm.neighbor_sweep(&offsets).unwrap();
+                let mut list = Vec::new();
+                let mut runs = pairs.as_slice();
+                for (t, &is_target) in target.iter().enumerate() {
+                    let len = runs.iter().take_while(|&&(c, _)| c as usize == t).count();
+                    let (run, rest) = runs.split_at(len);
+                    runs = rest;
+                    let got: Vec<u32> = run.iter().map(|&(_, s)| s).collect();
+                    sweep.neighbors_into(t, prune, &mut list);
+                    let want: Vec<u32> = if is_target {
+                        list.iter()
+                            .copied()
+                            .filter(|&s| source[s as usize])
+                            .collect()
+                    } else {
+                        Vec::new()
+                    };
+                    assert_eq!(got, want, "d={dims} eps={eps} prune={prune:?} target {t}");
+                }
+                assert!(runs.is_empty(), "pairs left over: {runs:?}");
             }
         }
     }

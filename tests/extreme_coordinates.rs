@@ -21,7 +21,8 @@
 use dbscout::baselines::Dbscan;
 use dbscout::core::reference::naive_labels;
 use dbscout::core::{
-    detect_outliers, Dbscout, DbscoutParams, DistributedDbscout, IncrementalDbscout, PointLabel,
+    detect_outliers, Dbscout, DbscoutError, DbscoutParams, DistributedDbscout, IncrementalDbscout,
+    PointLabel,
 };
 use dbscout::dataflow::ExecutionContext;
 use dbscout::spatial::PointStore;
@@ -88,5 +89,36 @@ fn cells_at_both_ends_of_i64_in_one_table() {
             "d={dims}: the cluster is core"
         );
         all_detectors_match_reference(&store, params);
+    }
+}
+
+#[test]
+fn eps_whose_square_overflows_or_underflows_is_rejected() {
+    // Two points 2ε apart are both outliers at minPts = 2. At ε = 1e155
+    // the squared distance and ε² both overflowed to +inf, and at
+    // ε = 1e-320 both underflowed to 0, so `d² ≤ ε²` held and every
+    // engine answered "0 outliers, 2 core points". Every engine (native,
+    // streamed, distributed, incremental) takes its ε from
+    // `DbscoutParams`, whose constructor now refuses both.
+    for (eps, far) in [(1e155, 2e155), (1e-320, 2e-320)] {
+        assert!(eps * eps == far * far, "the repro needs equal squares");
+        let store = PointStore::from_rows(2, vec![vec![0.0, 0.0], vec![far, 0.0]]).unwrap();
+        assert_eq!(store.len(), 2);
+        assert_eq!(
+            DbscoutParams::new(eps, 2).unwrap_err(),
+            DbscoutError::InvalidEpsilon { value: eps },
+            "eps {eps:e}"
+        );
+    }
+    // The ends of the accepted range keep exact answers on the same
+    // layout: points 2ε apart are outliers, points ε apart are core.
+    for eps in [1.5e-154, 1.3e154] {
+        let params = DbscoutParams::new(eps, 2).unwrap();
+        for (gap, want) in [(2.0, PointLabel::Outlier), (1.0, PointLabel::Core)] {
+            let store =
+                PointStore::from_rows(2, vec![vec![0.0, 0.0], vec![gap * eps, 0.0]]).unwrap();
+            assert_eq!(naive_labels(&store, params), vec![want; 2], "eps {eps:e}");
+            all_detectors_match_reference(&store, params);
+        }
     }
 }
