@@ -67,7 +67,7 @@ impl Dbscan {
     ///
     /// # Errors
     ///
-    /// Fails on an invalid ε.
+    /// Fails on an ε out of range ([`dbscout_spatial::validate_eps`]).
     pub fn fit(&self, store: &PointStore) -> Result<DbscanResult, SpatialError> {
         let grid = Grid::build(store, self.eps)?;
         let offsets = NeighborOffsets::new(store.dims())?;

@@ -118,11 +118,7 @@ impl RpDbscan {
         if !(self.rho > 0.0 && self.rho <= 1.0) {
             return Err(BaselineError::InvalidParameter("rho must be in (0, 1]"));
         }
-        if !self.eps.is_finite() || self.eps <= 0.0 {
-            return Err(BaselineError::Spatial(
-                dbscout_spatial::SpatialError::InvalidEpsilon { value: self.eps },
-            ));
-        }
+        dbscout_spatial::validate_eps(self.eps).map_err(BaselineError::Spatial)?;
         if self.min_pts == 0 {
             return Err(BaselineError::InvalidParameter("min_pts must be >= 1"));
         }

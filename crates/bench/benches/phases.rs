@@ -23,7 +23,7 @@ fn bench_phases(c: &mut Criterion) {
     g.sample_size(10);
 
     g.bench_function("grid_build", |b| {
-        b.iter(|| Grid::build(&store, params.eps).expect("valid eps"))
+        b.iter(|| Grid::build(&store, params.eps()).expect("valid eps"))
     });
 
     g.bench_function("native_detect_total", |b| {

@@ -31,7 +31,6 @@
 //! would receive, without changing detector state. All human-facing
 //! output goes to stderr; stdout carries protocol frames only.
 
-use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::Arc;
 use std::time::Instant;
@@ -95,9 +94,43 @@ fn label_str(label: PointLabel) -> &'static str {
     }
 }
 
-/// One-line error response.
-fn err_line(msg: &str) -> String {
-    format!("{{\"ok\":false,\"error\":\"{}\"}}", escape(msg))
+/// Appends a one-line error response to `out`.
+fn err_line(out: &mut Vec<u8>, msg: &str) {
+    // Writing to a `Vec` cannot fail.
+    let _ = write!(out, "{{\"ok\":false,\"error\":\"{}\"}}", escape(msg));
+}
+
+/// Appends `id` in decimal ASCII, the digits `id.to_string()` spells.
+fn push_id(out: &mut Vec<u8>, mut id: PointId) {
+    let mut digits = [0u8; 10]; // `u32::MAX` has 10 digits
+    let mut len = 0;
+    for d in digits.iter_mut().rev() {
+        *d = b'0' + (id % 10) as u8;
+        id /= 10;
+        len += 1;
+        if id == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(digits.get(digits.len() - len..).unwrap_or_default());
+}
+
+/// Appends the `outliers` answer for `ids`, the live outliers ascending.
+fn outliers_line(out: &mut Vec<u8>, ids: &[PointId]) {
+    // An id takes at most 10 digits and a comma.
+    out.reserve(64 + ids.len() * 11);
+    let _ = write!(
+        out,
+        "{{\"ok\":true,\"op\":\"outliers\",\"count\":{},\"ids\":[",
+        ids.len()
+    );
+    for (i, &id) in ids.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        push_id(out, id);
+    }
+    out.extend_from_slice(b"]}");
 }
 
 /// Extracts the `"point"` array from a request.
@@ -116,135 +149,117 @@ fn point_of(doc: &Value) -> Result<Vec<f64>, String> {
     Ok(out)
 }
 
-/// Handles one request line. Returns the response line, the op name (for
-/// the per-query telemetry span), and whether the session should end.
-fn handle(state: &mut ServeState, line: &str) -> (String, &'static str, bool) {
+/// Handles one request line, appending its response line (without the
+/// newline) to `out`. Returns the op name (for the per-query telemetry
+/// span) and whether the session should end.
+fn handle(state: &mut ServeState, line: &str, out: &mut Vec<u8>) -> (&'static str, bool) {
     let doc = match parse(line) {
         Ok(doc) => doc,
         Err(e) => {
             state.report.errors += 1;
-            return (err_line(&format!("invalid JSON: {e}")), "error", false);
+            err_line(out, &format!("invalid JSON: {e}"));
+            return ("error", false);
         }
     };
     let Some(op) = doc.get("op").and_then(Value::as_str) else {
         state.report.errors += 1;
-        return (err_line("missing \"op\" field"), "error", false);
+        err_line(out, "missing \"op\" field");
+        return ("error", false);
     };
+    // Writing to a `Vec` cannot fail, so the `write!` results are dropped.
     match op {
         "probe" => {
             match point_of(&doc).and_then(|p| state.inc.probe(&p).map_err(|e| e.to_string())) {
                 Ok(label) => {
                     state.report.probes += 1;
-                    (
-                        format!(
-                            "{{\"ok\":true,\"op\":\"probe\",\"label\":\"{}\"}}",
-                            label_str(label)
-                        ),
-                        "probe",
-                        false,
-                    )
+                    let _ = write!(
+                        out,
+                        "{{\"ok\":true,\"op\":\"probe\",\"label\":\"{}\"}}",
+                        label_str(label)
+                    );
                 }
                 Err(e) => {
                     state.report.errors += 1;
-                    (err_line(&e), "probe", false)
+                    err_line(out, &e);
                 }
             }
+            ("probe", false)
         }
         "insert" => {
             match point_of(&doc).and_then(|p| state.inc.insert(&p).map_err(|e| e.to_string())) {
                 Ok(id) => {
                     state.report.inserts += 1;
-                    (
-                        format!(
-                            "{{\"ok\":true,\"op\":\"insert\",\"id\":{id},\"label\":\"{}\"}}",
-                            label_str(state.inc.label(id))
-                        ),
-                        "insert",
-                        false,
-                    )
+                    let _ = write!(
+                        out,
+                        "{{\"ok\":true,\"op\":\"insert\",\"id\":{id},\"label\":\"{}\"}}",
+                        label_str(state.inc.label(id))
+                    );
                 }
                 Err(e) => {
                     state.report.errors += 1;
-                    (err_line(&e), "insert", false)
+                    err_line(out, &e);
                 }
             }
+            ("insert", false)
         }
-        "remove" => match doc.get("id").and_then(Value::as_u64) {
-            Some(raw) => {
-                // Ids outside the u32 id space were never assigned, so
-                // they are misses, not errors — same as a re-remove.
-                let removed = u32::try_from(raw)
-                    .ok()
-                    .is_some_and(|id: PointId| state.inc.remove(id));
-                state.report.removes += 1;
-                (
-                    format!("{{\"ok\":true,\"op\":\"remove\",\"id\":{raw},\"removed\":{removed}}}"),
-                    "remove",
-                    false,
-                )
-            }
-            None => {
-                state.report.errors += 1;
-                (err_line("missing \"id\" field"), "remove", false)
-            }
-        },
-        "outliers" => {
-            let ids = state.inc.outliers();
-            state.report.outlier_queries += 1;
-            // One allocation: an id prints as at most 10 digits and a
-            // comma, and `write!` formats it straight into the answer.
-            let mut out = String::with_capacity(64 + ids.len() * 11);
-            let _ = write!(
-                out,
-                "{{\"ok\":true,\"op\":\"outliers\",\"count\":{},\"ids\":[",
-                ids.len()
-            );
-            for (i, id) in ids.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
+        "remove" => {
+            match doc.get("id").and_then(Value::as_u64) {
+                Some(raw) => {
+                    // Ids outside the u32 id space were never assigned, so
+                    // they are misses, not errors — same as a re-remove.
+                    let removed = u32::try_from(raw)
+                        .ok()
+                        .is_some_and(|id: PointId| state.inc.remove(id));
+                    state.report.removes += 1;
+                    let _ = write!(
+                        out,
+                        "{{\"ok\":true,\"op\":\"remove\",\"id\":{raw},\"removed\":{removed}}}"
+                    );
                 }
-                let _ = write!(out, "{id}");
+                None => {
+                    state.report.errors += 1;
+                    err_line(out, "missing \"id\" field");
+                }
             }
-            out.push_str("]}");
-            (out, "outliers", false)
+            ("remove", false)
+        }
+        "outliers" => {
+            state.report.outlier_queries += 1;
+            outliers_line(out, &state.inc.outliers());
+            ("outliers", false)
         }
         "stats" => {
             state.report.stats_queries += 1;
             let inc = &state.inc;
-            let core = (0..inc.total_inserted() as PointId)
-                .filter(|&id| inc.is_alive(id) && inc.label(id) == PointLabel::Core)
-                .count();
             let k = inc.kernel_counters();
-            (
-                format!(
-                    "{{\"ok\":true,\"op\":\"stats\",\"points\":{},\"total_inserted\":{},\
-                     \"outliers\":{},\"core\":{},\"kernel\":\"{}\",\
-                     \"rebuilds\":{},\"compactions\":{},\"cells_visited\":{},\
-                     \"bbox_prunes\":{},\"early_exit_hits\":{},\"distance_evals\":{}}}",
-                    inc.len(),
-                    inc.total_inserted(),
-                    inc.outliers().len(),
-                    core,
-                    inc.kernel().as_str(),
-                    inc.rebuilds(),
-                    inc.compactions(),
-                    k.cells_visited,
-                    k.bbox_prunes,
-                    k.early_exit_hits,
-                    k.distance_evals,
-                ),
-                "stats",
-                false,
-            )
+            let _ = write!(
+                out,
+                "{{\"ok\":true,\"op\":\"stats\",\"points\":{},\"total_inserted\":{},\
+                 \"outliers\":{},\"core\":{},\"kernel\":\"{}\",\
+                 \"rebuilds\":{},\"compactions\":{},\"cells_visited\":{},\
+                 \"bbox_prunes\":{},\"early_exit_hits\":{},\"distance_evals\":{}}}",
+                inc.len(),
+                inc.total_inserted(),
+                inc.num_outliers(),
+                inc.num_core(),
+                inc.kernel().as_str(),
+                inc.rebuilds(),
+                inc.compactions(),
+                k.cells_visited,
+                k.bbox_prunes,
+                k.early_exit_hits,
+                k.distance_evals,
+            );
+            ("stats", false)
         }
-        "shutdown" => (
-            "{\"ok\":true,\"op\":\"shutdown\"}".to_string(),
-            "shutdown",
-            true,
-        ),
+        "shutdown" => {
+            out.extend_from_slice(b"{\"ok\":true,\"op\":\"shutdown\"}");
+            ("shutdown", true)
+        }
         other => {
             state.report.errors += 1;
-            (err_line(&format!("unknown op {other:?}")), "error", false)
+            err_line(out, &format!("unknown op {other:?}"));
+            ("error", false)
         }
     }
 }
@@ -288,27 +303,33 @@ fn read_request<R: BufRead>(reader: &mut R, buf: &mut Vec<u8>) -> std::io::Resul
 }
 
 /// Runs one serving session: reads request lines from `reader`, writes
-/// one response line per request to `writer`. Returns `Ok(true)` when
-/// the client asked for `shutdown`, `Ok(false)` on EOF/hangup.
+/// one response line per request to `writer`, each with its newline in
+/// one `write_all`, so a client never wakes on half a line. Returns
+/// `Ok(true)` when the client asked for `shutdown`, `Ok(false)` on
+/// EOF/hangup.
 pub(crate) fn serve_session<R: BufRead, W: Write>(
     state: &mut ServeState,
     mut reader: R,
     writer: &mut W,
 ) -> std::io::Result<bool> {
     let mut buf = Vec::new();
+    let mut response = Vec::new();
     while read_request(&mut reader, &mut buf)? {
         let started = Instant::now();
-        let (response, op, shutdown) = if buf.len() > MAX_REQUEST_BYTES {
+        response.clear();
+        let (op, shutdown) = if buf.len() > MAX_REQUEST_BYTES {
             state.report.errors += 1;
             let msg = format!("request line longer than {MAX_REQUEST_BYTES} bytes");
-            (err_line(&msg), "error", false)
+            err_line(&mut response, &msg);
+            ("error", false)
         } else {
             match std::str::from_utf8(&buf) {
                 Ok(line) if line.trim().is_empty() => continue,
-                Ok(line) => handle(state, line),
+                Ok(line) => handle(state, line, &mut response),
                 Err(_) => {
                     state.report.errors += 1;
-                    (err_line("request line is not UTF-8"), "error", false)
+                    err_line(&mut response, "request line is not UTF-8");
+                    ("error", false)
                 }
             }
         };
@@ -324,8 +345,8 @@ pub(crate) fn serve_session<R: BufRead, W: Write>(
                 .arg("seq", state.report.queries),
             );
         }
-        writer.write_all(response.as_bytes())?;
-        writer.write_all(b"\n")?;
+        response.push(b'\n');
+        writer.write_all(&response)?;
         writer.flush()?;
         if shutdown {
             return Ok(true);
@@ -382,7 +403,7 @@ pub fn serve(flags: &Flags) -> Result<String, CliError> {
         inc.len(),
         t.elapsed(),
         inc.kernel().as_str(),
-        inc.outliers().len(),
+        inc.num_outliers(),
     );
     let mut state = ServeState::new(inc, collector.clone());
 
@@ -594,6 +615,28 @@ mod tests {
         assert_eq!(r.outlier_queries, 3);
         assert_eq!(r.stats_queries, 1);
         assert_eq!(r.errors, 0);
+    }
+
+    #[test]
+    fn push_id_spells_what_to_string_spells() {
+        for id in [0, 9, 10, 99, 100, 65_535, u32::MAX] {
+            let mut out = b"[".to_vec();
+            push_id(&mut out, id);
+            assert_eq!(out, format!("[{id}").into_bytes(), "{id}");
+        }
+    }
+
+    #[test]
+    fn an_empty_outlier_set_answers_an_empty_list() {
+        let mut state = warm_state();
+        let (responses, _) = run_lines(
+            &mut state,
+            &[r#"{"op":"remove","id":9}"#, r#"{"op":"outliers"}"#],
+        );
+        assert_eq!(
+            responses[1],
+            r#"{"ok":true,"op":"outliers","count":0,"ids":[]}"#
+        );
     }
 
     #[test]

@@ -16,6 +16,9 @@ use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Child, Command, Output, Stdio};
 
+use dbscout_core::reference::naive_labels;
+use dbscout_core::{DbscoutParams, PointLabel};
+use dbscout_spatial::PointStore;
 use dbscout_telemetry::json::{parse, Value};
 
 fn tmp(name: &str) -> PathBuf {
@@ -235,6 +238,22 @@ fn interleaved_session_matches_batch_cli_with_exact_id_mapping() {
         .map(|k| survivor_ids[k])
         .collect();
     assert_eq!(served_ids, batch_ids);
+
+    // The counters `stats` reads equal brute-force counts on the
+    // survivors.
+    let stats = parse(&responses[responses.len() - 2]).unwrap();
+    assert_eq!(stats.get("op").and_then(Value::as_str), Some("stats"));
+    let store = PointStore::from_rows(2, survivor_rows).unwrap();
+    let want = naive_labels(&store, DbscoutParams::new(0.6, 5).unwrap());
+    let count = |label| want.iter().filter(|&&l| l == label).count() as u64;
+    assert_eq!(
+        stats.get("outliers").and_then(Value::as_u64),
+        Some(count(PointLabel::Outlier))
+    );
+    assert_eq!(
+        stats.get("core").and_then(Value::as_u64),
+        Some(count(PointLabel::Core))
+    );
 }
 
 #[test]

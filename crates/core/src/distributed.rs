@@ -187,9 +187,9 @@ impl DistributedDbscout {
     /// phase set on the context.
     pub fn detect(&self, store: &PointStore) -> Result<OutlierResult> {
         let eps_sq = self.params.eps_sq();
-        let min_pts = self.params.min_pts;
+        let min_pts = self.params.min_pts();
         let dims = store.dims();
-        let side = cell_side(self.params.eps, dims);
+        let side = cell_side(self.params.eps(), dims);
         let n = store.len() as usize;
         let dist_comps = Arc::new(AtomicU64::new(0));
         let mut timings = PhaseTimings::default();

@@ -49,11 +49,9 @@ pub enum DbscoutError {
 impl fmt::Display for DbscoutError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            // The range text lives once, next to `validate_eps`.
             DbscoutError::InvalidEpsilon { value } => {
-                write!(
-                    f,
-                    "eps must lie between about 1.5e-154 and 1.34e154 (eps² must be a normal f64), got {value}"
-                )
+                write!(f, "{}", SpatialError::InvalidEpsilon { value: *value })
             }
             DbscoutError::InvalidMinPts { value } => {
                 write!(f, "minPts must be at least 1, got {value}")

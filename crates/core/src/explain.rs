@@ -65,7 +65,7 @@ pub fn explain(
         .map(|&id| {
             let p = store.point(id);
             let neighbors = all
-                .within_radius(p, params.eps)
+                .within_radius(p, params.eps())
                 .iter()
                 .filter(|n| n.sq_dist <= eps_sq)
                 .count();
@@ -92,7 +92,7 @@ pub fn explain(
                         d
                     }
                 }),
-                deficit_to_core: params.min_pts.saturating_sub(neighbors),
+                deficit_to_core: params.min_pts().saturating_sub(neighbors),
             }
         })
         .collect())
@@ -123,13 +123,14 @@ impl std::fmt::Display for Explanation {
 /// consistent with the label it explains.
 pub fn consistent(e: &Explanation, params: DbscoutParams) -> bool {
     match e.label {
-        PointLabel::Core => e.neighbors_within_eps >= params.min_pts && e.deficit_to_core == 0,
+        PointLabel::Core => e.neighbors_within_eps >= params.min_pts() && e.deficit_to_core == 0,
         PointLabel::Covered => {
-            e.neighbors_within_eps < params.min_pts
-                && e.eps_to_cover.is_some_and(|d| d <= params.eps)
+            e.neighbors_within_eps < params.min_pts()
+                && e.eps_to_cover.is_some_and(|d| d <= params.eps())
         }
         PointLabel::Outlier => {
-            e.neighbors_within_eps < params.min_pts && e.eps_to_cover.is_none_or(|d| d > params.eps)
+            e.neighbors_within_eps < params.min_pts()
+                && e.eps_to_cover.is_none_or(|d| d > params.eps())
         }
     }
 }

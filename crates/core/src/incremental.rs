@@ -44,6 +44,12 @@
 //! table, labels the points from those counts, and adopts the layout as
 //! the mutable store. The state equals the one that inserting every
 //! point in order reaches.
+//!
+//! The Definition 3 answer is kept current, not recomputed: every label
+//! and liveness write goes through one setter, which also flips the
+//! point's bit in an id-indexed outlier bitset and keeps the live
+//! outlier and core counts. Listing the outliers then walks set bits,
+//! O(ids/64 + #outliers), and counting them reads a counter.
 
 use dbscout_spatial::cell::{cell_of, cell_side};
 use dbscout_spatial::mutable::MutableCellMajor;
@@ -102,7 +108,14 @@ pub struct IncrementalDbscout {
     /// Tombstones: `false` once a point has been removed. Removed points
     /// keep their slot (ids stay stable) but leave every computation.
     alive: Vec<bool>,
+    /// Bit `id % 64` of word `id / 64` is set iff `id` is alive and
+    /// labelled [`PointLabel::Outlier`]. Words past the end read as 0.
+    outlier_bits: Vec<u64>,
     num_alive: usize,
+    /// Live points labelled [`PointLabel::Outlier`] (set bits).
+    num_outliers: usize,
+    /// Live points labelled [`PointLabel::Core`].
+    num_core: usize,
     /// The resolved distance kernel (never `Auto`).
     kernel: KernelKind,
     counters: KernelCounters,
@@ -127,17 +140,20 @@ impl IncrementalDbscout {
 
     fn empty(dims: usize, params: DbscoutParams, kernel: KernelKind) -> Result<Self> {
         let offsets = NeighborOffsets::new(dims)?;
-        let mstore = MutableCellMajor::new(dims, params.eps)?;
+        let mstore = MutableCellMajor::new(dims, params.eps())?;
         Ok(Self {
             params,
-            side: cell_side(params.eps, dims),
+            side: cell_side(params.eps(), dims),
             all_points: PointStore::new(dims)?,
             mstore,
             offsets,
             counts: Vec::new(),
             labels: Vec::new(),
             alive: Vec::new(),
+            outlier_bits: Vec::new(),
             num_alive: 0,
+            num_outliers: 0,
+            num_core: 0,
             kernel: kernel.resolve(),
             counters: KernelCounters::new(),
         })
@@ -180,27 +196,27 @@ impl IncrementalDbscout {
     ) -> Result<Self> {
         let ExecutionLayout::CellMajor = layout;
         let mut inc = Self::empty(store.dims(), params, kernel)?;
-        let batch = CellMajorStore::build(store, params.eps)?;
+        let batch = CellMajorStore::build(store, params.eps())?;
         let counts = inc.seed_counts(&batch)?;
-        let min_pts = params.min_pts as u32;
+        let min_pts = params.min_pts() as u32;
         let core: Vec<bool> = counts.iter().map(|&c| c >= min_pts).collect();
         let labels = inc.seed_labels(&batch, &core)?;
         // Both passes work by slot (the kernels' flags are slot-indexed);
-        // the engine's side arrays are by id.
+        // the engine's side arrays are by id. Every slot starts dead, and
+        // the pass that writes its count brings it to life with its
+        // label, so the outlier bitset and the live counts are seeded
+        // with no pass of their own.
         let n = batch.len();
         inc.counts = with_room(n, 0);
         inc.labels = with_room(n, PointLabel::Outlier);
+        inc.alive = with_room(n, false);
+        inc.outlier_bits = with_room(n.div_ceil(64), 0);
         for ((&id, &count), &label) in batch.orig_ids().iter().zip(&counts).zip(&labels) {
-            if let (Some(c), Some(l)) = (
-                inc.counts.get_mut(id as usize),
-                inc.labels.get_mut(id as usize),
-            ) {
+            if let Some(c) = inc.counts.get_mut(id as usize) {
                 *c = count;
-                *l = label;
             }
+            inc.set(id, label, true);
         }
-        inc.alive = with_room(n, true);
-        inc.num_alive = n;
         inc.mstore = MutableCellMajor::from_cell_major(batch);
         inc.all_points = PointStore::with_capacity(store.dims(), n + n / 8)?;
         inc.all_points.extend_from(store)?;
@@ -365,15 +381,75 @@ impl IncrementalDbscout {
         &self.labels
     }
 
-    /// Ids of all current live outliers, ascending.
+    /// Ids of all current live outliers, ascending, read off the outlier
+    /// bitset: O(ids/64 + #outliers).
     pub fn outliers(&self) -> Vec<PointId> {
-        self.labels
-            .iter()
-            .zip(&self.alive)
-            .enumerate()
-            .filter(|&(_, (l, &alive))| alive && l.is_outlier())
-            .map(|(i, _)| i as PointId)
-            .collect()
+        let mut ids = Vec::with_capacity(self.num_outliers);
+        for (word, &bits) in self.outlier_bits.iter().enumerate() {
+            let mut bits = bits;
+            while bits != 0 {
+                // Every set bit is a `PointId`'s, so its index fits one.
+                ids.push((word * 64 + bits.trailing_zeros() as usize) as PointId);
+                bits &= bits - 1;
+            }
+        }
+        ids
+    }
+
+    /// Number of live outliers (`outliers().len()`, from a counter).
+    pub fn num_outliers(&self) -> usize {
+        self.num_outliers
+    }
+
+    /// Number of live core points, from a counter.
+    pub fn num_core(&self) -> usize {
+        self.num_core
+    }
+
+    /// Writes `id`'s label and liveness, and keeps the outlier bitset and
+    /// the live, outlier and core counts in step with them. Every label
+    /// and liveness write goes through here. Ids past the end are
+    /// ignored: a slot is pushed (dead) before it is first set.
+    fn set(&mut self, id: PointId, label: PointLabel, alive: bool) {
+        let i = id as usize;
+        let (Some(l), Some(a)) = (self.labels.get_mut(i), self.alive.get_mut(i)) else {
+            return;
+        };
+        let (was_label, was_alive) = (*l, *a);
+        *l = label;
+        *a = alive;
+        if was_alive != alive {
+            if alive {
+                self.num_alive += 1;
+            } else {
+                self.num_alive -= 1;
+            }
+        }
+        let was_core = was_alive && was_label == PointLabel::Core;
+        let is_core = alive && label == PointLabel::Core;
+        if was_core != is_core {
+            if is_core {
+                self.num_core += 1;
+            } else {
+                self.num_core -= 1;
+            }
+        }
+        let was_outlier = was_alive && was_label == PointLabel::Outlier;
+        let is_outlier = alive && label == PointLabel::Outlier;
+        if was_outlier != is_outlier {
+            let word = i / 64;
+            if word >= self.outlier_bits.len() {
+                self.outlier_bits.resize(word + 1, 0);
+            }
+            if let Some(bits) = self.outlier_bits.get_mut(word) {
+                *bits ^= 1 << (i % 64);
+            }
+            if is_outlier {
+                self.num_outliers += 1;
+            } else {
+                self.num_outliers -= 1;
+            }
+        }
     }
 
     /// Every point ever inserted, by id (removed points keep their
@@ -415,7 +491,7 @@ impl IncrementalDbscout {
             .zip(&self.alive)
             .map(|(&l, &alive)| if alive { l } else { PointLabel::Covered })
             .collect();
-        let min_pts = self.params.min_pts;
+        let min_pts = self.params.min_pts();
         let mut dense_cells = 0;
         let mut core_cells = 0;
         let ids = self.mstore.store().orig_ids();
@@ -508,7 +584,7 @@ impl IncrementalDbscout {
     /// ([`dbscout_spatial::SpatialError`] via [`crate::DbscoutError`]).
     pub fn insert(&mut self, point: &[f64]) -> Result<PointId> {
         let id = self.all_points.push(point)?;
-        let min_pts = self.params.min_pts as u32;
+        let min_pts = self.params.min_pts() as u32;
 
         // ε-neighbors among the live points (the new point is not in the
         // mutable store yet).
@@ -542,24 +618,21 @@ impl IncrementalDbscout {
             .insert(id, point)
             .map_err(crate::DbscoutError::from)?;
         self.counts.push(my_count);
-        self.labels.push(label);
-        self.alive.push(true);
-        self.num_alive += 1;
+        self.labels.push(PointLabel::Outlier);
+        self.alive.push(false);
+        self.set(id, label, true);
 
         // Every newly-core point upgrades itself and rescues the former
         // outliers inside its ε-ball (monotone: no downgrade can occur).
+        // All of them are live: `neighbors_of` lists only live points.
         let mut cn: Vec<PointId> = Vec::new();
         for c in newly_core {
-            if let Some(l) = self.labels.get_mut(c as usize) {
-                *l = PointLabel::Core;
-            }
+            self.set(c, PointLabel::Core, true);
             let cpoint = self.all_points.point(c).to_vec();
             self.neighbors_of(&cpoint, &mut cn);
             for &q in &cn {
                 if self.labels.get(q as usize) == Some(&PointLabel::Outlier) {
-                    if let Some(l) = self.labels.get_mut(q as usize) {
-                        *l = PointLabel::Covered;
-                    }
+                    self.set(q, PointLabel::Covered, true);
                 }
             }
         }
@@ -595,21 +668,25 @@ impl IncrementalDbscout {
         if !self.is_alive(id) {
             return false;
         }
-        let min_pts = self.params.min_pts as u32;
+        let min_pts = self.params.min_pts() as u32;
         let point = self.all_points.point(id).to_vec();
 
-        // Unregister first, so every scan below sees the survivor set.
+        // Unregister first, so every scan below sees the survivor set. A
+        // removed core point is relabelled Covered, as a demoted one is.
+        let was_core = self.label(id) == PointLabel::Core;
+        let label = if was_core {
+            PointLabel::Covered
+        } else {
+            self.label(id)
+        };
         self.mstore.remove(id);
-        if let Some(a) = self.alive.get_mut(id as usize) {
-            *a = false;
-        }
-        self.num_alive -= 1;
+        self.set(id, label, false);
 
         // Decrement neighbor counts; collect core points that lost their
         // status, plus the removed point itself if it was core — their
         // coverage contributions vanish together.
         let mut lost_cores: Vec<PointId> = Vec::new();
-        if self.labels.get(id as usize) == Some(&PointLabel::Core) {
+        if was_core {
             lost_cores.push(id);
         }
         let mut nbrs: Vec<PointId> = Vec::new();
@@ -628,10 +705,12 @@ impl IncrementalDbscout {
         }
 
         // First drop every lost core out of the Core class so the
-        // coverage scans below see the post-removal core set...
+        // coverage scans below see the post-removal core set... (every
+        // point relabelled from here on is live: the removed point is
+        // done, and `neighbors_of` lists only live points)
         for &c in &lost_cores {
-            if let Some(l) = self.labels.get_mut(c as usize) {
-                *l = PointLabel::Covered; // provisional
+            if c != id {
+                self.set(c, PointLabel::Covered, true); // provisional
             }
         }
         // ...then re-evaluate every live point that may have depended on
@@ -668,9 +747,7 @@ impl IncrementalDbscout {
             } else {
                 PointLabel::Outlier
             };
-            if let Some(l) = self.labels.get_mut(r as usize) {
-                *l = verdict;
-            }
+            self.set(r, verdict, true);
         }
         true
     }
@@ -686,7 +763,7 @@ impl IncrementalDbscout {
     /// Fails on dimension mismatch or non-finite coordinates.
     pub fn probe(&mut self, point: &[f64]) -> Result<PointLabel> {
         self.validate(point)?;
-        let min_pts = self.params.min_pts as u32;
+        let min_pts = self.params.min_pts() as u32;
         let mut nbrs: Vec<PointId> = Vec::new();
         self.neighbors_of(point, &mut nbrs);
         if 1 + nbrs.len() as u32 >= min_pts {
@@ -827,6 +904,8 @@ mod tests {
         assert_eq!(seeded.len(), looped.len(), "{ctx}: live count");
         assert_eq!(seeded.store(), looped.store(), "{ctx}: points");
         assert_eq!(seeded.outliers(), looped.outliers(), "{ctx}: outliers");
+        assert_eq!(seeded.num_outliers(), looped.num_outliers(), "{ctx}");
+        assert_eq!(seeded.num_core(), looped.num_core(), "{ctx}: core");
         assert_eq!(
             seeded.snapshot().stats,
             looped.snapshot().stats,

@@ -239,7 +239,7 @@ impl Dbscout {
     /// [`CellMajorScatter::shards`]: dbscout_spatial::CellMajorScatter::shards
     fn build_grid(&self, input: &mut impl GridInput) -> Result<Option<CellMajorStore>> {
         let threads = self.threads.max(1);
-        let eps = self.params.eps;
+        let eps = self.params.eps();
         let mut group = Vec::with_capacity(threads);
         input.next_group(threads, &mut group)?;
         let Some(dims) = input.dims() else {
@@ -318,7 +318,7 @@ impl Dbscout {
         grid_elapsed: Duration,
     ) -> Result<OutlierResult> {
         let eps_sq = self.params.eps_sq();
-        let min_pts = self.params.min_pts;
+        let min_pts = self.params.min_pts();
         let options = self.options;
         let kind = self.kernel;
         let mut timings = PhaseTimings {

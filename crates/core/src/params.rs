@@ -1,29 +1,29 @@
 //! Algorithm parameters (the user-specified constants of paper §II).
 
+use dbscout_spatial::validate_eps;
+
 use crate::error::{DbscoutError, Result};
 
 /// The two DBSCAN-family parameters: a point is **core** when at least
 /// `min_pts` points (itself included) lie within Euclidean distance `eps`
 /// of it (Definition 2); a point is an **outlier** when no core point lies
 /// within `eps` of it (Definition 3).
+///
+/// The fields are private, so every parameter set passed
+/// [`DbscoutParams::new`]'s checks.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DbscoutParams {
-    /// Neighborhood radius ε (positive, with a normal f64 square).
-    pub eps: f64,
-    /// Density threshold `minPts` (≥ 1).
-    pub min_pts: usize,
+    eps: f64,
+    min_pts: usize,
 }
 
 impl DbscoutParams {
     /// Creates and validates a parameter set.
     ///
     /// Every engine compares squared distances with ε², so ε² must be a
-    /// normal f64: ε between about 1.5e-154 and 1.34e154. Then a squared
-    /// distance that overflows to +∞ belongs to a pair farther apart than
-    /// ε, and one that underflows to 0 to a pair closer than ε, so every
-    /// comparison comes out as it would in exact arithmetic. Outside that
-    /// range ε² itself overflows or underflows, and points 2ε apart
-    /// would compare as within ε.
+    /// normal f64: ε between about 1.5e-154 and 1.34e154
+    /// ([`dbscout_spatial::validate_eps`], the check every spatial
+    /// constructor makes too).
     ///
     /// # Errors
     ///
@@ -32,13 +32,23 @@ impl DbscoutParams {
     /// above are rejected); [`DbscoutError::InvalidMinPts`] if `min_pts`
     /// is zero.
     pub fn new(eps: f64, min_pts: usize) -> Result<Self> {
-        if !(eps > 0.0 && (eps * eps).is_normal()) {
-            return Err(DbscoutError::InvalidEpsilon { value: eps });
-        }
+        validate_eps(eps)?;
         if min_pts == 0 {
             return Err(DbscoutError::InvalidMinPts { value: 0 });
         }
         Ok(Self { eps, min_pts })
+    }
+
+    /// Neighborhood radius ε (positive, with a normal f64 square).
+    #[inline]
+    pub fn eps(&self) -> f64 {
+        self.eps
+    }
+
+    /// Density threshold `minPts` (≥ 1).
+    #[inline]
+    pub fn min_pts(&self) -> usize {
+        self.min_pts
     }
 
     /// ε² — every distance comparison uses squared distances.
@@ -55,8 +65,8 @@ mod tests {
     #[test]
     fn valid_params() {
         let p = DbscoutParams::new(0.5, 5).unwrap();
-        assert_eq!(p.eps, 0.5);
-        assert_eq!(p.min_pts, 5);
+        assert_eq!(p.eps(), 0.5);
+        assert_eq!(p.min_pts(), 5);
         assert_eq!(p.eps_sq(), 0.25);
     }
 

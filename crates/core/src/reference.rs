@@ -31,7 +31,7 @@ pub fn naive_labels(store: &PointStore, params: DbscoutParams) -> Vec<PointLabel
             }
         }
         if let Some(slot) = is_core.get_mut(i as usize) {
-            *slot = count >= params.min_pts;
+            *slot = count >= params.min_pts();
         }
     }
     let core_at = |i: PointId| is_core.get(i as usize).copied().unwrap_or(false);

@@ -113,8 +113,8 @@ pub fn build_run_report(
         },
         params: ParamsEcho {
             engine: info.engine.clone(),
-            eps: params.eps,
-            min_pts: params.min_pts as u64,
+            eps: params.eps(),
+            min_pts: params.min_pts() as u64,
             partitions: info.partitions,
             workers: info.workers,
             kernel: info.kernel.clone(),

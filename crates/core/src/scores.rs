@@ -88,12 +88,12 @@ mod tests {
             match l {
                 PointLabel::Core => assert_eq!(scored.scores[i], 0.0, "core {i}"),
                 PointLabel::Covered => assert!(
-                    scored.scores[i] <= params.eps,
+                    scored.scores[i] <= params.eps(),
                     "covered {i}: {}",
                     scored.scores[i]
                 ),
                 PointLabel::Outlier => assert!(
-                    scored.scores[i] > params.eps,
+                    scored.scores[i] > params.eps(),
                     "outlier {i}: {}",
                     scored.scores[i]
                 ),
@@ -118,7 +118,7 @@ mod tests {
             .scores
             .iter()
             .enumerate()
-            .filter(|(_, &s)| s > params.eps)
+            .filter(|(_, &s)| s > params.eps())
             .map(|(i, _)| i as u32)
             .collect();
         assert_eq!(by_threshold, scored.result.outliers);

@@ -3,7 +3,9 @@
 //! scratch batch run over the surviving points, checked against batch
 //! runs at 1 and 4 threads and against the brute-force reference.
 //! Probes must answer exactly the label an insert of the same point
-//! would receive, without mutating state.
+//! would receive, without mutating state. After every operation the
+//! maintained outlier set and live counts must equal a scan of the
+//! labels.
 
 #![allow(
     clippy::unwrap_used,
@@ -14,7 +16,7 @@
 )]
 
 use dbscout_core::reference::naive_labels;
-use dbscout_core::{DbscoutParams, DetectorBuilder, IncrementalDbscout};
+use dbscout_core::{DbscoutParams, DetectorBuilder, IncrementalDbscout, PointLabel};
 use dbscout_rng::Rng;
 use dbscout_spatial::PointStore;
 
@@ -31,6 +33,28 @@ fn survivors(inc: &IncrementalDbscout) -> (Vec<u32>, PointStore) {
     }
     let store = PointStore::from_rows(inc.store().dims(), rows).unwrap();
     (ids, store)
+}
+
+/// The maintained index against a scan over every id ever issued:
+/// `outliers()` lists the live ids labelled Outlier, ascending, and the
+/// two counters count the live outliers and core points.
+fn assert_index_matches_scan(inc: &IncrementalDbscout, ctx: &str) {
+    let live = |label: PointLabel| {
+        (0..inc.total_inserted() as u32)
+            .filter(move |&id| inc.is_alive(id) && inc.labels()[id as usize] == label)
+    };
+    let outliers: Vec<u32> = live(PointLabel::Outlier).collect();
+    assert_eq!(inc.outliers(), outliers, "{ctx}: outlier ids");
+    assert_eq!(inc.num_outliers(), outliers.len(), "{ctx}: outlier count");
+    assert_eq!(
+        inc.num_core(),
+        live(PointLabel::Core).count(),
+        "{ctx}: core"
+    );
+    let alive = (0..inc.total_inserted() as u32)
+        .filter(|&id| inc.is_alive(id))
+        .count();
+    assert_eq!(inc.len(), alive, "{ctx}: live count");
 }
 
 /// The equivalence invariant: the warm state labels every survivor
@@ -88,7 +112,9 @@ fn randomized_interleavings_match_batch() {
             }
             let initial = PointStore::from_rows(dims, points.clone()).unwrap();
             let inc = IncrementalDbscout::from_store(&initial, params).unwrap();
-            assert_matches_batch(&inc, &format!("seed {seed} dims {dims} bulk load"));
+            let ctx = format!("seed {seed} dims {dims} bulk load");
+            assert_index_matches_scan(&inc, &ctx);
+            assert_matches_batch(&inc, &ctx);
             inc
         } else {
             IncrementalDbscout::new(dims, params).unwrap()
@@ -112,23 +138,61 @@ fn randomized_interleavings_match_batch() {
             } else if roll < 8 {
                 let id = alive.swap_remove(rng.gen_range(0..alive.len()));
                 assert!(inc.remove(id), "{ctx}: live remove hits");
+                assert_index_matches_scan(&inc, &ctx);
                 assert!(!inc.remove(id), "{ctx}: double remove misses");
             } else {
                 // Probe == insert-then-read-label, and the insert that
                 // follows it must observe un-mutated state.
                 let p: Vec<f64> = (0..dims).map(|_| rng.gen_range(-6.0..6.0)).collect();
                 let probed = inc.probe(&p).unwrap();
+                assert_index_matches_scan(&inc, &ctx);
                 let id = inc.insert(&p).unwrap();
                 assert_eq!(probed, inc.label(id), "{ctx}: probe equals insert label");
                 points.push(p);
                 alive.push(id);
             }
+            assert_index_matches_scan(&inc, &ctx);
             if step % 35 == 34 {
                 assert_matches_batch(&inc, &ctx);
             }
         }
         assert_matches_batch(&inc, &format!("seed {seed} dims {dims} final"));
     }
+}
+
+/// Removes the ids in `alive` (every live id) in random order, then
+/// inserts `reinserts` fresh points, checking the index after every
+/// operation, the issued count against `issued`, and the batch invariant
+/// at the end.
+fn tear_down_and_rebuild(
+    inc: &mut IncrementalDbscout,
+    rng: &mut Rng,
+    mut alive: Vec<u32>,
+    issued: usize,
+    reinserts: usize,
+    ctx: &str,
+) {
+    let dims = inc.store().dims();
+    // Tear the whole dataset down in random order.
+    rng.shuffle(&mut alive);
+    for id in alive.drain(..) {
+        assert!(inc.remove(id), "{ctx}: remove {id}");
+        assert_index_matches_scan(inc, &format!("{ctx}: after removing {id}"));
+    }
+    assert!(inc.is_empty(), "{ctx}");
+    assert!(inc.outliers().is_empty(), "{ctx}");
+    assert_eq!(inc.num_core(), 0, "{ctx}");
+    assert_eq!(inc.total_inserted(), issued, "{ctx}");
+
+    // Re-insert after empty: ids keep growing, the grid state is
+    // reusable, and the invariant holds again.
+    for _ in 0..reinserts {
+        let p: Vec<f64> = (0..dims).map(|_| rng.gen_range(-4.0..4.0)).collect();
+        let id = inc.insert(&p).unwrap();
+        assert!(id as usize >= issued, "{ctx}: ids never recycle");
+        assert_index_matches_scan(inc, &format!("{ctx}: after inserting {id}"));
+    }
+    assert_matches_batch(inc, &format!("{ctx} after rebirth"));
 }
 
 #[test]
@@ -141,24 +205,25 @@ fn remove_everything_then_reinsert_matches_batch() {
         for _ in 0..60 {
             let p: Vec<f64> = (0..dims).map(|_| rng.gen_range(-4.0..4.0)).collect();
             alive.push(inc.insert(&p).unwrap());
+            assert_index_matches_scan(&inc, &format!("dims {dims} build-up"));
         }
-        // Tear the whole dataset down in random order.
-        rng.shuffle(&mut alive);
-        for id in alive.drain(..) {
-            assert!(inc.remove(id), "dims {dims}: remove {id}");
-        }
-        assert!(inc.is_empty(), "dims {dims}");
-        assert!(inc.outliers().is_empty(), "dims {dims}");
-        assert_eq!(inc.total_inserted(), 60, "dims {dims}");
+        tear_down_and_rebuild(&mut inc, &mut rng, alive, 60, 40, &format!("dims {dims}"));
 
-        // Re-insert after empty: ids keep growing, the grid state is
-        // reusable, and the invariant holds again.
-        for _ in 0..40 {
-            let p: Vec<f64> = (0..dims).map(|_| rng.gen_range(-4.0..4.0)).collect();
-            let id = inc.insert(&p).unwrap();
-            assert!(id >= 60, "dims {dims}: ids never recycle");
-        }
-        assert_matches_batch(&inc, &format!("dims {dims} after rebirth"));
+        // The same from a bulk load, whose labelling pass seeds the index:
+        // a tight clump (core) among scattered points (mostly outliers).
+        // 150 points leave the last bitset word part-filled.
+        let rows: Vec<Vec<f64>> = (0..150)
+            .map(|i| {
+                let half = if i % 2 == 0 { 1.0 } else { 20.0 };
+                (0..dims).map(|_| rng.gen_range(-half..half)).collect()
+            })
+            .collect();
+        let store = PointStore::from_rows(dims, rows).unwrap();
+        let mut inc = IncrementalDbscout::from_store(&store, params).unwrap();
+        let ctx = format!("dims {dims} bulk load");
+        assert_index_matches_scan(&inc, &ctx);
+        assert!(inc.num_outliers() > 0 && inc.num_core() > 0, "{ctx}");
+        tear_down_and_rebuild(&mut inc, &mut rng, (0..150).collect(), 150, 80, &ctx);
     }
 }
 
@@ -181,6 +246,7 @@ fn duplicate_heavy_sequences_match_batch() {
             let id = alive.swap_remove(rng.gen_range(0..alive.len()));
             assert!(inc.remove(id));
         }
+        assert_index_matches_scan(&inc, &format!("duplicates step {step}"));
         if step % 30 == 29 {
             assert_matches_batch(&inc, &format!("duplicates step {step}"));
         }

@@ -8,6 +8,8 @@
 
 use std::hash::{Hash, Hasher};
 
+use crate::error::SpatialError;
+
 /// Maximum supported dimensionality. The paper evaluates k_d for d ≤ 9
 /// (Table I) and runs experiments on 2–3-dimensional data.
 pub const MAX_DIMS: usize = 9;
@@ -79,6 +81,28 @@ impl CellCoord {
             *out = a + b;
         }
         CellCoord { dims: self.dims, c }
+    }
+}
+
+/// Checks that `eps` is a radius every engine compares exactly: positive,
+/// with a normal f64 square, i.e. between about 1.5e-154 and 1.34e154.
+///
+/// Distances are compared squared, against ε². When ε² is normal, a
+/// squared distance that overflows to +∞ belongs to a pair farther apart
+/// than ε, and one that underflows to 0 to a pair closer than ε, so every
+/// comparison comes out as in exact arithmetic. Outside that range ε²
+/// itself overflows or underflows, and points 2ε apart would compare as
+/// within ε.
+///
+/// # Errors
+///
+/// [`SpatialError::InvalidEpsilon`] for NaN, ±∞, zero, negative values
+/// and the two ends above.
+pub fn validate_eps(eps: f64) -> Result<(), SpatialError> {
+    if eps > 0.0 && (eps * eps).is_normal() {
+        Ok(())
+    } else {
+        Err(SpatialError::InvalidEpsilon { value: eps })
     }
 }
 

@@ -39,7 +39,7 @@
 
 use std::ops::Range;
 
-use crate::cell::{cell_of, cell_side, CellCoord, MAX_DIMS};
+use crate::cell::{cell_of, cell_side, validate_eps, CellCoord, MAX_DIMS};
 use crate::cell_table::CellTable;
 use crate::distance::{
     accumulate_sq_dists_x4, sq_dists_2d_x8, sq_dists_3d_x4, KernelKind, LANES_2D, LANES_ND,
@@ -161,12 +161,10 @@ impl CellMajorBuilder {
     ///
     /// # Errors
     ///
-    /// Fails if `eps` is not finite and positive, `dims` is zero, or
-    /// `dims` exceeds [`MAX_DIMS`].
+    /// Fails if `eps` is out of range ([`validate_eps`]), `dims` is zero,
+    /// or `dims` exceeds [`MAX_DIMS`].
     pub fn new(dims: usize, eps: f64) -> Result<Self, SpatialError> {
-        if !eps.is_finite() || eps <= 0.0 {
-            return Err(SpatialError::InvalidEpsilon { value: eps });
-        }
+        validate_eps(eps)?;
         if dims == 0 {
             return Err(SpatialError::ZeroDims);
         }
@@ -701,7 +699,7 @@ impl CellMajorStore {
     ///
     /// # Errors
     ///
-    /// Fails if `eps` is not finite and positive.
+    /// Fails if `eps` is out of range ([`validate_eps`]).
     pub fn build(store: &PointStore, eps: f64) -> Result<Self, SpatialError> {
         let mut builder = CellMajorBuilder::new(store.dims(), eps)?;
         builder.count_batch(store.flat())?;

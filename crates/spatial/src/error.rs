@@ -19,7 +19,8 @@ pub enum SpatialError {
     },
     /// Dimensionality must be at least 1.
     ZeroDims,
-    /// ε must be a finite positive number.
+    /// ε must be positive with a normal f64 square, i.e. between about
+    /// 1.5e-154 and 1.34e154 (see [`crate::validate_eps`]).
     InvalidEpsilon {
         /// The offending value.
         value: f64,
@@ -59,7 +60,10 @@ impl fmt::Display for SpatialError {
             }
             SpatialError::ZeroDims => write!(f, "dimensionality must be at least 1"),
             SpatialError::InvalidEpsilon { value } => {
-                write!(f, "epsilon must be finite and positive, got {value}")
+                write!(
+                    f,
+                    "eps must lie between about 1.5e-154 and 1.34e154 (eps² must be a normal f64), got {value}"
+                )
             }
             SpatialError::InvalidMinPts => write!(f, "minPts must be at least 1"),
             SpatialError::NonFiniteCoordinate { point, dim } => {

@@ -5,7 +5,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
-use crate::cell::{cell_of, cell_side, CellCoord};
+use crate::cell::{cell_of, cell_side, validate_eps, CellCoord};
 use crate::error::SpatialError;
 use crate::points::{PointId, PointStore};
 
@@ -30,11 +30,9 @@ impl Grid {
     ///
     /// # Errors
     ///
-    /// Fails if `eps` is not finite and positive.
+    /// Fails if `eps` is out of range ([`validate_eps`]).
     pub fn build(store: &PointStore, eps: f64) -> Result<Self, SpatialError> {
-        if !eps.is_finite() || eps <= 0.0 {
-            return Err(SpatialError::InvalidEpsilon { value: eps });
-        }
+        validate_eps(eps)?;
         let dims = store.dims();
         let side = cell_side(eps, dims);
         let mut cells: HashMap<CellCoord, Vec<PointId>, DetState> = HashMap::default();
@@ -56,15 +54,13 @@ impl Grid {
     ///
     /// # Errors
     ///
-    /// Fails if `eps` is not finite and positive.
+    /// Fails if `eps` is out of range ([`validate_eps`]).
     pub fn build_parallel(
         store: &PointStore,
         eps: f64,
         threads: usize,
     ) -> Result<Self, SpatialError> {
-        if !eps.is_finite() || eps <= 0.0 {
-            return Err(SpatialError::InvalidEpsilon { value: eps });
-        }
+        validate_eps(eps)?;
         let n = store.len() as usize;
         let threads = threads.max(1).min(n.max(1));
         if threads == 1 {

@@ -45,7 +45,7 @@
 
 use std::ops::Range;
 
-use crate::cell::{cell_of, cell_side, MAX_DIMS};
+use crate::cell::{cell_of, cell_side, validate_eps, MAX_DIMS};
 use crate::cell_major::{CellMajorStore, CellRecord};
 use crate::cell_table::CellTable;
 use crate::error::SpatialError;
@@ -104,12 +104,10 @@ impl MutableCellMajor {
     ///
     /// # Errors
     ///
-    /// Fails if `eps` is not finite and positive, `dims` is zero, or
-    /// `dims` exceeds [`MAX_DIMS`].
+    /// Fails if `eps` is out of range ([`validate_eps`]), `dims` is zero,
+    /// or `dims` exceeds [`MAX_DIMS`].
     pub fn new(dims: usize, eps: f64) -> Result<Self, SpatialError> {
-        if !eps.is_finite() || eps <= 0.0 {
-            return Err(SpatialError::InvalidEpsilon { value: eps });
-        }
+        validate_eps(eps)?;
         if dims == 0 {
             return Err(SpatialError::ZeroDims);
         }

@@ -23,8 +23,8 @@ fn main() {
     println!(
         "OSM-like dataset: {} points; eps = {}, minPts = {}\n",
         store.len(),
-        params.eps,
-        params.min_pts
+        params.eps(),
+        params.min_pts()
     );
 
     let mut reference: Option<Vec<u32>> = None;

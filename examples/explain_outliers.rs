@@ -45,7 +45,7 @@ fn main() {
     let bottom: Vec<u32> = ranked.iter().rev().take(3).copied().collect();
     println!("\nborderline outliers (closest to a dense region):");
     for e in explain(&ds.points, &scored.result, params, &bottom).expect("explanation succeeds") {
-        let slack = e.eps_to_cover.map(|d| d - params.eps);
+        let slack = e.eps_to_cover.map(|d| d - params.eps());
         println!(
             "  {e}\n    → would be covered if eps grew by {:.4}",
             slack.unwrap_or(f64::INFINITY)

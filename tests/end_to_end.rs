@@ -61,12 +61,14 @@ fn osm_generator_agrees_across_all_detectors_semantics() {
     let scout = detect_outliers(&store, params).unwrap();
 
     // DBSCAN noise = DBSCOUT outliers (definitional equivalence).
-    let dbscan = Dbscan::new(params.eps, params.min_pts).fit(&store).unwrap();
+    let dbscan = Dbscan::new(params.eps(), params.min_pts())
+        .fit(&store)
+        .unwrap();
     assert_eq!(scout.outlier_mask(), dbscan.noise_mask());
 
     // RP-DBSCAN-A: superset of the exact outliers.
     let ctx = ExecutionContext::builder().workers(2).build();
-    let rp = RpDbscan::new(ctx, params.eps, params.min_pts)
+    let rp = RpDbscan::new(ctx, params.eps(), params.min_pts())
         .detect(&store)
         .unwrap();
     for (i, (&e, &a)) in scout

@@ -25,7 +25,10 @@ use dbscout::core::{
     PointLabel,
 };
 use dbscout::dataflow::ExecutionContext;
-use dbscout::spatial::PointStore;
+use dbscout::spatial::{
+    validate_eps, CellMajorBuilder, CellMajorStore, Grid, MutableCellMajor, PointStore,
+    SpatialError,
+};
 
 /// Runs every exact detector on `store` and requires brute-force labels.
 fn all_detectors_match_reference(store: &PointStore, params: DbscoutParams) {
@@ -43,7 +46,7 @@ fn all_detectors_match_reference(store: &PointStore, params: DbscoutParams) {
     let ctx = ExecutionContext::builder().workers(2).build();
     let dist = DistributedDbscout::new(ctx, params).detect(store).unwrap();
     assert_eq!(dist.labels, want, "distributed");
-    let noise = Dbscan::new(params.eps, params.min_pts)
+    let noise = Dbscan::new(params.eps(), params.min_pts())
         .fit(store)
         .unwrap()
         .noise_mask();
@@ -120,5 +123,40 @@ fn eps_whose_square_overflows_or_underflows_is_rejected() {
             assert_eq!(naive_labels(&store, params), vec![want; 2], "eps {eps:e}");
             all_detectors_match_reference(&store, params);
         }
+    }
+}
+
+#[test]
+fn spatial_constructors_refuse_what_params_refuse() {
+    // The spatial layer takes a raw ε, so it must make the same range
+    // check as `DbscoutParams::new`. `Dbscan` builds its grid from one:
+    // at ε = 1e155 it marked neither of two points 2ε apart as noise,
+    // because both squares overflowed. Now `fit` refuses that ε.
+    let store = PointStore::from_rows(2, vec![vec![0.0, 0.0], vec![2e155, 0.0]]).unwrap();
+    assert_eq!(
+        Dbscan::new(1e155, 2).fit(&store).err(),
+        Some(SpatialError::InvalidEpsilon { value: 1e155 })
+    );
+    for eps in [1e155, 1e-320] {
+        let want = Some(SpatialError::InvalidEpsilon { value: eps });
+        assert_eq!(validate_eps(eps).err(), want, "eps {eps:e}");
+        assert_eq!(CellMajorBuilder::new(2, eps).err(), want, "eps {eps:e}");
+        assert_eq!(
+            CellMajorStore::build(&store, eps).err(),
+            want,
+            "eps {eps:e}"
+        );
+        assert_eq!(Grid::build(&store, eps).err(), want, "eps {eps:e}");
+        assert_eq!(
+            Grid::build_parallel(&store, eps, 2).err(),
+            want,
+            "eps {eps:e}"
+        );
+        assert_eq!(MutableCellMajor::new(2, eps).err(), want, "eps {eps:e}");
+        assert_eq!(
+            DbscoutParams::new(eps, 2).err(),
+            Some(DbscoutError::InvalidEpsilon { value: eps }),
+            "eps {eps:e}"
+        );
     }
 }

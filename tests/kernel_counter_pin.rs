@@ -93,8 +93,8 @@ fn uniform_2d_matches_reference_and_pinned_counters() {
     let got = check(
         "uniform-2d",
         &store,
-        params.eps,
-        params.min_pts,
+        params.eps(),
+        params.min_pts(),
         Pin {
             num_cells: 1_304,
             dense_cells: 8,
