@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use dbscout_core::{
     build_run_report, DbscoutError, DbscoutParams, DetectorBuilder, ExecutionConfig, KernelKind,
-    PhaseTimings, RunInfo, PHASE_NAMES,
+    PhaseTimings, RunInfo, GRID_STEP_NAMES, PHASE_NAMES,
 };
 use dbscout_data::generators as gen;
 use dbscout_data::io::{read_csv_with, write_binary, write_csv, IngestMode, QuarantineReport};
@@ -30,12 +30,14 @@ fn engine_err(e: impl std::fmt::Display) -> CliError {
     CliError::engine(e.to_string())
 }
 
-/// Classifies a `detect_source` failure: ingest errors surfaced through
-/// the streaming source are data failures (exit code 2, same as the
-/// materialized read path); everything else is an engine fault.
-fn detect_err(e: DbscoutError) -> CliError {
+/// Classifies a detection failure: bad input — ingest errors surfaced
+/// through a streaming source, or points an engine rejects, such as a
+/// non-finite coordinate in a binary file or one too far out for ε — is
+/// a data failure (exit code 2, as on the CSV read path); everything
+/// else is an engine fault.
+pub(crate) fn detect_err(e: DbscoutError) -> CliError {
     match e {
-        DbscoutError::Ingest(_) => CliError::data(e.to_string()),
+        DbscoutError::Ingest(_) | DbscoutError::InvalidInput(_) => CliError::data(e.to_string()),
         other => CliError::engine(other.to_string()),
     }
 }
@@ -82,8 +84,15 @@ fn quarantine_summary(out: &mut String, q: &QuarantineReport) {
 
 /// Replays the native engine's phase timings as phase spans (the native
 /// engine has no execution context, so its trace is synthesized from
-/// [`PhaseTimings`] after the fact, phases laid end to end).
+/// [`PhaseTimings`] after the fact, phases laid end to end), with the
+/// grid partitioning phase's three steps as stage spans laid end to end
+/// from its start, inside it.
 fn synthesize_phase_spans(recorder: &dyn Recorder, started: Instant, timings: &PhaseTimings) {
+    let mut cursor = started;
+    for (name, duration) in GRID_STEP_NAMES.iter().zip(timings.grid_steps()) {
+        recorder.record_span(Span::new(*name, SpanKind::Stage, cursor, duration));
+        cursor += duration;
+    }
     let durations = [
         timings.grid,
         timings.dense_map,
@@ -199,7 +208,7 @@ pub fn detect(flags: &Flags) -> Result<String, CliError> {
             echo_workers = exec.threads as u64;
             let builder = DetectorBuilder::new(params).execution(exec);
             match (&store, &mut source) {
-                (Some(st), _) => builder.build_native().detect(st).map_err(engine_err)?,
+                (Some(st), _) => builder.build_native().detect(st).map_err(detect_err)?,
                 (None, Some(src)) => builder.detect_source(src).map_err(detect_err)?,
                 (None, None) => return Err(CliError::new("internal: no dataset loaded")),
             }
@@ -226,7 +235,7 @@ pub fn detect(flags: &Flags) -> Result<String, CliError> {
                 .distributed(ctx)
                 .build_distributed();
             let before = detector.ctx().metrics().snapshot();
-            let result = detector.detect(st).map_err(engine_err)?;
+            let result = detector.detect(st).map_err(detect_err)?;
             fault_tolerance = Some(detector.ctx().metrics().snapshot().since(&before));
             stage_records = detector.ctx().metrics().stage_records();
             if let Some(c) = &collector {
@@ -625,6 +634,73 @@ mod tests {
     }
 
     #[test]
+    fn grid_step_spans_nest_in_the_grid_phase() {
+        use dbscout_core::{GRID_STEP_NAMES, PHASE_NAMES};
+        use dbscout_telemetry::json::{parse, Value};
+
+        let data = tmp("steps.bin");
+        run(&argv(&[
+            "generate",
+            "--dataset",
+            "blobs",
+            "--n",
+            "3000",
+            "--seed",
+            "5",
+            "--format",
+            "binary",
+            "--output",
+            &data,
+        ]))
+        .unwrap();
+        for threads in ["1", "2"] {
+            let trace = tmp(&format!("steps-trace-{threads}.json"));
+            run(&argv(&[
+                "detect",
+                "--input",
+                &data,
+                "--from-binary",
+                "--batch-size",
+                "100",
+                "--threads",
+                threads,
+                "--eps",
+                "0.6",
+                "--min-pts",
+                "5",
+                "--trace-out",
+                &trace,
+            ]))
+            .unwrap();
+            let events = parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+            let span = |name: &str| -> (f64, f64) {
+                let found: Vec<&Value> = events
+                    .as_array()
+                    .unwrap()
+                    .iter()
+                    .filter(|e| e.get("name").and_then(Value::as_str) == Some(name))
+                    .collect();
+                assert_eq!(found.len(), 1, "one {name:?} span");
+                let field = |k: &str| found[0].get(k).and_then(Value::as_f64).unwrap();
+                (field("ts"), field("dur"))
+            };
+            let (phase_ts, phase_dur) = span(PHASE_NAMES[0]);
+            let mut sum = 0.0;
+            for name in GRID_STEP_NAMES {
+                let (ts, dur) = span(name);
+                // The trace floors every ts and dur to whole microseconds,
+                // so an end may read 1 µs past the phase's.
+                assert!(
+                    ts >= phase_ts && ts + dur <= phase_ts + phase_dur + 1.0,
+                    "{name:?} [{ts}, +{dur}] outside phase 1 [{phase_ts}, +{phase_dur}]"
+                );
+                sum += dur;
+            }
+            assert!(sum <= phase_dur, "steps sum {sum} > phase 1 {phase_dur}");
+        }
+    }
+
+    #[test]
     fn detect_engines_agree() {
         let data = tmp("moons.csv");
         run(&argv(&[
@@ -1005,13 +1081,19 @@ mod tests {
         .unwrap();
         let doc = parse(&std::fs::read_to_string(&trace).unwrap()).unwrap();
         let events = doc.as_array().unwrap();
-        // The native engine has no stages or tasks: phase spans plus one
-        // counter sample per kernel counter.
-        let spans: Vec<_> = events
+        // The native engine has no executor stages or tasks: phase spans,
+        // the grid phase's three step spans, and one counter sample per
+        // kernel counter.
+        let mut spans: Vec<&str> = events
             .iter()
             .filter(|e| e.get("ph").unwrap().as_str() == Some("X"))
+            .map(|e| e.get("name").unwrap().as_str().unwrap())
             .collect();
-        assert_eq!(spans.len(), dbscout_core::PHASE_NAMES.len());
+        spans.sort_unstable();
+        let mut expected_spans = dbscout_core::PHASE_NAMES.to_vec();
+        expected_spans.extend(dbscout_core::GRID_STEP_NAMES);
+        expected_spans.sort_unstable();
+        assert_eq!(spans, expected_spans);
         let mut counters: Vec<&str> = events
             .iter()
             .filter(|e| e.get("ph").unwrap().as_str() == Some("C"))

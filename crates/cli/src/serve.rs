@@ -46,7 +46,7 @@ use dbscout_telemetry::json::{escape, parse, Value};
 use dbscout_telemetry::{Recorder, ServeReport, Span, SpanKind, TraceCollector};
 
 use crate::cli::{CliError, Flags};
-use crate::commands::{load_dataset, parse_kernel};
+use crate::commands::{detect_err, load_dataset, parse_kernel};
 
 /// The longest request line a session reads, in bytes (its `\n`
 /// excluded). A request is a few hundred bytes; longer lines are
@@ -395,7 +395,7 @@ pub fn serve(flags: &Flags) -> Result<String, CliError> {
     let t = Instant::now();
     let inc =
         IncrementalDbscout::from_store_with(&store, params, ExecutionLayout::CellMajor, kernel)
-            .map_err(|e| CliError::engine(e.to_string()))?;
+            .map_err(detect_err)?;
     // The engine holds its own copy of every point.
     drop(store);
     eprintln!(

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use dbscout_dataflow::shuffle::DetHashMap;
 use dbscout_dataflow::{Dataset, ExecutionContext};
-use dbscout_spatial::cell::{cell_of, cell_side, MAX_DIMS};
+use dbscout_spatial::cell::{cell_of, cell_side, check_point, MAX_DIMS};
 use dbscout_spatial::distance::within;
 use dbscout_spatial::points::PointId;
 use dbscout_spatial::CellCoord;
@@ -193,6 +193,10 @@ impl DistributedDbscout {
         let n = store.len() as usize;
         let dist_comps = Arc::new(AtomicU64::new(0));
         let mut timings = PhaseTimings::default();
+        // Cells of points out of range would saturate and merge.
+        for (id, p) in store.iter() {
+            check_point(id as usize, p, side)?;
+        }
 
         // ───────────── Phase 1: CREATE-GRID (Algorithm 1) ─────────────
         // Stage-0 ingest is chunked: points enter the dataflow in

@@ -51,7 +51,7 @@
 //! outlier and core counts. Listing the outliers then walks set bits,
 //! O(ids/64 + #outliers), and counting them reads a counter.
 
-use dbscout_spatial::cell::{cell_of, cell_side};
+use dbscout_spatial::cell::{cell_of, cell_side, check_point};
 use dbscout_spatial::mutable::MutableCellMajor;
 use dbscout_spatial::points::PointId;
 use dbscout_spatial::{
@@ -514,7 +514,8 @@ impl IncrementalDbscout {
         OutlierResult::from_labels(labels, stats, PhaseTimings::default())
     }
 
-    /// Rejects points the store would reject, without mutating it.
+    /// Rejects points the store would reject, or whose cell would not be
+    /// exact ([`check_point`]), without mutating anything.
     fn validate(&self, point: &[f64]) -> Result<()> {
         if point.len() != self.all_points.dims() {
             return Err(SpatialError::DimensionMismatch {
@@ -523,16 +524,7 @@ impl IncrementalDbscout {
             }
             .into());
         }
-        for (dim, &x) in point.iter().enumerate() {
-            if !x.is_finite() {
-                return Err(SpatialError::NonFiniteCoordinate {
-                    point: self.total_inserted(),
-                    dim,
-                }
-                .into());
-            }
-        }
-        Ok(())
+        Ok(check_point(self.total_inserted(), point, self.side)?)
     }
 
     /// Collects the ids of every live point within ε of `point` via the
@@ -580,9 +572,11 @@ impl IncrementalDbscout {
     ///
     /// # Errors
     ///
-    /// Fails on dimension mismatch or non-finite coordinates
+    /// Fails on dimension mismatch, or a coordinate that is non-finite or
+    /// out of range ([`check_point`]), and then changes nothing
     /// ([`dbscout_spatial::SpatialError`] via [`crate::DbscoutError`]).
     pub fn insert(&mut self, point: &[f64]) -> Result<PointId> {
+        self.validate(point)?;
         let id = self.all_points.push(point)?;
         let min_pts = self.params.min_pts() as u32;
 
@@ -958,12 +952,20 @@ mod tests {
 
         assert_seed_equals_loop(&PointStore::new(3).unwrap(), params(1.0, 3), "empty store");
 
-        // Saturated cells (`tests/extreme_coordinates.rs`): four points
-        // share one cell but lie far apart, so all are outliers.
+        // Points whose cells would saturate (`tests/extreme_coordinates.rs`)
+        // are refused alike by the seed and by the first insert.
         let far = PointStore::from_rows(2, (1..=4).map(|k| vec![k as f64 * 1e300, 0.0])).unwrap();
-        assert_seed_equals_loop(&far, params(1.0, 3), "1e300 points");
-        let seeded = IncrementalDbscout::from_store(&far, params(1.0, 3)).unwrap();
-        assert_eq!(seeded.outliers(), vec![0, 1, 2, 3]);
+        let refused = crate::DbscoutError::InvalidInput(SpatialError::CoordinateOutOfRange {
+            point: 0,
+            dim: 0,
+        });
+        assert_eq!(
+            IncrementalDbscout::from_store(&far, params(1.0, 3)).err(),
+            Some(refused.clone())
+        );
+        let mut looped = IncrementalDbscout::new(2, params(1.0, 3)).unwrap();
+        assert_eq!(looped.insert(far.point(0)).err(), Some(refused));
+        assert!(looped.is_empty());
     }
 
     #[test]

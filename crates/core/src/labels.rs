@@ -29,6 +29,16 @@ impl PointLabel {
 pub struct PhaseTimings {
     /// Grid partitioning and point-cell assignment (Algorithm 1).
     pub grid: Duration,
+    /// Of `grid`, the native engine's pass 1: reading the input and
+    /// counting points per cell, lanes merged ([`GRID_STEP_NAMES`]).
+    /// Zero for engines that do not split the phase.
+    pub grid_count: Duration,
+    /// Of `grid`, the native engine's plan: the cell table sorted and
+    /// the layout's cell ranges laid out.
+    pub grid_plan: Duration,
+    /// Of `grid`, the native engine's pass 2: the input read again and
+    /// every point checked and placed in its slot.
+    pub grid_place: Duration,
     /// Dense cell map construction (Algorithm 2).
     pub dense_map: Duration,
     /// Core points identification (Algorithm 3).
@@ -39,7 +49,18 @@ pub struct PhaseTimings {
     pub outliers: Duration,
 }
 
+/// Trace names of the steps of the grid partitioning phase, in order:
+/// the spans of [`PhaseTimings::grid_count`], [`PhaseTimings::grid_plan`]
+/// and [`PhaseTimings::grid_place`].
+pub const GRID_STEP_NAMES: [&str; 3] = ["grid: count pass", "grid: plan", "grid: place pass"];
+
 impl PhaseTimings {
+    /// The three steps of the grid partitioning phase, in
+    /// [`GRID_STEP_NAMES`] order.
+    pub fn grid_steps(&self) -> [Duration; 3] {
+        [self.grid_count, self.grid_plan, self.grid_place]
+    }
+
     /// Total across all phases.
     pub fn total(&self) -> Duration {
         self.grid + self.dense_map + self.core_points + self.core_map + self.outliers
@@ -137,8 +158,12 @@ mod tests {
 
     #[test]
     fn phase_timings_total() {
+        // The grid steps lie inside `grid` and add nothing to the total.
         let t = PhaseTimings {
             grid: Duration::from_millis(1),
+            grid_count: Duration::from_micros(500),
+            grid_plan: Duration::from_micros(100),
+            grid_place: Duration::from_micros(300),
             dense_map: Duration::from_millis(2),
             core_points: Duration::from_millis(3),
             core_map: Duration::from_millis(4),

@@ -71,7 +71,7 @@ pub use error::{DbscoutError, Result};
 pub use execution::ExecutionConfig;
 pub use explain::{consistent, explain, Explanation};
 pub use incremental::IncrementalDbscout;
-pub use labels::{OutlierResult, PhaseTimings, PointLabel, RunStats};
+pub use labels::{OutlierResult, PhaseTimings, PointLabel, RunStats, GRID_STEP_NAMES};
 pub use native::{detect_outliers, Dbscout, ExecutionLayout, NativeOptions};
 pub use params::DbscoutParams;
 pub use report::{build_run_report, stage_report, RunInfo};

@@ -19,10 +19,11 @@
 //!    of a core point in a neighboring core cell; cells with no core
 //!    neighbor are all outliers outright.
 
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Instant;
 
 use dbscout_data::{PointBatch, PointSource};
-use dbscout_dataflow::executor::{run_exclusive_tasks, run_tasks, run_tasks_with};
+use dbscout_dataflow::executor::{run_fed_workers, run_tasks, run_tasks_with};
 use dbscout_spatial::{
     CellMajorBuilder, CellMajorStore, KernelKind, NeighborOffsets, PointStore, SpatialError,
     MAX_DIMS,
@@ -167,25 +168,26 @@ impl Dbscout {
     }
 
     /// Detects all outliers of a streaming [`PointSource`], exactly, with
-    /// peak memory bounded by the finished cell-major layout plus one
-    /// group of up to `threads` batches (and, during the counting pass,
-    /// one per-cell tally per thread) — never the raw input file.
+    /// peak memory bounded by the finished cell-major layout plus a few
+    /// batches per thread in flight (and, during the counting pass, one
+    /// per-cell tally per thread) — never the raw input file.
     ///
     /// The grid is built in two passes over the source: pass 1 counts
     /// points per ε-cell, the source is [`PointSource::reset`], and pass
     /// 2 places the replayed batches straight into the cell-contiguous
-    /// columns; then the shared phases 2–5 run. Both passes read the
-    /// source in groups of up to `threads` batches and compute each
-    /// point's cell once: pass 1 tallies batch `i` of a group in lane
-    /// `i` and records each point's cell, and pass 2 checks each point
-    /// against its recorded cell in parallel over the group's batches,
-    /// then places the points in parallel over disjoint cell ranges.
-    /// Peak memory also holds the recorded cells, 4 bytes a point,
-    /// until pass 2 finishes. The result is identical to materializing the
-    /// source and calling [`Self::detect`] at any thread count — the
-    /// equivalence suite pins labels *and* stats.
+    /// columns; then the shared phases 2–5 run. The calling thread reads
+    /// the source batch by batch and feeds `threads` workers that live
+    /// for the whole pass: in pass 1 each batch goes to one lane, which
+    /// records each point's cell; in pass 2 every batch is shared with
+    /// every shard of the layout, and each shard checks and places the
+    /// points of its own cells. Each point's cell is computed once per
+    /// pass. Peak memory also holds the recorded cells, 4 bytes a point,
+    /// until pass 2 finishes. The result is identical to materializing
+    /// the source and calling [`Self::detect`] at any thread count — the
+    /// equivalence suite pins labels *and* stats — and so is a failure:
+    /// the error reported is the one a sequential pass meets first.
     pub fn detect_source(&self, source: &mut dyn PointSource) -> Result<OutlierResult> {
-        self.detect_input(&mut SourceGroups {
+        self.detect_input(&mut SourceBatches {
             dims: source.dims(),
             source,
         })
@@ -194,7 +196,8 @@ impl Dbscout {
     /// Phase 1 over `input`, then phases 2–5.
     fn detect_input(&self, input: &mut impl GridInput) -> Result<OutlierResult> {
         let t = Instant::now();
-        let Some(cm) = self.build_grid(input)? else {
+        let mut timings = PhaseTimings::default();
+        let Some(cm) = self.build_grid(input, &mut timings)? else {
             // The source produced no batches and never declared a
             // dimensionality — an empty dataset.
             return Ok(OutlierResult::from_labels(
@@ -204,17 +207,19 @@ impl Dbscout {
             ));
         };
         let offsets = NeighborOffsets::new(cm.dims())?;
-        let grid_elapsed = t.elapsed();
-        self.run_cell_major_phases(&cm, &offsets, grid_elapsed)
+        timings.grid = t.elapsed();
+        self.run_cell_major_phases(&cm, &offsets, timings)
     }
 
     /// Phase 1, grid partitioning (Algorithm 1), fused with the
     /// cell-major permutation: a two-pass counting sort by cell over
-    /// `input`, read as groups of up to `threads` batches. Each pass
-    /// computes every point's cell once, and only pass 1 hashes it.
+    /// `input`. The calling thread reads each pass batch by batch, in
+    /// stream order, and feeds at most `threads` workers that live for
+    /// the whole pass ([`run_fed_workers`]). Each pass computes every
+    /// point's cell once, and only pass 1 hashes it.
     ///
-    /// * Pass 1: lane `i` tallies batch `i` of every group into its own
-    ///   [`CellMajorBuilder`]: it interns each point's cell in the lane's
+    /// * Pass 1: batch `i` goes to lane `i mod threads`, a
+    ///   [`CellMajorBuilder`] that interns each point's cell in its
     ///   compact cell table and records the lane-local cell number under
     ///   the point's arrival id. The lanes merge once at the end, each
     ///   lane's cells interned in the tally once and its recorded cells
@@ -223,25 +228,35 @@ impl Dbscout {
     /// * [`CellMajorBuilder::begin_scatter`] sorts the cell table,
     ///   renumbers the recorded cells into their sorted ranks and lays
     ///   out the records.
-    /// * Pass 2, per group: *resolve* maps each point to its recorded
-    ///   cell and checks that the point's recomputed cell has that
-    ///   cell's coordinates ([`SpatialError::StreamMismatch`] otherwise),
-    ///   in parallel over the batches, with no hash lookup; then *place*
-    ///   writes the points, in parallel over
-    ///   [`CellMajorScatter::shards`], each shard writing only its own
-    ///   cells.
+    /// * Pass 2: [`CellMajorScatter::shards`] carves the layout once into
+    ///   `threads` shards of disjoint cell ranges. Every batch is shared
+    ///   with every shard, and each shard checks and writes only the
+    ///   points whose recorded cell it owns: the point must be finite, in
+    ///   range and inside that cell ([`SpatialError::StreamMismatch`]
+    ///   otherwise), with no hash lookup.
+    ///   [`CellMajorScatter::finish_sharded`] then checks that every cell
+    ///   got all its points.
     ///
     /// A point's slot is a pure function of `(cell, arrival id)`, so the
     /// layout is byte-identical to [`CellMajorStore::build`] for any
-    /// thread count and batching. Returns `None` for an input that has
-    /// no batches and never declared a dimensionality.
+    /// thread count and batching. A failure is too: workers report the
+    /// arrival id they failed at, a read error stops the feed only after
+    /// the batches before it, and the error reported is the one a
+    /// sequential pass meets first. The steps' times go into `timings`.
+    /// Returns `None` for an input that has no batches and never
+    /// declared a dimensionality.
     ///
     /// [`CellMajorScatter::shards`]: dbscout_spatial::CellMajorScatter::shards
-    fn build_grid(&self, input: &mut impl GridInput) -> Result<Option<CellMajorStore>> {
+    /// [`CellMajorScatter::finish_sharded`]: dbscout_spatial::CellMajorScatter::finish_sharded
+    fn build_grid<I: GridInput>(
+        &self,
+        input: &mut I,
+        timings: &mut PhaseTimings,
+    ) -> Result<Option<CellMajorStore>> {
         let threads = self.threads.max(1);
         let eps = self.params.eps();
-        let mut group = Vec::with_capacity(threads);
-        input.next_group(threads, &mut group)?;
+        let t = Instant::now();
+        let mut batch = input.next_batch()?;
         let Some(dims) = input.dims() else {
             return Ok(None);
         };
@@ -251,61 +266,80 @@ impl Dbscout {
         let mut lanes = (1..threads)
             .map(|_| CellMajorBuilder::new(dims, eps))
             .collect::<std::result::Result<Vec<_>, _>>()?;
-        let mut next_id = 0;
-        while !group.is_empty() {
-            let firsts = arrival_ids(&group, dims, &mut next_id);
-            let tasks: Vec<_> = std::iter::once(&mut tally)
-                .chain(&mut lanes)
-                .zip(&group)
-                .zip(firsts)
-                .map(|((lane, batch), first)| move || lane.count_batch_at(first, batch.as_ref()))
-                .collect();
-            for done in run_exclusive_tasks(tasks) {
-                done?;
+        let workers: Vec<_> = std::iter::once(&mut tally)
+            .chain(&mut lanes)
+            .map(|lane| {
+                move |(first, batch): (usize, I::Batch)| {
+                    lane.count_batch_at(first, batch.as_ref())
+                        .map_err(|e| (first, e))
+                }
+            })
+            .collect();
+        let (fed, tallied) = run_fed_workers(workers, |feeder| -> Result<()> {
+            let (mut lane, mut next_id) = (0, 0);
+            while let Some(b) = batch.take() {
+                let first = next_id;
+                next_id += b.as_ref().len() / dims;
+                if !feeder.send(lane, (first, b)) {
+                    return Ok(());
+                }
+                lane = (lane + 1) % feeder.workers();
+                batch = input.next_batch()?;
             }
-            input.next_group(threads, &mut group)?;
-        }
+            Ok(())
+        });
+        first_failure(fed, tallied)?;
         for lane in lanes {
             tally.merge(lane)?;
         }
+        timings.grid_count = t.elapsed();
 
-        // Pass 2: resolve, then place, one group at a time.
-        input.rewind()?;
+        let t = Instant::now();
         let mut scatter = tally.begin_scatter();
-        let mut next_id = 0;
-        loop {
-            input.next_group(threads, &mut group)?;
-            if group.is_empty() {
-                break;
-            }
-            let firsts = arrival_ids(&group, dims, &mut next_id);
-            let table = &scatter;
-            let tasks: Vec<_> = group
-                .iter()
-                .zip(&firsts)
-                .map(|(batch, &first)| move || table.resolve(first, batch.as_ref()))
-                .collect();
-            let resolved = run_exclusive_tasks(tasks)
-                .into_iter()
-                .collect::<std::result::Result<Vec<_>, _>>()?;
-            let (group, resolved, firsts) = (&group, &resolved, &firsts);
-            let tasks: Vec<_> = scatter
-                .shards(threads)
-                .into_iter()
-                .map(|mut shard| {
-                    move || -> std::result::Result<(), SpatialError> {
-                        for ((batch, cells), &first) in group.iter().zip(resolved).zip(firsts) {
-                            shard.place(first, batch.as_ref(), cells)?;
-                        }
-                        Ok(())
+        timings.grid_plan = t.elapsed();
+
+        // Pass 2: one shard per worker, each handed every batch.
+        let t = Instant::now();
+        input.rewind()?;
+        let counted = scatter.len();
+        let workers: Vec<_> = scatter
+            .shards(threads)
+            .into_iter()
+            .map(|mut shard| {
+                move |(first, batch): (usize, Arc<I::Batch>)| shard.place(first, (*batch).as_ref())
+            })
+            .collect();
+        let (fed, placed) = run_fed_workers(workers, |feeder| -> Result<()> {
+            let mut next_id = 0;
+            while let Some(b) = input.next_batch()? {
+                let len = b.as_ref().len();
+                if !len.is_multiple_of(dims) {
+                    return Err(SpatialError::DimensionMismatch {
+                        expected: dims,
+                        got: len % dims,
                     }
-                })
-                .collect();
-            for done in run_exclusive_tasks(tasks) {
-                done?;
+                    .into());
+                }
+                let first = next_id;
+                next_id += len / dims;
+                let b = Arc::new(b);
+                for shard in 0..feeder.workers() {
+                    if !feeder.send(shard, (first, Arc::clone(&b))) {
+                        return Ok(());
+                    }
+                }
+                if next_id > counted {
+                    // Past the counted stream: the shards check the
+                    // batch's points before `counted` first.
+                    return Err(SpatialError::StreamMismatch.into());
+                }
             }
-        }
-        Ok(Some(scatter.finish_sharded()?))
+            Ok(())
+        });
+        first_failure(fed, placed)?;
+        let cm = scatter.finish_sharded()?;
+        timings.grid_place = t.elapsed();
+        Ok(Some(cm))
     }
 
     /// Phases 2–5 over a built cell-major layout — shared verbatim by the
@@ -315,16 +349,12 @@ impl Dbscout {
         &self,
         cm: &CellMajorStore,
         offsets: &NeighborOffsets,
-        grid_elapsed: Duration,
+        mut timings: PhaseTimings,
     ) -> Result<OutlierResult> {
         let eps_sq = self.params.eps_sq();
         let min_pts = self.params.min_pts();
         let options = self.options;
         let kind = self.kernel;
-        let mut timings = PhaseTimings {
-            grid: grid_elapsed,
-            ..PhaseTimings::default()
-        };
 
         // Phase 2: dense cell map (Algorithm 2), keyed by cell index.
         let t = Instant::now();
@@ -688,30 +718,35 @@ pub(crate) fn chunk_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usiz
     out
 }
 
-/// The arrival id of each batch's first point, counting on from `next`,
-/// which is left one past the group's last point.
-fn arrival_ids<B: AsRef<[f64]>>(group: &[B], dims: usize, next: &mut usize) -> Vec<usize> {
-    group
-        .iter()
-        .map(|batch| {
-            let first = *next;
-            *next += batch.as_ref().len() / dims;
-            first
-        })
-        .collect()
+/// The error a sequential pass over the stream meets first: the worker
+/// failure at the lowest arrival id, else the feeder's own. The feeder
+/// stops only after sending every batch before its failure, so a worker
+/// failure always comes earlier in the stream.
+fn first_failure(
+    fed: Result<()>,
+    outcomes: Vec<std::result::Result<(), (usize, SpatialError)>>,
+) -> Result<()> {
+    match outcomes
+        .into_iter()
+        .filter_map(std::result::Result::err)
+        .min_by_key(|&(at, _)| at)
+    {
+        Some((_, e)) => Err(e.into()),
+        None => fed,
+    }
 }
 
-/// The input of phase 1, read twice as groups of flat row-major batches.
+/// The input of phase 1, read twice as a stream of flat row-major
+/// batches.
 trait GridInput {
     /// One batch of points.
-    type Batch: AsRef<[f64]> + Sync;
+    type Batch: AsRef<[f64]> + Send + Sync;
 
     /// The point dimensionality, once known.
     fn dims(&self) -> Option<usize>;
 
-    /// Replaces `group` with the next batches, at most `max` of them;
-    /// leaves it empty at the end of the pass.
-    fn next_group(&mut self, max: usize, group: &mut Vec<Self::Batch>) -> Result<()>;
+    /// The next batch of the pass, or `None` at its end.
+    fn next_batch(&mut self) -> Result<Option<Self::Batch>>;
 
     /// Rewinds to the first batch for the second pass.
     fn rewind(&mut self) -> Result<()>;
@@ -732,18 +767,11 @@ impl<'a> GridInput for StoreChunks<'a> {
         Some(self.store.dims())
     }
 
-    fn next_group(&mut self, max: usize, group: &mut Vec<&'a [f64]>) -> Result<()> {
+    fn next_batch(&mut self) -> Result<Option<&'a [f64]>> {
         let (flat, dims) = (self.store.flat(), self.store.dims());
-        group.clear();
-        group.extend(
-            self.chunks
-                .iter()
-                .skip(self.next)
-                .take(max)
-                .map(|rows| flat.get(rows.start * dims..rows.end * dims).unwrap_or(&[])),
-        );
-        self.next += group.len();
-        Ok(())
+        let chunk = self.chunks.get(self.next);
+        self.next += 1;
+        Ok(chunk.map(|rows| flat.get(rows.start * dims..rows.end * dims).unwrap_or(&[])))
     }
 
     fn rewind(&mut self) -> Result<()> {
@@ -753,29 +781,25 @@ impl<'a> GridInput for StoreChunks<'a> {
 }
 
 /// A streaming source, read batch by batch.
-struct SourceGroups<'a> {
+struct SourceBatches<'a> {
     source: &'a mut dyn PointSource,
     /// Declared by the source, or learned from its first batch.
     dims: Option<usize>,
 }
 
-impl GridInput for SourceGroups<'_> {
+impl GridInput for SourceBatches<'_> {
     type Batch = PointBatch;
 
     fn dims(&self) -> Option<usize> {
         self.dims
     }
 
-    fn next_group(&mut self, max: usize, group: &mut Vec<PointBatch>) -> Result<()> {
-        group.clear();
-        while group.len() < max {
-            let Some(batch) = self.source.next_batch()? else {
-                break;
-            };
-            self.dims.get_or_insert(batch.dims());
-            group.push(batch);
+    fn next_batch(&mut self) -> Result<Option<PointBatch>> {
+        let batch = self.source.next_batch()?;
+        if let Some(b) = &batch {
+            self.dims.get_or_insert(b.dims());
         }
-        Ok(())
+        Ok(batch)
     }
 
     fn rewind(&mut self) -> Result<()> {

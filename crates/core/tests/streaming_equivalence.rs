@@ -279,3 +279,237 @@ fn non_finite_coordinate_is_reported_at_its_stream_position() {
         );
     }
 }
+
+/// What one `next_batch` call of a [`Scripted`] source returns: a batch
+/// of 2-D points, or a read error naming `line`.
+#[derive(Clone)]
+enum Read {
+    Batch(Vec<f64>),
+    Fails(usize),
+}
+
+/// A 2-D source that plays one script per pass, and may fail to rewind.
+struct Scripted {
+    passes: [Vec<Read>; 2],
+    reset_fails: bool,
+    pass: usize,
+    next: usize,
+}
+
+/// The read error `Read::Fails(line)` raises.
+fn read_error(line: usize) -> DataIoError {
+    DataIoError::Parse {
+        line,
+        message: "scripted read failure".into(),
+    }
+}
+
+impl PointSource for Scripted {
+    fn dims(&self) -> Option<usize> {
+        Some(2)
+    }
+    fn next_batch(&mut self) -> Result<Option<PointBatch>, DataIoError> {
+        let read = self.passes[self.pass].get(self.next).cloned();
+        self.next += 1;
+        match read {
+            None => Ok(None),
+            Some(Read::Batch(coords)) => Ok(Some(PointBatch::from_flat(2, coords).unwrap())),
+            Some(Read::Fails(line)) => Err(read_error(line)),
+        }
+    }
+    fn reset(&mut self) -> Result<(), DataIoError> {
+        if self.reset_fails {
+            return Err(read_error(0));
+        }
+        self.pass = 1;
+        self.next = 0;
+        Ok(())
+    }
+}
+
+/// Sixty 2-D points, each alone in its cell at ε = 1, far apart along x,
+/// so at every thread count above 1 the layout's shards split them and
+/// early and late points are checked by different workers.
+fn spread_points() -> Vec<f64> {
+    (0..60)
+        .flat_map(|i| [f64::from(i) * 3.0 + 0.1, 0.1])
+        .collect()
+}
+
+/// `coords` cut into batches of ten points.
+fn batches_of_ten(coords: &[f64]) -> Vec<Read> {
+    coords.chunks(20).map(|c| Read::Batch(c.to_vec())).collect()
+}
+
+/// Runs `source`-building `make` at every thread count and requires the
+/// same error, `want`, from each.
+fn fails_alike(make: impl Fn() -> Scripted, want: &DbscoutError, case: &str) {
+    let params = DbscoutParams::new(1.0, 3).unwrap();
+    for threads in thread_counts() {
+        let err = DetectorBuilder::new(params)
+            .threads(threads)
+            .detect_source(&mut make())
+            .unwrap_err();
+        assert_eq!(&err, want, "{case}, threads={threads}");
+    }
+}
+
+#[test]
+fn a_pass_1_read_failure_loses_to_the_errors_of_the_batches_before_it() {
+    // The first batch holds a NaN at point 1 and the second read fails:
+    // a sequential pass meets the NaN first, so every thread count must
+    // report it, not the read error.
+    let mut first = spread_points();
+    first[3] = f64::NAN;
+    let nan_then_fail = || Scripted {
+        passes: [
+            vec![Read::Batch(first[..20].to_vec()), Read::Fails(2)],
+            vec![],
+        ],
+        reset_fails: false,
+        pass: 0,
+        next: 0,
+    };
+    fails_alike(
+        nan_then_fail,
+        &DbscoutError::InvalidInput(SpatialError::NonFiniteCoordinate { point: 1, dim: 1 }),
+        "NaN before a failed read",
+    );
+
+    // A read failure before a bad batch is met first.
+    let mut later = spread_points();
+    later[45] = f64::NAN;
+    let fail_then_nan = || {
+        let mut pass = batches_of_ten(&later);
+        pass.insert(1, Read::Fails(9));
+        Scripted {
+            passes: [pass, vec![]],
+            reset_fails: false,
+            pass: 0,
+            next: 0,
+        }
+    };
+    fails_alike(
+        fail_then_nan,
+        &DbscoutError::from(read_error(9)),
+        "failed read before a NaN",
+    );
+}
+
+#[test]
+fn a_diverging_replay_fails_alike_at_every_thread_count() {
+    let points = spread_points();
+    let replay = |edit: &dyn Fn(&mut Vec<f64>)| {
+        let mut coords = points.clone();
+        edit(&mut coords);
+        coords
+    };
+    let mismatch = DbscoutError::InvalidInput(SpatialError::StreamMismatch);
+    let nan = |point: usize, dim: usize| {
+        DbscoutError::InvalidInput(SpatialError::NonFiniteCoordinate { point, dim })
+    };
+    let cases: Vec<(&str, Vec<Read>, bool, DbscoutError)> = vec![
+        (
+            // Point 3 moves into point 40's counted cell; a NaN at point
+            // 50, on another shard, comes later in the stream.
+            "moved into another counted cell",
+            batches_of_ten(&replay(&|c| {
+                c[6] = c[80];
+                c[101] = f64::NAN;
+            })),
+            false,
+            mismatch.clone(),
+        ),
+        (
+            "NaN before a moved point",
+            batches_of_ten(&replay(&|c| {
+                c[11] = f64::NAN;
+                c[90] = c[20];
+            })),
+            false,
+            nan(5, 1),
+        ),
+        (
+            "yields a NaN",
+            batches_of_ten(&replay(&|c| c[66] = f64::NAN)),
+            false,
+            nan(33, 0),
+        ),
+        (
+            "adds a point",
+            batches_of_ten(&replay(&|c| c.extend([0.1, 0.1]))),
+            false,
+            mismatch.clone(),
+        ),
+        (
+            "adds a point after a NaN in its batch",
+            batches_of_ten(&replay(&|c| {
+                c[115] = f64::NAN;
+                c.extend([0.1, 0.1]);
+            })),
+            false,
+            nan(57, 1),
+        ),
+        (
+            "ends one point short",
+            batches_of_ten(&replay(&|c| c.truncate(118))),
+            false,
+            mismatch.clone(),
+        ),
+        (
+            "a read fails in pass 2",
+            {
+                let mut pass = batches_of_ten(&points);
+                pass.insert(3, Read::Fails(7));
+                pass
+            },
+            false,
+            DbscoutError::from(read_error(7)),
+        ),
+        (
+            "a NaN before a failed read in pass 2",
+            {
+                let mut pass = batches_of_ten(&replay(&|c| c[24] = f64::NAN));
+                pass.insert(3, Read::Fails(7));
+                pass
+            },
+            false,
+            nan(12, 0),
+        ),
+        (
+            "the rewind fails",
+            batches_of_ten(&points),
+            true,
+            DbscoutError::from(read_error(0)),
+        ),
+    ];
+    for (case, pass2, reset_fails, want) in cases {
+        let make = || Scripted {
+            passes: [batches_of_ten(&points), pass2.clone()],
+            reset_fails,
+            pass: 0,
+            next: 0,
+        };
+        fails_alike(make, &want, case);
+    }
+    // The unedited replay succeeds, so each failure above is its edit's.
+    let params = DbscoutParams::new(1.0, 3).unwrap();
+    let store = PointStore::from_rows(2, points.chunks(2).map(<[f64]>::to_vec)).unwrap();
+    let materialized = DetectorBuilder::new(params)
+        .build_native()
+        .detect(&store)
+        .unwrap();
+    for threads in thread_counts() {
+        let mut source = Scripted {
+            passes: [batches_of_ten(&points), batches_of_ten(&points)],
+            reset_fails: false,
+            pass: 0,
+            next: 0,
+        };
+        let streamed = DetectorBuilder::new(params)
+            .threads(threads)
+            .detect_source(&mut source)
+            .unwrap();
+        assert_identical(&streamed, &materialized, &format!("threads={threads}"));
+    }
+}

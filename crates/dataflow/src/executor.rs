@@ -28,7 +28,7 @@
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -201,39 +201,133 @@ where
     run_stage_with(&StageOptions::new(workers), make_scratch, tasks)
 }
 
-/// Runs `tasks` concurrently, one scoped thread per task, returning their
-/// results in task order. One thread per task is intentional: callers
-/// size the list to their worker budget (e.g. one scatter shard per
-/// thread), so pooling would add queuing without adding parallelism.
-///
-/// Unlike [`run_tasks`], the closures are `FnOnce` and may therefore own
-/// or mutably borrow state exclusively — the contract the parallel
-/// cell-major scatter needs, where each task holds `&mut` shard segments
-/// of the output buffers. The price is that attempts cannot be re-run:
-/// there is **no retry and no speculation** here (an `FnOnce` consumed by
-/// a failed attempt is gone), so this runner is for deterministic
-/// CPU-bound stages whose only failure mode is a task's own `Result`.
-/// Panics are not caught either; a panicking task propagates out of the
-/// scope join, as [`std::thread::scope`] defines.
-pub fn run_exclusive_tasks<T, F>(tasks: Vec<F>) -> Vec<T>
-where
-    T: Send,
-    F: FnOnce() -> T + Send,
-{
-    if tasks.len() <= 1 {
-        return tasks.into_iter().map(|f| f()).collect();
+/// How many items [`run_fed_workers`] lets the feeding thread queue
+/// ahead of each worker: one to work on next while the feeder reads the
+/// one after. Items in flight are therefore at most `FEED_DEPTH + 1` per
+/// worker, whatever the length of the stream.
+const FEED_DEPTH: usize = 2;
+
+/// The feeding side of [`run_fed_workers`]: hands items to the workers
+/// from the calling thread.
+pub struct Feeder<'a, I> {
+    workers: usize,
+    send: &'a mut dyn FnMut(usize, I) -> bool,
+}
+
+impl<I> Feeder<'_, I> {
+    /// Number of workers items can be sent to.
+    pub fn workers(&self) -> usize {
+        self.workers
     }
+
+    /// Sends `item` to worker `worker`, blocking while that worker's
+    /// channel is full. Returns `false` once some worker has failed or is
+    /// gone, or when there is no worker `worker` (the item is dropped):
+    /// nothing sent from then on can change the outcome, so the feed
+    /// should stop. Sending on is harmless, since a failed worker drops
+    /// what it gets.
+    pub fn send(&mut self, worker: usize, item: I) -> bool {
+        (self.send)(worker, item)
+    }
+}
+
+/// Runs one long-lived worker per entry of `workers`, fed by `feed` on
+/// the calling thread, and returns `feed`'s result with each worker's
+/// outcome, in worker order.
+///
+/// Each worker runs on its own scoped thread for the whole call, behind
+/// a bounded channel two items deep (`FEED_DEPTH`); `feed` sends it items
+/// through the [`Feeder`] and the worker calls its closure on each, in
+/// the order they were sent. A worker's closure may own or mutably
+/// borrow state (`FnMut` + `Send`), so workers can hold disjoint `&mut`
+/// segments of one buffer, and the state is the caller's again on
+/// return. When `feed` returns, the channels close and each worker
+/// finishes the items it holds. So a stream of any length runs on
+/// `workers.len()` threads, with at most `FEED_DEPTH + 1` items per
+/// worker in flight.
+///
+/// A worker's outcome is the first error its closure returned, or `Ok`.
+/// After an error the worker drops every item it is sent, unprocessed,
+/// so a failed worker never leaves the feeder blocked on a full channel,
+/// and [`Feeder::send`] tells the feeder to stop. There is **no retry
+/// and no speculation**: an item handed to a closure is consumed, so
+/// this runner is for deterministic CPU-bound passes whose only failure
+/// mode is the closure's own `Result`. A panic is not caught: the
+/// panicking worker's channel closes, so sends to it fail instead of
+/// blocking, and once every thread has joined the first panic is
+/// re-raised on the caller's thread.
+///
+/// With one worker there is no thread and no channel: `send` calls the
+/// closure inline.
+pub fn run_fed_workers<I, E, W, R>(
+    mut workers: Vec<W>,
+    feed: impl FnOnce(&mut Feeder<'_, I>) -> R,
+) -> (R, Vec<std::result::Result<(), E>>)
+where
+    I: Send,
+    E: Send,
+    W: FnMut(I) -> std::result::Result<(), E> + Send,
+{
+    if let [worker] = workers.as_mut_slice() {
+        let mut outcome = Ok(());
+        let fed = feed(&mut Feeder {
+            workers: 1,
+            send: &mut |lane, item| {
+                if lane == 0 && outcome.is_ok() {
+                    outcome = worker(item);
+                }
+                lane == 0 && outcome.is_ok()
+            },
+        });
+        return (fed, vec![outcome]);
+    }
+    let failed = AtomicBool::new(false);
     std::thread::scope(|scope| {
-        let handles: Vec<_> = tasks.into_iter().map(|f| scope.spawn(f)).collect();
-        handles
+        let (senders, handles): (Vec<_>, Vec<_>) = workers
             .into_iter()
-            .map(|h| match h.join() {
-                Ok(v) => v,
-                // The thread panicked; re-raise on the caller's thread so
-                // the failure is not silently swallowed.
-                Err(payload) => std::panic::resume_unwind(payload),
+            .map(|mut worker| {
+                let (tx, rx) = std::sync::mpsc::sync_channel::<I>(FEED_DEPTH);
+                let failed = &failed;
+                let handle = scope.spawn(move || {
+                    let mut outcome = Ok(());
+                    for item in rx {
+                        if outcome.is_ok() {
+                            outcome = worker(item);
+                            if outcome.is_err() {
+                                // Pairs with the feeder's Acquire load: it
+                                // stops reading once it sees the failure.
+                                failed.store(true, Ordering::Release);
+                            }
+                        }
+                    }
+                    outcome
+                });
+                (tx, handle)
             })
-            .collect()
+            .unzip();
+        let fed = feed(&mut Feeder {
+            workers: senders.len(),
+            send: &mut |lane, item| {
+                let sent = senders.get(lane).is_some_and(|tx| tx.send(item).is_ok());
+                sent && !failed.load(Ordering::Acquire)
+            },
+        });
+        drop(senders);
+        let mut panic = None;
+        let outcomes = handles
+            .into_iter()
+            .map(|h| {
+                h.join().unwrap_or_else(|payload| {
+                    panic.get_or_insert(payload);
+                    Ok(())
+                })
+            })
+            .collect();
+        if let Some(payload) = panic {
+            // Re-raise on the caller's thread, now that no worker runs.
+            std::panic::resume_unwind(payload);
+        }
+        (fed, outcomes)
     })
 }
 
@@ -1104,33 +1198,134 @@ mod tests {
     }
 
     #[test]
-    fn exclusive_tasks_run_once_each_with_mutable_captures() {
-        // FnOnce tasks may own disjoint &mut segments of one buffer —
-        // the parallel-scatter ownership shape.
+    fn fed_workers_run_with_mutable_captures() {
+        // Workers may own disjoint &mut segments of one buffer — the
+        // parallel-scatter ownership shape — and each item runs once.
+        fn fill(
+            seg: &mut [u64],
+            base: u64,
+        ) -> impl FnMut(usize) -> std::result::Result<(), ()> + Send + '_ {
+            move |i| {
+                seg[i] = base + i as u64;
+                Ok(())
+            }
+        }
         let mut buf = vec![0u64; 8];
         let (a, b) = buf.split_at_mut(4);
-        let out = run_exclusive_tasks(vec![
-            Box::new(move || {
-                for (i, v) in a.iter_mut().enumerate() {
-                    *v = i as u64;
+        let (sums, outcomes) = run_fed_workers(vec![fill(a, 0), fill(b, 10)], |feeder| {
+            for i in 0..4 {
+                for lane in 0..feeder.workers() {
+                    assert!(feeder.send(lane, i));
                 }
-                a.iter().sum::<u64>()
-            }) as Box<dyn FnOnce() -> u64 + Send>,
-            Box::new(move || {
-                for (i, v) in b.iter_mut().enumerate() {
-                    *v = 10 + i as u64;
-                }
-                b.iter().sum::<u64>()
-            }),
-        ]);
-        assert_eq!(out, vec![6, 46]);
+            }
+            feeder.workers()
+        });
+        assert_eq!(sums, 2);
+        assert_eq!(outcomes, vec![Ok(()), Ok(())]);
         assert_eq!(buf, vec![0, 1, 2, 3, 10, 11, 12, 13]);
     }
 
     #[test]
-    fn exclusive_tasks_handle_empty_and_single() {
-        assert!(run_exclusive_tasks(Vec::<fn() -> u8>::new()).is_empty());
-        assert_eq!(run_exclusive_tasks(vec![|| 9u8]), vec![9]);
+    fn fed_workers_handle_none_and_one() {
+        type Worker = fn(u8) -> std::result::Result<(), ()>;
+        let (fed, outcomes) = run_fed_workers(Vec::<Worker>::new(), |feeder| feeder.send(0, 9));
+        assert!(!fed, "there is no worker 0");
+        assert!(outcomes.is_empty());
+        let mut seen = Vec::new();
+        let (fed, outcomes) = run_fed_workers(
+            vec![|x: u8| -> std::result::Result<(), ()> {
+                seen.push(x);
+                Ok(())
+            }],
+            |feeder| feeder.send(0, 9) && !feeder.send(1, 7),
+        );
+        assert!(fed);
+        assert_eq!(outcomes, vec![Ok(())]);
+        assert_eq!(seen, vec![9]);
+    }
+
+    #[test]
+    fn fed_workers_see_their_items_in_send_order() {
+        for workers in [1usize, 2, 3] {
+            let mut seen: Vec<Vec<usize>> = vec![Vec::new(); workers];
+            let lanes: Vec<_> = seen
+                .iter_mut()
+                .map(|lane| {
+                    move |item: usize| -> std::result::Result<(), ()> {
+                        lane.push(item);
+                        Ok(())
+                    }
+                })
+                .collect();
+            let (_, outcomes) = run_fed_workers(lanes, |feeder| {
+                for item in 0..50 {
+                    feeder.send(item % workers, item);
+                }
+            });
+            assert_eq!(outcomes, vec![Ok(()); workers]);
+            for (lane, items) in seen.iter().enumerate() {
+                let want: Vec<usize> = (lane..50).step_by(workers).collect();
+                assert_eq!(items, &want, "workers={workers} lane={lane}");
+            }
+        }
+    }
+
+    #[test]
+    fn an_early_failing_worker_does_not_block_the_feeder() {
+        // Worker 0 fails on its first item; the feed ignores `send`'s
+        // answer and sends it many channels' worth more, which only
+        // returns because the failed worker drops what it gets. Worker 1
+        // still gets every item it is sent.
+        for workers in [1usize, 2] {
+            let mut done = 0usize;
+            type Lane<'a> = Box<dyn FnMut(usize) -> std::result::Result<(), usize> + Send + 'a>;
+            let mut lanes: Vec<Lane<'_>> = vec![Box::new(Err)];
+            if workers == 2 {
+                lanes.push(Box::new(|_| {
+                    done += 1;
+                    Ok(())
+                }));
+            }
+            let (stopped, outcomes) = run_fed_workers(lanes, |feeder| {
+                let mut stopped = false;
+                for item in 0..20 * FEED_DEPTH {
+                    stopped |= !feeder.send(0, item);
+                    if workers == 2 {
+                        feeder.send(1, item);
+                    }
+                }
+                stopped
+            });
+            assert_eq!(outcomes.first(), Some(&Err(0)), "workers={workers}");
+            assert!(outcomes.iter().skip(1).all(|o| o.is_ok()));
+            if workers == 2 {
+                assert_eq!(done, 20 * FEED_DEPTH);
+            }
+            // The channel holds at most FEED_DEPTH items, so some send
+            // after the failure had to wait for it and then saw it.
+            assert!(stopped, "workers={workers}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "worker 1 dies")]
+    fn a_worker_panic_reaches_the_caller() {
+        let lanes: Vec<_> = (0..2)
+            .map(|lane| {
+                move |item: usize| -> std::result::Result<(), ()> {
+                    assert!(lane != 1 || item < 3, "worker 1 dies");
+                    Ok(())
+                }
+            })
+            .collect();
+        // The feed keeps sending to the dead worker: its sends must fail,
+        // not block on a channel nobody drains.
+        run_fed_workers(lanes, |feeder| {
+            for item in 0..20 * FEED_DEPTH {
+                feeder.send(0, item);
+                feeder.send(1, item);
+            }
+        });
     }
 
     #[test]

@@ -72,6 +72,6 @@ pub use broadcast::Broadcast;
 pub use context::{ContextConfig, ExecutionContext, ExecutionContextBuilder};
 pub use dataset::Dataset;
 pub use error::{EngineError, Result};
-pub use executor::{run_exclusive_tasks, SpeculationConfig, StageOptions};
+pub use executor::{run_fed_workers, Feeder, SpeculationConfig, StageOptions};
 pub use fault::{FaultKind, FaultPlan, FaultPlanBuilder};
 pub use metrics::{EngineMetrics, MetricsSnapshot, StageRecord};

@@ -113,9 +113,38 @@ pub fn cell_side(eps: f64, dims: usize) -> f64 {
     (eps / (dims as f64).sqrt()).next_down()
 }
 
+/// The largest cell index magnitude a coordinate may reach, 2^53: a
+/// coordinate `x` is in range for cells of side `side` when
+/// `|x| < MAX_CELL_INDEX · side`. Then `|x / side| ≤ 2^53`, so
+/// [`cell_of`] floors it to an exact integer, far from the ends of `i64`
+/// where the cast saturates and merges distant points into one cell, and
+/// every cell's corner `index · side` is exact too.
+pub const MAX_CELL_INDEX: f64 = 9_007_199_254_740_992.0;
+
+/// Checks that every coordinate of point `id` is finite and in range for
+/// cells of side `side` (see [`MAX_CELL_INDEX`]), as [`cell_of`] needs.
+///
+/// # Errors
+///
+/// [`SpatialError::NonFiniteCoordinate`] or
+/// [`SpatialError::CoordinateOutOfRange`] naming point `id` and the first
+/// failing dimension.
+#[inline]
+pub fn check_point(id: usize, point: &[f64], side: f64) -> Result<(), SpatialError> {
+    // 2^53 · side is exact: side is a normal f64 far from both ends.
+    let limit = MAX_CELL_INDEX * side;
+    match point.iter().position(|x| x.is_nan() || x.abs() >= limit) {
+        None => Ok(()),
+        Some(dim) => Err(match point.get(dim) {
+            Some(x) if x.is_finite() => SpatialError::CoordinateOutOfRange { point: id, dim },
+            _ => SpatialError::NonFiniteCoordinate { point: id, dim },
+        }),
+    }
+}
+
 /// The cell containing `point`, for cells of side `side`: each
 /// coordinate is `(x / side).floor() as i64`, saturating at the ends of
-/// `i64` (and 0 for NaN).
+/// `i64` (and 0 for NaN). Exact for points [`check_point`] accepts.
 #[inline]
 pub fn cell_of(point: &[f64], side: f64) -> CellCoord {
     debug_assert!(point.len() <= MAX_DIMS);

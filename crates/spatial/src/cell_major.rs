@@ -39,7 +39,7 @@
 
 use std::ops::Range;
 
-use crate::cell::{cell_of, cell_side, validate_eps, CellCoord, MAX_DIMS};
+use crate::cell::{cell_of, cell_side, check_point, validate_eps, CellCoord, MAX_DIMS};
 use crate::cell_table::CellTable;
 use crate::distance::{
     accumulate_sq_dists_x4, sq_dists_2d_x8, sq_dists_3d_x4, KernelKind, LANES_2D, LANES_ND,
@@ -195,8 +195,8 @@ impl CellMajorBuilder {
     /// coordinates; its first point's arrival id is the count so far):
     /// records each point's cell, adding cells not met before.
     /// Coordinates are validated here — the batch must be a whole number
-    /// of points and every value finite — so the scatter pass can trust
-    /// the replayed stream.
+    /// of points and every value finite and in range ([`check_point`]) —
+    /// so every recorded cell is exact.
     pub fn count_batch(&mut self, coords: &[f64]) -> Result<(), SpatialError> {
         self.count_batch_at(self.n, coords)
     }
@@ -207,15 +207,9 @@ impl CellMajorBuilder {
     /// is the point a [`SpatialError::NonFiniteCoordinate`] names and the
     /// id the recorded cells are filed under.
     pub fn count_batch_at(&mut self, first: usize, coords: &[f64]) -> Result<(), SpatialError> {
-        if !coords.len().is_multiple_of(self.dims) {
-            return Err(SpatialError::DimensionMismatch {
-                expected: self.dims,
-                got: coords.len() % self.dims,
-            });
-        }
-        let mut cells = Vec::with_capacity(coords.len() / self.dims);
+        let mut cells = Vec::with_capacity(batch_len(coords, self.dims)?);
         for (i, p) in coords.chunks_exact(self.dims).enumerate() {
-            check_finite(first + i, p)?;
+            check_point(first + i, p, self.side)?;
             cells.push(self.table.intern(cell_of(p, self.side).coords()).0);
         }
         self.n += cells.len();
@@ -315,25 +309,31 @@ impl CellMajorBuilder {
     }
 }
 
-/// Fails with [`SpatialError::NonFiniteCoordinate`] naming point `id` and
-/// the first non-finite coordinate of `p`.
-fn check_finite(id: usize, p: &[f64]) -> Result<(), SpatialError> {
-    match p.iter().position(|x| !x.is_finite()) {
-        Some(dim) => Err(SpatialError::NonFiniteCoordinate { point: id, dim }),
-        None => Ok(()),
+/// The number of points in a flat row-major batch of `dims`-dimensional
+/// points, or [`SpatialError::DimensionMismatch`] when it holds a partial
+/// point.
+fn batch_len(coords: &[f64], dims: usize) -> Result<usize, SpatialError> {
+    if coords.len().is_multiple_of(dims) {
+        Ok(coords.len() / dims)
+    } else {
+        Err(SpatialError::DimensionMismatch {
+            expected: dims,
+            got: coords.len() % dims,
+        })
     }
 }
 
 /// Pass 2 of the two-pass streaming build: places the replayed stream
 /// into the cell-contiguous columns sized by [`CellMajorBuilder`].
 ///
-/// Each batch goes through two steps. [`Self::resolve`] maps every point
-/// to the index of its cell: it takes the cell pass 1 recorded for the
-/// point's arrival id and checks that the point still lies in it, with
-/// no hash lookup. It only reads the scatter, so batches resolve in
-/// parallel. [`ScatterShard::place`] then writes the points into their
-/// slots; each shard owns a disjoint range of cells, so shards place in
-/// parallel.
+/// [`Self::shards`] carves the layout into shards that own disjoint
+/// ranges of cells. Each shard is handed every replayed batch and
+/// [`ScatterShard::place`]s only the points whose cell pass 1 recorded
+/// for their arrival id is one of its own, after checking that each
+/// such point still lies in that cell, with no hash lookup. So every
+/// point is checked once, by the shard that writes it, and shards place
+/// in parallel. [`Self::scatter_batch`] is the one-shard sequential
+/// form.
 ///
 /// Any disagreement with pass 1 yields [`SpatialError::StreamMismatch`]
 /// instead of a corrupt layout: a point outside the cell recorded for
@@ -361,65 +361,31 @@ pub struct CellMajorScatter {
 }
 
 impl CellMajorScatter {
-    /// Resolves one flat row-major batch: the cell index of each of its
-    /// points, in order, for [`ScatterShard::place`]. `first` is the
-    /// arrival id of the batch's first point; each point gets the cell
-    /// pass 1 recorded under its arrival id, after its recomputed cell is
-    /// checked to have that cell's coordinates. The batches need not be
-    /// cut as in pass 1.
-    ///
-    /// # Errors
-    ///
-    /// [`SpatialError::StreamMismatch`] for a point outside its recorded
-    /// cell or with no recorded cell, and
-    /// [`SpatialError::NonFiniteCoordinate`] naming the arrival id of a
-    /// non-finite point, besides the shape error of
-    /// [`CellMajorBuilder::count_batch`].
-    pub fn resolve(&self, first: usize, coords: &[f64]) -> Result<Vec<u32>, SpatialError> {
-        if !coords.len().is_multiple_of(self.dims) {
-            return Err(SpatialError::DimensionMismatch {
-                expected: self.dims,
-                got: coords.len() % self.dims,
-            });
-        }
-        let end = first + coords.len() / self.dims;
-        let mut points = coords.chunks_exact(self.dims);
-        let mut resolved = Vec::with_capacity(end - first);
-        let mut id = first;
-        let mut run = self
-            .recorded
-            .partition_point(|rec| rec.first + rec.cells.len() <= first);
-        while id < end {
-            let recorded = self
-                .recorded
-                .get(run)
-                .and_then(|rec| rec.cells.get(id.checked_sub(rec.first)?..))
-                .ok_or(SpatialError::StreamMismatch)?;
-            for (&ci, p) in recorded.iter().zip(points.by_ref().take(end - id)) {
-                check_finite(id, p)?;
-                if cell_of(p, self.side).coords() != self.table.coord(ci as usize) {
-                    return Err(SpatialError::StreamMismatch);
-                }
-                resolved.push(ci);
-                id += 1;
-            }
-            run += 1;
-        }
-        Ok(resolved)
+    /// Number of points the counting pass saw, and so the layout holds.
+    pub fn len(&self) -> usize {
+        self.n
     }
 
-    /// Places one flat row-major batch into the layout: a
-    /// [`Self::resolve`] followed by a single-shard
-    /// [`ScatterShard::place`]. Points are assigned ids by arrival order
-    /// across the whole pass, so the stream must replay in the same order
-    /// as the counting pass.
+    /// Whether the counting pass saw no points.
+    pub fn is_empty(&self) -> bool {
+        self.n == 0
+    }
+
+    /// Places the next flat row-major batch of the replayed stream, in
+    /// one shard that owns every cell ([`ScatterShard::place`]). Points
+    /// are assigned ids by arrival order across the whole pass, so the
+    /// stream must replay in the same order as the counting pass.
     pub fn scatter_batch(&mut self, coords: &[f64]) -> Result<(), SpatialError> {
         let first = self.filled;
-        let cells = self.resolve(first, coords)?;
+        let end = first + batch_len(coords, self.dims)?;
         for mut shard in self.shards(1) {
-            shard.place(first, coords, &cells)?;
+            shard.place(first, coords).map_err(|(_, e)| e)?;
         }
-        self.filled += cells.len();
+        if end > self.n {
+            // Only an empty layout, which has no shard, gets here.
+            return Err(SpatialError::StreamMismatch);
+        }
+        self.filled = end;
         Ok(())
     }
 
@@ -433,16 +399,16 @@ impl CellMajorScatter {
     /// disjoint contiguous slot range of every output buffer). Shard
     /// boundaries are balanced by slot count, never splitting a cell.
     ///
-    /// Every shard is handed every resolved batch, in the order of the
-    /// counting pass, and writes only the points whose cells it owns.
-    /// The cell cursors live in the scatter, not in the shards, so a
-    /// driver may drop the shards after each batch group (freeing the
-    /// scatter for the next group's [`Self::resolve`]) and carve again:
-    /// carving costs `O(parts · log cells)`. Because a point's final slot
-    /// is a pure function of its `(cell, arrival id)` — independent of
-    /// which shard writes it — the assembled store is byte-identical to a
-    /// single-shard scatter for any `parts`. Finish with
-    /// [`Self::finish_sharded`].
+    /// Every shard is handed every replayed batch, in the order of the
+    /// counting pass, and checks and writes only the points whose
+    /// recorded cells it owns; the shards share the recorded cells and
+    /// the cell table, read-only. The cell cursors live in the scatter,
+    /// not in the shards, so a driver may also drop the shards between
+    /// batches and carve again: carving costs `O(parts · log cells)`.
+    /// Because a point's final slot is a pure function of its `(cell,
+    /// arrival id)` — independent of which shard writes it — the
+    /// assembled store is byte-identical to a single-shard scatter for
+    /// any `parts`. Finish with [`Self::finish_sharded`].
     ///
     /// Fewer than `parts` shards are returned when the store has fewer
     /// cells than `parts`; zero shards for an empty layout.
@@ -509,6 +475,9 @@ impl CellMajorScatter {
             }
             shards.push(ScatterShard {
                 dims: self.dims,
+                side: self.side,
+                table: &self.table,
+                recorded: &self.recorded,
                 cell_range: cell_start..cell_end,
                 slot_start,
                 cells: self.cells.get(cell_start..cell_end).unwrap_or(&[]),
@@ -583,12 +552,20 @@ fn split_at_cuts<'a, T>(mut buf: &'a mut [T], cuts: &[usize]) -> Vec<&'a mut [T]
 
 /// One worker's slice of a partitioned placing step: a contiguous range
 /// of cells plus exclusive `&mut` views of exactly the output buffer
-/// segments those cells own. Produced by [`CellMajorScatter::shards`];
+/// segments those cells own, and shared views of the cell table and of
+/// pass 1's recorded cells. Produced by [`CellMajorScatter::shards`];
 /// shards are `Send`, so a driver can run one per thread with no locks —
-/// the cell ranges are disjoint, so there is nothing to contend on.
+/// the cell ranges are disjoint, so there is nothing to contend on. A
+/// shard may live for a whole pass: hand it every batch of the replay,
+/// in order.
 #[derive(Debug)]
 pub struct ScatterShard<'a> {
     dims: usize,
+    side: f64,
+    /// Every cell's coordinates, by index.
+    table: &'a CellTable,
+    /// Pass 1's recorded cells, ordered by first arrival id.
+    recorded: &'a [Recording],
     /// The cells this shard owns, as indices into the full table.
     cell_range: Range<usize>,
     /// First slot of the shard's buffer segments (`cells[cell_range.start].start`).
@@ -617,70 +594,97 @@ impl ScatterShard<'_> {
         self.filled
     }
 
-    /// Places the points of one resolved batch that fall in this shard's
-    /// cells, skipping the rest. `cells` is the batch's
-    /// [`CellMajorScatter::resolve`] output and `first` the arrival id it
-    /// was resolved with. Every shard must see every batch, in
-    /// counting-pass order.
+    /// Checks and places the points of one replayed batch whose cells
+    /// pass 1 recorded in this shard's range, skipping the rest. `first`
+    /// is the arrival id of the batch's first point; the batches need
+    /// not be cut as in pass 1, but every shard must see every batch, in
+    /// counting-pass order. Each placed point must pass [`check_point`]
+    /// and lie in its recorded cell, so a point is checked by exactly the
+    /// shard that writes it.
     ///
     /// # Errors
     ///
-    /// [`SpatialError::StreamMismatch`] when a cell receives more points
-    /// than pass 1 counted, or when `cells` does not hold one entry per
-    /// point of `coords`.
-    pub fn place(
-        &mut self,
-        first: usize,
-        coords: &[f64],
-        cells: &[u32],
-    ) -> Result<(), SpatialError> {
-        if coords.len() != cells.len() * self.dims {
+    /// The first failure in stream order, with the arrival id it was met
+    /// at, so a driver running several shards can report the failure a
+    /// sequential pass meets first: the batch's `first` for the shape
+    /// error of [`CellMajorBuilder::count_batch`];
+    /// [`SpatialError::NonFiniteCoordinate`] or
+    /// [`SpatialError::CoordinateOutOfRange`] for a bad coordinate;
+    /// [`SpatialError::StreamMismatch`] for a point outside its recorded
+    /// cell, a point past the counted stream (every shard reports it), or
+    /// a cell receiving more points than pass 1 counted.
+    pub fn place(&mut self, first: usize, coords: &[f64]) -> Result<(), (usize, SpatialError)> {
+        let end = first + batch_len(coords, self.dims).map_err(|e| (first, e))?;
+        let mut points = coords.chunks_exact(self.dims);
+        let mut id = first;
+        let mut run = self
+            .recorded
+            .partition_point(|rec| rec.first + rec.cells.len() <= first);
+        while id < end {
+            let recorded = self
+                .recorded
+                .get(run)
+                .and_then(|rec| rec.cells.get(id.checked_sub(rec.first)?..))
+                .ok_or((id, SpatialError::StreamMismatch))?;
+            for (&ci, p) in recorded.iter().zip(points.by_ref().take(end - id)) {
+                let at = id;
+                id += 1;
+                let ci = ci as usize;
+                if !self.cell_range.contains(&ci) {
+                    continue;
+                }
+                self.place_point(ci, at, p).map_err(|e| (at, e))?;
+            }
+            run += 1;
+        }
+        Ok(())
+    }
+
+    /// Writes point `id`, recorded in cell `ci` of this shard, at its
+    /// cell's cursor, after checking it.
+    fn place_point(&mut self, ci: usize, id: usize, p: &[f64]) -> Result<(), SpatialError> {
+        check_point(id, p, self.side)?;
+        if cell_of(p, self.side).coords() != self.table.coord(ci) {
             return Err(SpatialError::StreamMismatch);
         }
-        for (i, (p, &ci)) in coords.chunks_exact(self.dims).zip(cells).enumerate() {
-            let ci = ci as usize;
-            if !self.cell_range.contains(&ci) {
-                continue;
-            }
-            let local_cell = ci - self.cell_range.start;
-            let rec = *self
-                .cells
-                .get(local_cell)
-                .ok_or(SpatialError::StreamMismatch)?;
-            let cursor = self
-                .cursors
-                .get_mut(local_cell)
-                .ok_or(SpatialError::StreamMismatch)?;
-            if *cursor >= rec.end {
-                return Err(SpatialError::StreamMismatch);
-            }
-            let slot = *cursor as usize;
-            *cursor += 1;
-            let local_slot = slot - self.slot_start;
-            for (col, &x) in self.cols.iter_mut().zip(p) {
-                if let Some(out) = col.get_mut(local_slot) {
-                    *out = x;
-                }
-            }
-            if let Some(out) = self.orig_ids.get_mut(local_slot) {
-                *out = (first + i) as PointId;
-            }
-            let bbox = local_cell * self.dims..(local_cell + 1) * self.dims;
-            if let (Some(lo), Some(hi)) = (
-                self.bbox_min.get_mut(bbox.clone()),
-                self.bbox_max.get_mut(bbox),
-            ) {
-                let opens_cell = slot == rec.start as usize;
-                for ((lo, hi), &x) in lo.iter_mut().zip(hi.iter_mut()).zip(p) {
-                    if opens_cell {
-                        (*lo, *hi) = (x, x);
-                    } else {
-                        (*lo, *hi) = (lo.min(x), hi.max(x));
-                    }
-                }
-            }
-            self.filled += 1;
+        let local_cell = ci - self.cell_range.start;
+        let rec = *self
+            .cells
+            .get(local_cell)
+            .ok_or(SpatialError::StreamMismatch)?;
+        let cursor = self
+            .cursors
+            .get_mut(local_cell)
+            .ok_or(SpatialError::StreamMismatch)?;
+        if *cursor >= rec.end {
+            return Err(SpatialError::StreamMismatch);
         }
+        let slot = *cursor as usize;
+        *cursor += 1;
+        let local_slot = slot - self.slot_start;
+        for (col, &x) in self.cols.iter_mut().zip(p) {
+            if let Some(out) = col.get_mut(local_slot) {
+                *out = x;
+            }
+        }
+        if let Some(out) = self.orig_ids.get_mut(local_slot) {
+            *out = id as PointId;
+        }
+        let bbox = local_cell * self.dims..(local_cell + 1) * self.dims;
+        if let (Some(lo), Some(hi)) = (
+            self.bbox_min.get_mut(bbox.clone()),
+            self.bbox_max.get_mut(bbox),
+        ) {
+            let opens_cell = slot == rec.start as usize;
+            for ((lo, hi), &x) in lo.iter_mut().zip(hi.iter_mut()).zip(p) {
+                if opens_cell {
+                    (*lo, *hi) = (x, x);
+                } else {
+                    (*lo, *hi) = (lo.min(x), hi.max(x));
+                }
+            }
+        }
+        self.filled += 1;
         Ok(())
     }
 }
@@ -1890,19 +1894,23 @@ mod tests {
         ));
     }
 
-    /// Pass 2 of one batch: resolve it, then place it through `parts`
-    /// shards.
-    fn resolve_and_place(
+    /// Pass 2 of one batch through `parts` shards, reporting the failure
+    /// met first in stream order, as the parallel build does.
+    fn place_in_shards(
         sc: &mut CellMajorScatter,
         parts: usize,
         first: usize,
         coords: &[f64],
     ) -> Result<(), SpatialError> {
-        let cells = sc.resolve(first, coords)?;
+        let mut met: Option<(usize, SpatialError)> = None;
         for mut shard in sc.shards(parts) {
-            shard.place(first, coords, &cells)?;
+            if let Err(e) = shard.place(first, coords) {
+                if met.as_ref().is_none_or(|m| e.0 < m.0) {
+                    met = Some(e);
+                }
+            }
         }
-        Ok(())
+        met.map_or(Ok(()), |(_, e)| Err(e))
     }
 
     #[test]
@@ -1914,7 +1922,7 @@ mod tests {
                 .unwrap();
             let mut sc = b.begin_scatter();
             assert!(matches!(
-                resolve_and_place(&mut sc, parts, 0, &[50.0, 50.0]),
+                place_in_shards(&mut sc, parts, 0, &[50.0, 50.0]),
                 Err(SpatialError::StreamMismatch)
             ));
 
@@ -1923,11 +1931,11 @@ mod tests {
             b.count_batch(&[0.1, 0.1, 5.0, 5.0, 9.0, 9.0]).unwrap();
             let mut sc = b.begin_scatter();
             assert!(matches!(
-                sc.resolve(0, &[0.1, 0.1, 9.0, 9.0, 5.0, 5.0]),
+                place_in_shards(&mut sc, parts, 0, &[0.1, 0.1, 9.0, 9.0, 5.0, 5.0]),
                 Err(SpatialError::StreamMismatch)
             ));
             assert!(matches!(
-                resolve_and_place(&mut sc, parts, 1, &[0.1, 0.1]),
+                place_in_shards(&mut sc, parts, 1, &[0.1, 0.1]),
                 Err(SpatialError::StreamMismatch)
             ));
 
@@ -1936,15 +1944,15 @@ mod tests {
             let mut b = CellMajorBuilder::new(2, 1.0).unwrap();
             b.count_batch(&[0.1, 0.1, 5.0, 5.0, 9.0, 9.0]).unwrap();
             let mut sc = b.begin_scatter();
-            resolve_and_place(&mut sc, parts, 0, &[0.1, 0.1, 5.0, 5.0, 9.0, 9.0]).unwrap();
+            place_in_shards(&mut sc, parts, 0, &[0.1, 0.1, 5.0, 5.0, 9.0, 9.0]).unwrap();
             assert!(matches!(
-                resolve_and_place(&mut sc, parts, 2, &[9.15, 9.15]),
+                place_in_shards(&mut sc, parts, 2, &[9.15, 9.15]),
                 Err(SpatialError::StreamMismatch)
             ));
 
             // A point past the counted stream.
             assert!(matches!(
-                sc.resolve(3, &[9.15, 9.15]),
+                place_in_shards(&mut sc, parts, 3, &[9.15, 9.15]),
                 Err(SpatialError::StreamMismatch)
             ));
         }
@@ -1967,23 +1975,24 @@ mod tests {
         ));
         let mut b = CellMajorBuilder::new(2, 1.0).unwrap();
         b.count_batch(&[0.0; 18]).unwrap();
-        let sc = b.begin_scatter();
-        assert!(matches!(
-            sc.resolve(7, &[0.0, 0.0, f64::INFINITY, 0.0]),
-            Err(SpatialError::NonFiniteCoordinate { point: 8, dim: 0 })
-        ));
+        let mut sc = b.begin_scatter();
+        for mut shard in sc.shards(1) {
+            assert!(matches!(
+                shard.place(7, &[0.0, 0.0, f64::INFINITY, 0.0]),
+                Err((8, SpatialError::NonFiniteCoordinate { point: 8, dim: 0 }))
+            ));
+        }
     }
 
     #[test]
-    fn place_rejects_a_resolution_of_another_batch() {
+    fn place_rejects_a_batch_under_another_batch_s_arrival_ids() {
         let mut b = CellMajorBuilder::new(2, 1.0).unwrap();
         b.count_batch(&[0.1, 0.1, 5.0, 5.0]).unwrap();
         let mut sc = b.begin_scatter();
-        let cells = sc.resolve(0, &[0.1, 0.1]).unwrap();
         for mut shard in sc.shards(1) {
             assert!(matches!(
-                shard.place(0, &[0.1, 0.1, 5.0, 5.0], &cells),
-                Err(SpatialError::StreamMismatch)
+                shard.place(0, &[5.0, 5.0]),
+                Err((0, SpatialError::StreamMismatch))
             ));
         }
     }
@@ -2058,13 +2067,7 @@ mod tests {
                     b.count_batch(chunk).unwrap();
                 }
                 let mut sc = b.begin_scatter();
-                // Every batch is resolved once, against the shared table.
                 let chunks: Vec<&[f64]> = s.flat().chunks(batch * 2).collect();
-                let resolved: Vec<Vec<u32>> = chunks
-                    .iter()
-                    .enumerate()
-                    .map(|(i, chunk)| sc.resolve(i * batch, chunk).unwrap())
-                    .collect();
                 let mut shards = sc.shards(parts);
                 assert!(!shards.is_empty() && shards.len() <= parts);
                 // Shards partition the cell table.
@@ -2073,13 +2076,13 @@ mod tests {
                     assert_eq!(shard.cell_range().start, next);
                     next = shard.cell_range().end;
                 }
-                // Every shard places from every resolved batch (order per
-                // shard is the stream order; shards themselves could run
-                // on threads).
+                // Every shard is handed every batch (order per shard is
+                // the stream order; shards themselves could run on
+                // threads).
                 let mut placed = 0usize;
                 for shard in &mut shards {
-                    for (i, (chunk, cells)) in chunks.iter().zip(&resolved).enumerate() {
-                        shard.place(i * batch, chunk, cells).unwrap();
+                    for (i, chunk) in chunks.iter().enumerate() {
+                        shard.place(i * batch, chunk).unwrap();
                     }
                     placed += shard.filled();
                 }
@@ -2096,11 +2099,10 @@ mod tests {
         let mut b = CellMajorBuilder::new(2, 1.0).unwrap();
         b.count_batch(&[0.1, 0.1, 5.0, 5.0]).unwrap();
         let mut sc = b.begin_scatter();
-        let cells = sc.resolve(0, &[0.1, 0.1, 5.0, 5.0]).unwrap();
         let mut shards = sc.shards(2);
         // Only the first shard places: its cells fill, the rest don't.
         if let Some(first) = shards.first_mut() {
-            first.place(0, &[0.1, 0.1, 5.0, 5.0], &cells).unwrap();
+            first.place(0, &[0.1, 0.1, 5.0, 5.0]).unwrap();
         }
         drop(shards);
         assert!(matches!(

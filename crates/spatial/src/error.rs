@@ -34,6 +34,15 @@ pub enum SpatialError {
         /// Offending dimension.
         dim: usize,
     },
+    /// A coordinate lies so far out, for the cell side ε gives, that its
+    /// cell index would not be an exact integer (see
+    /// [`crate::cell::check_point`]).
+    CoordinateOutOfRange {
+        /// Index of the offending point.
+        point: usize,
+        /// Offending dimension.
+        dim: usize,
+    },
     /// A streaming source replayed different points on its second pass
     /// than it produced on the first (the two-pass cell-major builder
     /// requires byte-identical replay).
@@ -69,6 +78,11 @@ impl fmt::Display for SpatialError {
             SpatialError::NonFiniteCoordinate { point, dim } => {
                 write!(f, "point {point} has a non-finite coordinate in dim {dim}")
             }
+            SpatialError::CoordinateOutOfRange { point, dim } => write!(
+                f,
+                "point {point} has a coordinate in dim {dim} beyond 2^53 cell sides \
+                 from the origin, too far out for this eps"
+            ),
             SpatialError::StreamMismatch => write!(
                 f,
                 "streaming source did not replay the same points on its second pass"
@@ -110,5 +124,8 @@ mod tests {
         assert!(SpatialError::NonFiniteCoordinate { point: 7, dim: 1 }
             .to_string()
             .contains("point 7"));
+        assert!(SpatialError::CoordinateOutOfRange { point: 3, dim: 0 }
+            .to_string()
+            .contains("point 3 has a coordinate in dim 0 beyond 2^53"));
     }
 }

@@ -5,7 +5,7 @@ use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
 use std::hash::BuildHasherDefault;
 
-use crate::cell::{cell_of, cell_side, validate_eps, CellCoord};
+use crate::cell::{cell_of, cell_side, check_point, validate_eps, CellCoord};
 use crate::error::SpatialError;
 use crate::points::{PointId, PointStore};
 
@@ -30,13 +30,15 @@ impl Grid {
     ///
     /// # Errors
     ///
-    /// Fails if `eps` is out of range ([`validate_eps`]).
+    /// Fails if `eps` is out of range ([`validate_eps`]) or a point lies
+    /// too far out for it ([`check_point`]).
     pub fn build(store: &PointStore, eps: f64) -> Result<Self, SpatialError> {
         validate_eps(eps)?;
         let dims = store.dims();
         let side = cell_side(eps, dims);
         let mut cells: HashMap<CellCoord, Vec<PointId>, DetState> = HashMap::default();
         for (id, p) in store.iter() {
+            check_point(id as usize, p, side)?;
             cells.entry(cell_of(p, side)).or_default().push(id);
         }
         Ok(Self {
@@ -54,7 +56,7 @@ impl Grid {
     ///
     /// # Errors
     ///
-    /// Fails if `eps` is out of range ([`validate_eps`]).
+    /// Fails as [`build`](Self::build) does.
     pub fn build_parallel(
         store: &PointStore,
         eps: f64,
@@ -68,6 +70,9 @@ impl Grid {
         }
         let dims = store.dims();
         let side = cell_side(eps, dims);
+        for (id, p) in store.iter() {
+            check_point(id as usize, p, side)?;
+        }
         let chunk = n.div_ceil(threads);
         let partials: Vec<HashMap<CellCoord, Vec<PointId>, DetState>> =
             std::thread::scope(|scope| {

@@ -40,7 +40,7 @@ pub mod mutable;
 pub mod neighbors;
 pub mod points;
 
-pub use cell::{validate_eps, CellCoord, MAX_DIMS};
+pub use cell::{check_point, validate_eps, CellCoord, MAX_CELL_INDEX, MAX_DIMS};
 pub use cell_major::{
     CellMajorBuilder, CellMajorScatter, CellMajorStore, CellRecord, NeighborSweep, ScatterShard,
 };

@@ -45,7 +45,7 @@
 
 use std::ops::Range;
 
-use crate::cell::{cell_of, cell_side, validate_eps, MAX_DIMS};
+use crate::cell::{cell_of, cell_side, check_point, validate_eps, MAX_DIMS};
 use crate::cell_major::{CellMajorStore, CellRecord};
 use crate::cell_table::CellTable;
 use crate::error::SpatialError;
@@ -305,7 +305,8 @@ impl MutableCellMajor {
     ///
     /// # Errors
     ///
-    /// Fails on dimension mismatch or non-finite coordinates.
+    /// Fails on dimension mismatch, or a coordinate that is non-finite or
+    /// out of range ([`check_point`]).
     pub fn insert(&mut self, id: PointId, point: &[f64]) -> Result<bool, SpatialError> {
         if point.len() != self.store.dims {
             return Err(SpatialError::DimensionMismatch {
@@ -313,14 +314,7 @@ impl MutableCellMajor {
                 got: point.len(),
             });
         }
-        for (dim, &x) in point.iter().enumerate() {
-            if !x.is_finite() {
-                return Err(SpatialError::NonFiniteCoordinate {
-                    point: id as usize,
-                    dim,
-                });
-            }
-        }
+        check_point(id as usize, point, self.store.side)?;
         if self.contains(id) {
             return Ok(false);
         }

@@ -141,8 +141,8 @@ impl NeighborOffsets {
 
     /// The cell displaced from `cell` by offset `off`, or `None` when a
     /// coordinate of the target falls outside `i64` — no cell exists
-    /// there. (`cell_of` saturates far-out points to `i64::MIN`/`MAX`,
-    /// so such cells are reachable from real data.)
+    /// there. (Points [`crate::check_point`] accepts have cells within
+    /// 2^53 of the origin, so this guards only hand-built cells.)
     #[inline]
     pub fn apply(cell: &CellCoord, off: &[i8]) -> Option<CellCoord> {
         let mut coords = [0i64; MAX_DIMS];

@@ -230,7 +230,8 @@ fn oracle_neighbors(
 }
 
 /// Points in a block a few cells wide (so most cells have neighbors),
-/// a few far away, and a few whose cells saturate at the ends of `i64`.
+/// a few far away, and a few at the ends of the accepted range, 2^52
+/// cells from the origin (`check_point`).
 fn clustered_rows(rng: &mut Rng, dims: usize, side: f64) -> Vec<Vec<f64>> {
     let n = rng.gen_range(20..160);
     let mut rows: Vec<Vec<f64>> = (0..n)
@@ -243,8 +244,8 @@ fn clustered_rows(rng: &mut Rng, dims: usize, side: f64) -> Vec<Vec<f64>> {
         rows.push(
             (0..dims)
                 .map(|_| match rng.gen_range(0..4) {
-                    0 => -1e300,
-                    1 => 1e300,
+                    0 => -EDGE * side,
+                    1 => EDGE * side,
                     _ => side * rng.gen_range(-1.5..1.5),
                 })
                 .collect(),
@@ -519,14 +520,14 @@ fn neighbor_sweep_refuses_a_mutable_table() {
     }
 }
 
-/// One coordinate of a point inside cell coordinate `c`: `i64::MIN` and
-/// `i64::MAX` are reached by saturation, the rest at the cell's middle.
+/// A cell coordinate far out but inside the accepted range: 2^52 cells
+/// from the origin, half of `MAX_CELL_INDEX`.
+const EDGE: f64 = 4_503_599_627_370_496.0;
+
+/// One coordinate of a point inside cell coordinate `c`, at the cell's
+/// middle (at ±2^52 the half cell rounds away, leaving the edge).
 fn inside(c: i64, side: f64) -> f64 {
-    match c {
-        i64::MIN => -1e300,
-        i64::MAX => 1e300,
-        _ => (c as f64 + 0.5) * side,
-    }
+    (c as f64 + 0.5) * side
 }
 
 #[test]
@@ -550,8 +551,8 @@ fn cell_table_matches_a_btreemap_oracle() {
             for _ in 0..rng.gen_range(1500..3000) {
                 let key: Vec<i64> = (0..dims)
                     .map(|_| match rng.gen_range(0..20) {
-                        0 => i64::MIN,
-                        1 => i64::MAX,
+                        0 => -EDGE as i64,
+                        1 => EDGE as i64,
                         2 => 0,
                         _ => rng.gen_range(-spread..spread),
                     })
