@@ -30,7 +30,7 @@ use dbscout_dataflow::shuffle::DetHashMap;
 use dbscout_dataflow::{Dataset, ExecutionContext};
 use dbscout_spatial::cell::{cell_of, cell_side, CellCoord, MAX_DIMS};
 use dbscout_spatial::points::PointId;
-use dbscout_spatial::{NeighborOffsets, PointStore};
+use dbscout_spatial::{check_point, NeighborOffsets, PointStore};
 
 use crate::error::BaselineError;
 
@@ -128,6 +128,12 @@ impl RpDbscan {
         // m sub-cells per cell side; sub-cell diagonal ≤ ρ·ε.
         let m = (1.0 / self.rho).ceil() as i64;
         let sub_side = side / m as f64;
+        // Sub-cells are the finest cells here, so the range is checked
+        // against their side: within it `cell_of` and every sub-cell
+        // corner are exact, and no cell index nears the ends of `i64`.
+        for (id, p) in store.iter() {
+            check_point(id as usize, p, sub_side)?;
+        }
         let eps_sq = self.eps * self.eps;
         let min_pts = self.min_pts;
         let offsets = Arc::new(NeighborOffsets::new(dims)?);

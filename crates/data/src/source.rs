@@ -299,11 +299,21 @@ impl PointSource for CsvSource {
     }
 }
 
+/// The most bytes a [`BinarySource`] reads at once: the size of its one
+/// read buffer when a batch holds more. A multiple of 8, so every chunk
+/// holds whole coordinates.
+const READ_CHUNK_BYTES: usize = 64 * 1024;
+
 /// Streaming reader for the `DBSC` binary format: the 14-byte header is
 /// validated up front (magic, version, dimensionality, and the file
 /// length against the declared `n * dims` payload — short files are
 /// [`DataIoError::Truncated`], long ones [`DataIoError::TrailingBytes`]),
 /// then coordinates are read in batch-sized chunks.
+///
+/// Every batch is read through one byte buffer that the source keeps, of
+/// at most 64 KiB: a larger batch is read chunk by chunk, each decoded
+/// into the batch's coordinates before the next is read, so no batch
+/// allocates or zero-fills bytes of its own.
 #[derive(Debug)]
 pub struct BinarySource {
     reader: BufReader<File>,
@@ -311,6 +321,7 @@ pub struct BinarySource {
     total: u64,
     read_points: u64,
     batch_size: usize,
+    buf: Vec<u8>,
 }
 
 impl BinarySource {
@@ -360,12 +371,15 @@ impl BinarySource {
                 extra: file_len - want,
             });
         }
+        let batch_size = batch_size.max(1);
+        let batch_bytes = batch_size.saturating_mul(dims * 8);
         Ok(Self {
             reader,
             dims,
             total,
             read_points: 0,
-            batch_size: batch_size.max(1),
+            batch_size,
+            buf: vec![0; batch_bytes.min(READ_CHUNK_BYTES)],
         })
     }
 }
@@ -381,22 +395,29 @@ impl PointSource for BinarySource {
             return Ok(None);
         }
         let points = (self.batch_size as u64).min(remaining) as usize;
-        let mut bytes = vec![0u8; points * self.dims * 8];
-        self.reader.read_exact(&mut bytes).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                DataIoError::Truncated
-            } else {
-                DataIoError::Io(e)
+        let mut coords = Vec::with_capacity(points * self.dims);
+        let mut left = points * self.dims * 8;
+        // Each round reads whole coordinates: `left` and the buffer's
+        // length (at least 8) are multiples of 8. It ends at `left == 0`.
+        let most = self.buf.len();
+        while let Some(chunk) = self.buf.get_mut(..left.min(most)) {
+            if chunk.is_empty() {
+                break;
             }
-        })?;
-        let coords: Vec<f64> = bytes
-            .chunks_exact(8)
-            .map(|c| {
+            self.reader.read_exact(chunk).map_err(|e| {
+                if e.kind() == std::io::ErrorKind::UnexpectedEof {
+                    DataIoError::Truncated
+                } else {
+                    DataIoError::Io(e)
+                }
+            })?;
+            coords.extend(chunk.chunks_exact(8).map(|c| {
                 let mut b = [0u8; 8];
                 b.copy_from_slice(c);
                 f64::from_le_bytes(b)
-            })
-            .collect();
+            }));
+            left -= chunk.len();
+        }
         self.read_points += points as u64;
         Ok(Some(PointBatch::from_flat(self.dims, coords)?))
     }
@@ -603,6 +624,40 @@ mod tests {
             src.reset().unwrap();
             assert_eq!(materialize(&mut src).unwrap(), store);
         }
+    }
+
+    #[test]
+    fn binary_source_reports_a_file_cut_short_after_open() {
+        // Batches of 2-D points that span two read chunks, so a cut can
+        // fall inside a batch after part of it has been read.
+        let dims = 2;
+        let batch = READ_CHUNK_BYTES / (dims * 8) + 1000;
+        let batch_bytes = batch * dims * 8;
+        let store = sample_store(3 * batch, dims);
+        let want: Vec<&[f64]> = store.flat().chunks(batch * dims).collect();
+        let path = tmp("cut-after-open.dbsc");
+        write_binary(&path, &store).unwrap();
+        let cut_to = |payload: usize| {
+            std::fs::OpenOptions::new()
+                .write(true)
+                .open(&path)
+                .unwrap()
+                .set_len((BINARY_HEADER_LEN + payload) as u64)
+                .unwrap();
+        };
+        let mut src = BinarySource::open(&path, batch).unwrap();
+        // Pass 1 meets the short end in the second chunk of its last batch.
+        for &w in &want[..2] {
+            assert_eq!(src.next_batch().unwrap().unwrap().coords(), w);
+        }
+        cut_to(2 * batch_bytes + READ_CHUNK_BYTES + 12);
+        assert!(matches!(src.next_batch(), Err(DataIoError::Truncated)));
+        // Pass 2 meets it in the first chunk of its second batch, while the
+        // buffer still holds bytes of pass 1's last batch.
+        src.reset().unwrap();
+        cut_to(batch_bytes + 100);
+        assert_eq!(src.next_batch().unwrap().unwrap().coords(), want[0]);
+        assert!(matches!(src.next_batch(), Err(DataIoError::Truncated)));
     }
 
     #[test]

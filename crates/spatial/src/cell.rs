@@ -159,34 +159,81 @@ pub fn cell_of(point: &[f64], side: f64) -> CellCoord {
 }
 
 /// `q.floor() as i64`, without the `floor` call the baseline x86-64
-/// target makes: truncate (the cast saturates, NaN gives 0), then step
-/// down when truncation rounded a negative fraction up. Above 2^53 in
-/// magnitude every `f64` is an integer, so the comparison is exact
-/// wherever the step can apply.
+/// target makes and without a branch: truncate (the cast saturates, NaN
+/// gives 0), then subtract the comparison "truncation rounded a negative
+/// fraction up" as 0 or 1. A branch there would go either way at random
+/// on data whose coordinates mix signs (on Geolife about half of x and
+/// of y are negative), and `cell_of` runs once per point in each grid
+/// pass. Above 2^53 in magnitude every `f64` is an integer, so the
+/// comparison is exact wherever the step can apply.
 #[inline]
 fn floor_to_i64(q: f64) -> i64 {
     let t = q as i64;
-    if (t as f64) > q {
-        t.saturating_sub(1)
-    } else {
-        t
-    }
+    t.saturating_sub(i64::from((t as f64) > q))
+}
+
+/// Distance from `x` to the closed interval `[lo, hi]`: `lo − x` below
+/// it, `x − hi` above it, 0 inside it and for a NaN `x`. It is the larger
+/// of the two differences and 0, with no branch: the prunes ask it for
+/// every axis of every box they test, and which case holds is decided by
+/// the data at random, so a branch would mispredict often. Inside, both
+/// differences are ≤ 0 and the result may be −0, which squares to +0;
+/// `f64::max` returns its other operand for NaN, so NaN (and `∞ − ∞` at
+/// an infinite end) gives 0. For `lo ≤ hi` its square equals bit for bit
+/// that of the piecewise form.
+#[inline]
+fn gap_to(x: f64, lo: f64, hi: f64) -> f64 {
+    (lo - x).max(x - hi).max(0.0)
+}
+
+/// Distance between the closed intervals `[alo, ahi]` and `[blo, bhi]`,
+/// 0 when they meet: the box-to-box twin of [`gap_to`], with the same
+/// branch-free form and the same value in both argument orders.
+#[inline]
+fn gap_between(alo: f64, ahi: f64, blo: f64, bhi: f64) -> f64 {
+    (blo - ahi).max(alo - bhi).max(0.0)
 }
 
 /// Squared minimum distance from `point` to the closed box of `cell`
-/// (side `side`). Zero when the point lies inside the cell.
+/// (side `side`). Zero when the point lies inside the cell. Each axis
+/// adds the square of the branch-free `gap_to`, so for every
+/// coordinate, NaN included, the sum is bit for bit that of the
+/// piecewise "below, inside, above" gaps.
 pub fn min_sq_dist_to_cell(point: &[f64], cell: &CellCoord, side: f64) -> f64 {
     let mut acc = 0.0;
     for (&x, &ci) in point.iter().zip(&cell.c) {
         let lo = ci as f64 * side;
-        let hi = lo + side;
-        let gap = if x < lo {
-            lo - x
-        } else if x > hi {
-            x - hi
-        } else {
-            0.0
-        };
+        let gap = gap_to(x, lo, lo + side);
+        acc += gap * gap;
+    }
+    acc
+}
+
+/// Squared minimum distance from `point` to the box whose axis `k` spans
+/// `[lo[k], hi[k]]` (0 inside it), over the axes all three slices hold.
+/// Each axis adds the square of the branch-free [`gap_to`], so for every
+/// box with `lo ≤ hi` and every coordinate, NaN included, the sum is bit
+/// for bit that of the piecewise gaps.
+#[inline]
+pub(crate) fn min_sq_dist_to_box(point: &[f64], lo: &[f64], hi: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for ((&x, &lo), &hi) in point.iter().zip(lo).zip(hi) {
+        let gap = gap_to(x, lo, hi);
+        acc += gap * gap;
+    }
+    acc
+}
+
+/// Squared minimum distance between the boxes `[alo, ahi]` and
+/// `[blo, bhi]` (per axis, as in [`min_sq_dist_to_box`]), 0 when they
+/// meet. Each axis adds the square of the branch-free [`gap_between`], so
+/// swapping the boxes gives the same sum, and for boxes with `lo ≤ hi`
+/// the sum is bit for bit that of the piecewise gaps.
+#[inline]
+pub(crate) fn min_sq_dist_between_boxes(alo: &[f64], ahi: &[f64], blo: &[f64], bhi: &[f64]) -> f64 {
+    let mut acc = 0.0;
+    for (((&alo, &ahi), &blo), &bhi) in alo.iter().zip(ahi).zip(blo).zip(bhi) {
+        let gap = gap_between(alo, ahi, blo, bhi);
         acc += gap * gap;
     }
     acc
@@ -305,6 +352,118 @@ mod tests {
         for q in edges {
             for q in [q, q.next_up(), q.next_down()] {
                 assert_eq!(floor_to_i64(q), q.floor() as i64, "{q:e}");
+            }
+        }
+    }
+
+    /// The piecewise gaps, one branch per case.
+    fn three_way_gap_to(x: f64, lo: f64, hi: f64) -> f64 {
+        if x < lo {
+            lo - x
+        } else if x > hi {
+            x - hi
+        } else {
+            0.0
+        }
+    }
+
+    fn three_way_gap_between(alo: f64, ahi: f64, blo: f64, bhi: f64) -> f64 {
+        if ahi < blo {
+            blo - ahi
+        } else if bhi < alo {
+            alo - bhi
+        } else {
+            0.0
+        }
+    }
+
+    /// Interval ends and coordinates at the edges of `f64`: ±∞, ±1e300,
+    /// ±1, subnormals and signed zeros.
+    fn edge_values() -> [f64; 12] {
+        let least = f64::from_bits(1);
+        let sub = f64::MIN_POSITIVE / 2.0;
+        [
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.0,
+            -sub,
+            -least,
+            -0.0,
+            0.0,
+            least,
+            sub,
+            1.0,
+            1e300,
+            f64::INFINITY,
+        ]
+    }
+
+    /// The coordinates to test against `[lo, hi]`: every edge value,
+    /// NaN, both ends and one ULP either side of each.
+    fn coordinates_around(lo: f64, hi: f64) -> Vec<f64> {
+        let mut xs = edge_values().to_vec();
+        xs.push(f64::NAN);
+        for end in [lo, hi] {
+            xs.extend([end, end.next_down(), end.next_up()]);
+        }
+        xs
+    }
+
+    #[test]
+    fn branch_free_gaps_square_to_the_three_way_forms_bit_for_bit() {
+        // `CellMajorStore::min_sq_dist_to_bbox` and
+        // `min_sq_dist_between_bboxes` are `min_sq_dist_to_box` and
+        // `min_sq_dist_between_boxes` over a cell's bounding box.
+        let sq = |gap: f64| 0.0 + gap * gap;
+        let ends = edge_values();
+        let boxes: Vec<(f64, f64)> = ends
+            .iter()
+            .flat_map(|&lo| ends.iter().map(move |&hi| (lo, hi)))
+            .filter(|(lo, hi)| lo <= hi)
+            .collect();
+        let mut cases = Vec::new();
+        for &(lo, hi) in &boxes {
+            for x in coordinates_around(lo, hi) {
+                let want = sq(three_way_gap_to(x, lo, hi));
+                let got = min_sq_dist_to_box(&[x], &[lo], &[hi]);
+                assert_eq!(got.to_bits(), want.to_bits(), "{x:e} to [{lo:e}, {hi:e}]");
+                cases.push((x, lo, hi, want));
+            }
+            for &(blo, bhi) in &boxes {
+                let want = sq(three_way_gap_between(lo, hi, blo, bhi));
+                for got in [
+                    min_sq_dist_between_boxes(&[lo], &[hi], &[blo], &[bhi]),
+                    min_sq_dist_between_boxes(&[blo], &[bhi], &[lo], &[hi]),
+                ] {
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "[{lo:e}, {hi:e}] to [{blo:e}, {bhi:e}]"
+                    );
+                }
+            }
+        }
+        // Three axes at once sum the same squares in the same order.
+        for (i, &(x0, lo0, hi0, d0)) in cases.iter().enumerate() {
+            let (x1, lo1, hi1, d1) = cases[(i + 7) % cases.len()];
+            let (x2, lo2, hi2, d2) = cases[(i + 31) % cases.len()];
+            let got = min_sq_dist_to_box(&[x0, x1, x2], &[lo0, lo1, lo2], &[hi0, hi1, hi2]);
+            assert_eq!(got.to_bits(), (0.0 + d0 + d1 + d2).to_bits());
+        }
+        // A cell's box is [index · side, index · side + side].
+        for ci in [i64::MIN, -(1 << 53), -1, 0, 1, 1 << 53, i64::MAX] {
+            for side in [f64::from_bits(1), f64::MIN_POSITIVE, 0.7, 1.0, 1e300] {
+                let cell = CellCoord::from_slice(&[ci]);
+                let lo = ci as f64 * side;
+                for x in coordinates_around(lo, lo + side) {
+                    let want = sq(three_way_gap_to(x, lo, lo + side));
+                    let got = min_sq_dist_to_cell(&[x], &cell, side);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{x:e} to cell {ci} of side {side:e}"
+                    );
+                }
             }
         }
     }

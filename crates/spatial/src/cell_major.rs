@@ -39,7 +39,10 @@
 
 use std::ops::Range;
 
-use crate::cell::{cell_of, cell_side, check_point, validate_eps, CellCoord, MAX_DIMS};
+use crate::cell::{
+    cell_of, cell_side, check_point, min_sq_dist_between_boxes, min_sq_dist_to_box, validate_eps,
+    CellCoord, MAX_DIMS,
+};
 use crate::cell_table::CellTable;
 use crate::distance::{
     accumulate_sq_dists_x4, sq_dists_2d_x8, sq_dists_3d_x4, KernelKind, LANES_2D, LANES_ND,
@@ -784,50 +787,39 @@ impl CellMajorStore {
         }
     }
 
+    /// The tight bounding box of cell `idx`: its `dims` lower and upper
+    /// ends (empty slices when `idx` is out of range).
+    #[inline]
+    fn bbox(&self, idx: usize) -> (&[f64], &[f64]) {
+        let axes = idx * self.dims..(idx + 1) * self.dims;
+        (
+            self.bbox_min.get(axes.clone()).unwrap_or(&[]),
+            self.bbox_max.get(axes).unwrap_or(&[]),
+        )
+    }
+
     /// Squared minimum distance from `q` to the tight bounding box of
-    /// cell `idx` (0 when `q` lies inside). Lower-bounds the distance
-    /// from `q` to every point of the cell — the per-point prune.
+    /// cell `idx` (0 when `q` lies inside, and for an `idx` out of
+    /// range). Lower-bounds the distance from `q` to every point of the
+    /// cell — the per-point prune. Branch-free per axis, like
+    /// [`crate::cell::min_sq_dist_to_cell`]: the side of the box a query
+    /// lies on is decided by the data at random, and the result is bit
+    /// for bit that of the piecewise "below, inside, above" gaps.
     #[inline]
     pub fn min_sq_dist_to_bbox(&self, q: &[f64], idx: usize) -> f64 {
-        let base = idx * self.dims;
-        let mut acc = 0.0;
-        for (k, &x) in q.iter().enumerate().take(self.dims) {
-            let lo = self.bbox_min.get(base + k).copied().unwrap_or(x);
-            let hi = self.bbox_max.get(base + k).copied().unwrap_or(x);
-            let gap = if x < lo {
-                lo - x
-            } else if x > hi {
-                x - hi
-            } else {
-                0.0
-            };
-            acc += gap * gap;
-        }
-        acc
+        let (lo, hi) = self.bbox(idx);
+        min_sq_dist_to_box(q, lo, hi)
     }
 
     /// Squared minimum distance between the tight bounding boxes of
-    /// cells `a` and `b`. Lower-bounds every point pair across the two
-    /// cells — the per-cell prune.
+    /// cells `a` and `b` (0 when either is out of range). Lower-bounds
+    /// every point pair across the two cells — the per-cell prune.
+    /// Branch-free per axis, the same in both argument orders, and bit
+    /// for bit that of the piecewise gaps.
     #[inline]
     pub fn min_sq_dist_between_bboxes(&self, a: usize, b: usize) -> f64 {
-        let (ab, bb) = (a * self.dims, b * self.dims);
-        let mut acc = 0.0;
-        for k in 0..self.dims {
-            let alo = self.bbox_min.get(ab + k).copied().unwrap_or(0.0);
-            let ahi = self.bbox_max.get(ab + k).copied().unwrap_or(0.0);
-            let blo = self.bbox_min.get(bb + k).copied().unwrap_or(0.0);
-            let bhi = self.bbox_max.get(bb + k).copied().unwrap_or(0.0);
-            let gap = if ahi < blo {
-                blo - ahi
-            } else if bhi < alo {
-                alo - bhi
-            } else {
-                0.0
-            };
-            acc += gap * gap;
-        }
-        acc
+        let ((alo, ahi), (blo, bhi)) = (self.bbox(a), self.bbox(b));
+        min_sq_dist_between_boxes(alo, ahi, blo, bhi)
     }
 
     /// Starts a [`NeighborSweep`]: neighbor-cell resolution for a run of

@@ -15,7 +15,7 @@
     clippy::float_cmp
 )]
 
-use dbscout::baselines::Dbscan;
+use dbscout::baselines::{BaselineError, Dbscan, RpDbscan};
 use dbscout::core::reference::naive_labels;
 use dbscout::core::{
     detect_outliers, Dbscout, DbscoutError, DbscoutParams, DistributedDbscout, IncrementalDbscout,
@@ -81,7 +81,7 @@ fn every_engine_refuses(store: &PointStore, params: DbscoutParams, point: usize,
     );
     let ctx = ExecutionContext::builder().workers(2).build();
     assert_eq!(
-        DistributedDbscout::new(ctx, params)
+        DistributedDbscout::new(ctx.clone(), params)
             .detect(store)
             .unwrap_err(),
         wanted,
@@ -91,6 +91,14 @@ fn every_engine_refuses(store: &PointStore, params: DbscoutParams, point: usize,
     assert_eq!(
         Dbscan::new(eps, min_pts).fit(store).err(),
         Some(want.clone())
+    );
+    // RP-DBSCAN overflowed computing sub-cell corners (a panic, retried
+    // into `TaskFailed`) or, in a release build, merged the points into
+    // one sub-cell.
+    assert_eq!(
+        RpDbscan::new(ctx, eps, min_pts).detect(store).err(),
+        Some(BaselineError::Spatial(want.clone())),
+        "RP-DBSCAN"
     );
     assert_eq!(CellMajorStore::build(store, eps).err(), Some(want.clone()));
     assert_eq!(Grid::build(store, eps).err(), Some(want.clone()));
