@@ -13,7 +13,6 @@ usage:
   dbscout detect   --input <csv|bin> --eps <f64> --min-pts <usize>
                    [--engine native|distributed] [--labeled]
                    [--output <csv>] [--threads <usize>]
-                   [--kernel scalar|unrolled|auto]
                    [--from-binary] [--batch-size <usize>]
                    [--max-task-retries <usize>] [--permissive-ingest]
                    [--trace-out <json>] [--report-json <json>] [--progress]
@@ -27,7 +26,6 @@ usage:
   dbscout compare  --input <labeled csv> [--eps <f64>] [--min-pts <usize>] [--k <usize>]
   dbscout serve    --input <csv|bin> --eps <f64> --min-pts <usize>
                    [--from-binary] [--labeled] [--batch-size <usize>]
-                   [--kernel scalar|unrolled|auto] [--threads <usize>]
                    [--socket <path>]
                    [--trace-out <json>] [--report-json <json>]";
 
@@ -170,7 +168,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 "labeled",
                 "output",
                 "threads",
-                "kernel",
                 "from-binary",
                 "batch-size",
                 "max-task-retries",
@@ -200,8 +197,6 @@ pub fn run(args: &[String]) -> Result<String, CliError> {
                 "from-binary",
                 "labeled",
                 "batch-size",
-                "kernel",
-                "threads",
                 "socket",
                 "trace-out",
                 "report-json",

@@ -6,8 +6,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use dbscout_core::{
-    build_run_report, DbscoutError, DbscoutParams, DetectorBuilder, ExecutionConfig, KernelKind,
-    PhaseTimings, RunInfo, GRID_STEP_NAMES, PHASE_NAMES,
+    build_run_report, DbscoutError, DbscoutParams, DetectorBuilder, ExecutionConfig, PhaseTimings,
+    RunInfo, GRID_STEP_NAMES, PHASE_NAMES,
 };
 use dbscout_data::generators as gen;
 use dbscout_data::io::{read_csv_with, write_binary, write_csv, IngestMode, QuarantineReport};
@@ -53,15 +53,6 @@ pub(crate) fn load_dataset(
     mode: IngestMode,
 ) -> Result<CsvIngest, CliError> {
     read_csv_with(path, labeled, mode).map_err(data_err)
-}
-
-/// Parses the `--kernel` flag for the native engine.
-pub(crate) fn parse_kernel(s: &str) -> Result<KernelKind, CliError> {
-    s.parse().map_err(|_| {
-        CliError::new(format!(
-            "unknown kernel {s:?} (expected scalar, unrolled, or auto)"
-        ))
-    })
 }
 
 /// Renders a permissive-ingest quarantine summary into `out`.
@@ -164,11 +155,9 @@ pub fn detect(flags: &Flags) -> Result<String, CliError> {
     let chaos_seed: Option<u64> = std::env::var("DBSCOUT_CHAOS_SEED")
         .ok()
         .and_then(|s| s.parse().ok());
-    // Every execution knob funnels through one ExecutionConfig here;
-    // the engine arms below read from it instead of re-parsing flags.
-    let exec = ExecutionConfig::new()
-        .with_threads(flags.get("threads", 0)?)
-        .with_kernel(parse_kernel(&flags.get("kernel", "auto".to_string())?)?);
+    // The thread count funnels through one ExecutionConfig here; the
+    // engine arms below read from it instead of re-parsing flags.
+    let exec = ExecutionConfig::new().with_threads(flags.get("threads", 0)?);
 
     // The streaming path never materializes the dataset. It needs the
     // native engine (the distributed one partitions an in-memory store)
@@ -246,17 +235,12 @@ pub fn detect(flags: &Flags) -> Result<String, CliError> {
         other => return Err(CliError::new(format!("unknown engine {other:?}"))),
     };
     let elapsed = t.elapsed();
-    // The resolved execution echo: the concrete kernel the run used
-    // (never "auto") and the in-process thread count. The distributed
-    // engine's distance path is scalar and its parallelism is the
-    // worker count echoed above.
-    let (echo_kernel, echo_threads) = if engine == "native" {
-        (
-            exec.resolved_kernel().as_str().to_owned(),
-            exec.resolved_threads() as u64,
-        )
+    // The resolved in-process thread count. The distributed engine's
+    // parallelism is the worker count echoed above.
+    let echo_threads = if engine == "native" {
+        exec.resolved_threads() as u64
     } else {
-        ("scalar".to_owned(), 0u64)
+        0
     };
     if engine == "native" {
         if let Some(c) = &collector {
@@ -281,7 +265,7 @@ pub fn detect(flags: &Flags) -> Result<String, CliError> {
         out,
         "{points} points, eps = {eps}, minPts = {min_pts}, engine = {engine}{}{}",
         if engine == "native" {
-            format!(", kernel = {echo_kernel}, threads = {echo_threads}")
+            format!(", threads = {echo_threads}")
         } else {
             String::new()
         },
@@ -345,7 +329,6 @@ pub fn detect(flags: &Flags) -> Result<String, CliError> {
             engine: engine.clone(),
             partitions: echo_partitions,
             workers: echo_workers,
-            kernel: echo_kernel.clone(),
             threads: echo_threads,
             chaos_seed,
             peak_rss_bytes: dbscout_telemetry::peak_rss_bytes(),
@@ -748,10 +731,10 @@ mod tests {
     }
 
     #[test]
-    fn kernel_flag_is_equivalent_and_echoed() {
+    fn threads_flag_is_echoed() {
         use dbscout_telemetry::json::parse;
 
-        let data = tmp("kernels.csv");
+        let data = tmp("threads.csv");
         run(&argv(&[
             "generate",
             "--dataset",
@@ -762,48 +745,32 @@ mod tests {
             &data,
         ]))
         .unwrap();
-        let base = ["detect", "--input", &data, "--eps", "0.6", "--min-pts", "5"];
-        let count = |r: &str| {
-            r.lines()
-                .nth(1)
-                .unwrap()
-                .split_whitespace()
-                .next()
-                .unwrap()
-                .to_string()
-        };
-        let mut scalar_args = base.to_vec();
-        scalar_args.extend(["--kernel", "scalar"]);
-        let scalar = run(&argv(&scalar_args)).unwrap();
-        assert!(scalar.contains("kernel = scalar"), "{scalar}");
-        let mut unrolled_args = base.to_vec();
-        unrolled_args.extend(["--kernel", "unrolled"]);
-        let unrolled = run(&argv(&unrolled_args)).unwrap();
-        assert!(unrolled.contains("kernel = unrolled"), "{unrolled}");
-        assert_eq!(count(&scalar), count(&unrolled));
-        // The default (auto) resolves to unrolled.
-        let auto = run(&argv(&base)).unwrap();
-        assert!(auto.contains("kernel = unrolled"), "{auto}");
-        // Unknown kernels are usage errors.
-        let mut bad = base.to_vec();
-        bad.extend(["--kernel", "fma"]);
-        assert!(run(&argv(&bad)).is_err());
-        // The run report echoes the resolved kernel and thread count.
-        let report = tmp("kernels-report.json");
-        let mut with_report = base.to_vec();
-        with_report.extend([
-            "--kernel",
-            "scalar",
+        let report = tmp("threads-report.json");
+        let args = [
+            "detect",
+            "--input",
+            &data,
+            "--eps",
+            "0.6",
+            "--min-pts",
+            "5",
             "--threads",
             "2",
             "--report-json",
             &report,
-        ]);
-        run(&argv(&with_report)).unwrap();
+        ];
+        let out = run(&argv(&args)).unwrap();
+        assert!(out.contains("engine = native, threads = 2"), "{out}");
         let doc = parse(&std::fs::read_to_string(&report).unwrap()).unwrap();
         let params = doc.get("params").unwrap();
-        assert_eq!(params.get("kernel").unwrap().as_str(), Some("scalar"));
         assert_eq!(params.get("threads").unwrap().as_u64(), Some(2));
+        assert!(params.get("kernel").is_none());
+        // The retired kernel switch is an unknown flag.
+        let mut retired = argv(&args);
+        retired.extend(argv(&["--kernel", "scalar"]));
+        let err = run(&retired).unwrap_err();
+        assert!(err.message.contains("--kernel"), "{err}");
+        assert_eq!(err.exit_code(), 1);
     }
 
     #[test]

@@ -35,9 +35,7 @@ use std::io::{BufRead, BufReader, Read, Write};
 use std::sync::Arc;
 use std::time::Instant;
 
-use dbscout_core::{
-    build_run_report, DbscoutParams, ExecutionLayout, IncrementalDbscout, PointLabel, RunInfo,
-};
+use dbscout_core::{build_run_report, DbscoutParams, IncrementalDbscout, PointLabel, RunInfo};
 use dbscout_data::io::IngestMode;
 use dbscout_data::{materialize, BinarySource, DEFAULT_BATCH_SIZE};
 use dbscout_dataflow::MetricsSnapshot;
@@ -46,7 +44,7 @@ use dbscout_telemetry::json::{escape, parse, Value};
 use dbscout_telemetry::{Recorder, ServeReport, Span, SpanKind, TraceCollector};
 
 use crate::cli::{CliError, Flags};
-use crate::commands::{detect_err, load_dataset, parse_kernel};
+use crate::commands::{detect_err, load_dataset};
 
 /// The longest request line a session reads, in bytes (its `\n`
 /// excluded). A request is a few hundred bytes; longer lines are
@@ -235,14 +233,13 @@ fn handle(state: &mut ServeState, line: &str, out: &mut Vec<u8>) -> (&'static st
             let _ = write!(
                 out,
                 "{{\"ok\":true,\"op\":\"stats\",\"points\":{},\"total_inserted\":{},\
-                 \"outliers\":{},\"core\":{},\"kernel\":\"{}\",\
-                 \"rebuilds\":{},\"compactions\":{},\"cells_visited\":{},\
-                 \"bbox_prunes\":{},\"early_exit_hits\":{},\"distance_evals\":{}}}",
+                 \"outliers\":{},\"core\":{},\"rebuilds\":{},\"compactions\":{},\
+                 \"cells_visited\":{},\"bbox_prunes\":{},\"early_exit_hits\":{},\
+                 \"distance_evals\":{}}}",
                 inc.len(),
                 inc.total_inserted(),
                 inc.num_outliers(),
                 inc.num_core(),
-                inc.kernel().as_str(),
                 inc.rebuilds(),
                 inc.compactions(),
                 k.cells_visited,
@@ -372,10 +369,6 @@ pub fn serve(flags: &Flags) -> Result<String, CliError> {
     if batch_size == 0 {
         return Err(CliError::new("--batch-size must be at least 1"));
     }
-    let kernel = parse_kernel(&flags.get("kernel", "auto".to_string())?)?;
-    // Accepted for flag-surface parity with `detect` and echoed in the
-    // run report; the warm engine answers each query on one thread.
-    let threads: u64 = flags.get("threads", 1)?;
     let socket: Option<String> = flags.require::<String>("socket").ok();
     let trace_out = flags.require::<String>("trace-out").ok();
     let report_out = flags.require::<String>("report-json").ok();
@@ -393,16 +386,13 @@ pub fn serve(flags: &Flags) -> Result<String, CliError> {
     let dims = store.dims() as u64;
 
     let t = Instant::now();
-    let inc =
-        IncrementalDbscout::from_store_with(&store, params, ExecutionLayout::CellMajor, kernel)
-            .map_err(detect_err)?;
+    let inc = IncrementalDbscout::from_store(&store, params).map_err(detect_err)?;
     // The engine holds its own copy of every point.
     drop(store);
     eprintln!(
-        "dbscout serve: {} points warm in {:?} (kernel = {}), {} outliers",
+        "dbscout serve: {} points warm in {:?}, {} outliers",
         inc.len(),
         t.elapsed(),
-        inc.kernel().as_str(),
         inc.num_outliers(),
     );
     let mut state = ServeState::new(inc, collector.clone());
@@ -452,8 +442,8 @@ pub fn serve(flags: &Flags) -> Result<String, CliError> {
             engine: "incremental".to_owned(),
             partitions: 0,
             workers: 0,
-            kernel: inc.kernel().as_str().to_owned(),
-            threads,
+            // The warm engine answers each query on one thread.
+            threads: 1,
             chaos_seed: None,
             peak_rss_bytes: dbscout_telemetry::peak_rss_bytes(),
         };

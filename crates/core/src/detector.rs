@@ -6,7 +6,7 @@
 //! engine swap is a one-line change:
 //!
 //! ```
-//! use dbscout_core::{DetectorBuilder, DbscoutParams, OutlierDetector};
+//! use dbscout_core::{DetectorBuilder, DbscoutParams, ExecutionConfig, OutlierDetector};
 //! use dbscout_spatial::PointStore;
 //!
 //! let mut rows: Vec<Vec<f64>> = (0..8).map(|i| vec![0.1 * i as f64, 0.0]).collect();
@@ -14,7 +14,9 @@
 //! let store = PointStore::from_rows(2, rows).unwrap();
 //!
 //! let params = DbscoutParams::new(1.0, 4).unwrap();
-//! let detector = DetectorBuilder::new(params).threads(2).build();
+//! let detector = DetectorBuilder::new(params)
+//!     .execution(ExecutionConfig::new().with_threads(2))
+//!     .build();
 //! let result = detector.detect(&store).unwrap();
 //! assert_eq!(result.outliers, vec![8]);
 //! ```
@@ -25,14 +27,12 @@ use dbscout_data::{materialize, PointSource};
 use dbscout_dataflow::ExecutionContext;
 use dbscout_spatial::PointStore;
 
-use dbscout_spatial::KernelKind;
-
 use crate::distributed::{DistributedDbscout, JoinStrategy};
 use crate::error::Result;
 use crate::execution::ExecutionConfig;
 use crate::incremental::IncrementalDbscout;
 use crate::labels::OutlierResult;
-use crate::native::{Dbscout, ExecutionLayout, NativeOptions};
+use crate::native::{Dbscout, NativeOptions};
 use crate::params::DbscoutParams;
 
 /// A batch outlier detector: given a dataset, classify every point
@@ -86,17 +86,10 @@ impl OutlierDetector for DistributedDbscout {
 
 impl OutlierDetector for IncrementalDbscout {
     /// Batch detection through the incremental engine: bulk-load `store`
-    /// into a fresh instance with this detector's own kernel (its
-    /// accumulated points are not consulted) and snapshot the resulting
-    /// labels.
+    /// into a fresh instance (its accumulated points are not consulted)
+    /// and snapshot the resulting labels.
     fn detect(&self, store: &PointStore) -> Result<OutlierResult> {
-        IncrementalDbscout::from_store_with(
-            store,
-            self.params(),
-            ExecutionLayout::CellMajor,
-            self.kernel(),
-        )
-        .map(|inc| inc.snapshot())
+        IncrementalDbscout::from_store(store, self.params()).map(|inc| inc.snapshot())
     }
 
     fn params(&self) -> DbscoutParams {
@@ -120,15 +113,14 @@ enum EngineChoice {
 /// parameters, then execution knobs, then engine selection.
 ///
 /// ```
-/// use dbscout_core::{DetectorBuilder, DbscoutParams, JoinStrategy, KernelKind};
+/// use dbscout_core::{DetectorBuilder, DbscoutParams, ExecutionConfig, JoinStrategy};
 /// use dbscout_dataflow::ExecutionContext;
 ///
 /// let params = DbscoutParams::new(0.5, 5).unwrap();
 ///
-/// // Native engine, 4 worker threads, explicit kernel:
+/// // Native engine, 4 worker threads:
 /// let native = DetectorBuilder::new(params)
-///     .threads(4)
-///     .kernel(KernelKind::Unrolled)
+///     .execution(ExecutionConfig::new().with_threads(4))
 ///     .build_native();
 ///
 /// // Distributed engine on a 2-worker context:
@@ -142,9 +134,8 @@ enum EngineChoice {
 #[derive(Debug, Clone)]
 pub struct DetectorBuilder {
     params: DbscoutParams,
-    threads: Option<usize>,
+    exec: ExecutionConfig,
     options: NativeOptions,
-    kernel: KernelKind,
     engine: EngineChoice,
     partitions: Option<usize>,
     strategy: JoinStrategy,
@@ -152,44 +143,29 @@ pub struct DetectorBuilder {
 
 impl DetectorBuilder {
     /// Starts a builder for validated parameters (native engine, all
-    /// cores, `Auto` kernel unless overridden).
+    /// cores unless overridden).
     pub fn new(params: DbscoutParams) -> Self {
         Self {
             params,
-            threads: None,
+            exec: ExecutionConfig::default(),
             options: NativeOptions::default(),
-            kernel: KernelKind::default(),
             engine: EngineChoice::default(),
             partitions: None,
             strategy: JoinStrategy::default(),
         }
     }
 
-    /// Applies a whole [`ExecutionConfig`] at once — the one documented
-    /// way to set every execution knob together. The per-field methods
-    /// ([`Self::threads`], [`Self::kernel`]) are thin shims over the
-    /// same state, so the two styles compose freely.
-    pub fn execution(self, cfg: ExecutionConfig) -> Self {
-        self.threads(cfg.threads).kernel(cfg.kernel)
-    }
-
-    /// Overrides the native engine's worker-thread count (≥ 1; `0` means
-    /// "all available cores", matching the CLI convention).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = (threads > 0).then_some(threads);
+    /// Applies an [`ExecutionConfig`] — the one way to set the native
+    /// engine's worker-thread count (`0` means "all available cores",
+    /// matching the CLI convention).
+    pub fn execution(mut self, cfg: ExecutionConfig) -> Self {
+        self.exec = cfg;
         self
     }
 
     /// Overrides the native engine's ablation switches.
     pub fn options(mut self, options: NativeOptions) -> Self {
         self.options = options;
-        self
-    }
-
-    /// Overrides the native engine's distance kernel (results and
-    /// counter totals are unaffected; only the loop shape changes).
-    pub fn kernel(mut self, kernel: KernelKind) -> Self {
-        self.kernel = kernel;
         self
     }
 
@@ -222,13 +198,9 @@ impl DetectorBuilder {
 
     /// Builds the configured native engine, whatever engine was selected.
     pub fn build_native(&self) -> Dbscout {
-        let mut d = Dbscout::new(self.params)
+        Dbscout::new(self.params)
             .with_options(self.options)
-            .with_kernel(self.kernel);
-        if let Some(t) = self.threads {
-            d = d.with_threads(t);
-        }
-        d
+            .with_threads(self.exec.resolved_threads())
     }
 
     /// Builds the distributed engine on the configured context (a fresh
@@ -259,30 +231,21 @@ impl DetectorBuilder {
             EngineChoice::Distributed(_) => Box::new(self.build_distributed()),
             EngineChoice::Incremental => Box::new(BatchIncremental {
                 params: self.params,
-                kernel: self.kernel,
             }),
         }
     }
 }
 
 /// The incremental engine's batch façade: holds the parameters and
-/// kernel, and bulk-loads each `detect` call into a fresh
-/// [`IncrementalDbscout`].
+/// bulk-loads each `detect` call into a fresh [`IncrementalDbscout`].
 #[derive(Debug, Clone)]
 struct BatchIncremental {
     params: DbscoutParams,
-    kernel: KernelKind,
 }
 
 impl OutlierDetector for BatchIncremental {
     fn detect(&self, store: &PointStore) -> Result<OutlierResult> {
-        IncrementalDbscout::from_store_with(
-            store,
-            self.params,
-            ExecutionLayout::CellMajor,
-            self.kernel,
-        )
-        .map(|inc| inc.snapshot())
+        IncrementalDbscout::from_store(store, self.params).map(|inc| inc.snapshot())
     }
 
     fn params(&self) -> DbscoutParams {
@@ -309,7 +272,8 @@ mod tests {
         let store = sample_store();
         let params = DbscoutParams::new(1.0, 4).unwrap();
         let expected = naive_labels(&store, params);
-        let builder = DetectorBuilder::new(params).threads(2);
+        let builder =
+            DetectorBuilder::new(params).execution(ExecutionConfig::new().with_threads(2));
         let engines: Vec<(&str, Box<dyn OutlierDetector>)> = vec![
             ("native", builder.clone().build()),
             (
@@ -330,35 +294,19 @@ mod tests {
     }
 
     #[test]
-    fn builder_configures_native_engine() {
-        let params = DbscoutParams::new(0.5, 3).unwrap();
-        let d = DetectorBuilder::new(params)
-            .threads(3)
-            .kernel(KernelKind::Scalar)
-            .build_native();
-        assert_eq!(d.threads(), 3);
-        assert_eq!(d.kernel(), KernelKind::Scalar);
-        assert_eq!(OutlierDetector::params(&d), params);
-        // threads(0) means "all cores" — must not panic or zero out.
-        let d = DetectorBuilder::new(params).threads(0).build_native();
-        assert!(d.detect(&sample_store()).is_ok());
-    }
-
-    #[test]
     fn execution_config_sets_every_native_knob() {
         let params = DbscoutParams::new(0.5, 3).unwrap();
-        let cfg = ExecutionConfig::new()
-            .with_threads(2)
-            .with_kernel(KernelKind::Scalar);
+        let cfg = ExecutionConfig::new().with_threads(2);
         let d = DetectorBuilder::new(params).execution(cfg).build_native();
         assert_eq!(d.threads(), 2);
-        assert_eq!(d.kernel(), KernelKind::Scalar);
-        // threads = 0 in the config keeps the all-cores default.
+        assert_eq!(OutlierDetector::params(&d), params);
+        // threads = 0 in the config keeps the all-cores default — it must
+        // not panic or zero out.
         let d = DetectorBuilder::new(params)
             .execution(ExecutionConfig::new())
             .build_native();
-        assert!(d.threads() >= 1);
-        assert_eq!(d.kernel(), KernelKind::Auto);
+        assert_eq!(d.threads(), ExecutionConfig::new().resolved_threads());
+        assert!(d.detect(&sample_store()).is_ok());
     }
 
     #[test]

@@ -34,9 +34,9 @@
 //! mutable companion of the batch [`dbscout_spatial::CellMajorStore`],
 //! with per-cell bbox metadata — so every ε-neighborhood enumeration
 //! runs through the same audited counted kernels as the batch fast
-//! path: bbox pruning, [`KernelKind`] dispatch (scalar or
-//! lane-unrolled), and [`KernelCounters`] accounting. Labels, exact
-//! neighbor counts, and liveness are id-indexed side arrays.
+//! path: bbox pruning, the lane-unrolled distance loops, and
+//! [`KernelCounters`] accounting. Labels, exact neighbor counts, and
+//! liveness are id-indexed side arrays.
 //!
 //! A bulk load ([`IncrementalDbscout::from_store`]) does not insert
 //! point by point. It builds the batch layout (Algorithm 1), counts
@@ -55,13 +55,13 @@ use dbscout_spatial::cell::{cell_of, cell_side, check_point};
 use dbscout_spatial::mutable::MutableCellMajor;
 use dbscout_spatial::points::PointId;
 use dbscout_spatial::{
-    CellMajorStore, CellRecord, KernelKind, NeighborOffsets, PointStore, SpatialError, MAX_DIMS,
+    CellMajorStore, CellRecord, NeighborOffsets, PointStore, SpatialError, MAX_DIMS,
 };
 use dbscout_telemetry::KernelCounters;
 
 use crate::error::Result;
 use crate::labels::{OutlierResult, PhaseTimings, PointLabel, RunStats};
-use crate::native::{take_run, ExecutionLayout};
+use crate::native::{take_run, ExecutionLayout, KernelKind};
 use crate::params::DbscoutParams;
 
 /// An exactly-maintained DBSCOUT state under point insertion and
@@ -116,8 +116,6 @@ pub struct IncrementalDbscout {
     num_outliers: usize,
     /// Live points labelled [`PointLabel::Core`].
     num_core: usize,
-    /// The resolved distance kernel (never `Auto`).
-    kernel: KernelKind,
     counters: KernelCounters,
 }
 
@@ -132,13 +130,8 @@ fn with_room<T: Clone>(n: usize, value: T) -> Vec<T> {
 }
 
 impl IncrementalDbscout {
-    /// An empty incremental detector for `dims`-dimensional points, with
-    /// the `Auto` kernel.
+    /// An empty incremental detector for `dims`-dimensional points.
     pub fn new(dims: usize, params: DbscoutParams) -> Result<Self> {
-        Self::empty(dims, params, KernelKind::Auto)
-    }
-
-    fn empty(dims: usize, params: DbscoutParams, kernel: KernelKind) -> Result<Self> {
         let offsets = NeighborOffsets::new(dims)?;
         let mstore = MutableCellMajor::new(dims, params.eps())?;
         Ok(Self {
@@ -154,20 +147,12 @@ impl IncrementalDbscout {
             num_alive: 0,
             num_outliers: 0,
             num_core: 0,
-            kernel: kernel.resolve(),
             counters: KernelCounters::new(),
         })
     }
 
-    /// Bulk-loads an initial dataset with the `Auto` kernel; see
-    /// [`Self::from_store_with`].
-    pub fn from_store(store: &PointStore, params: DbscoutParams) -> Result<Self> {
-        Self::from_store_with(store, params, ExecutionLayout::CellMajor, KernelKind::Auto)
-    }
-
-    /// Bulk-loads an initial dataset with an explicit kernel, in one
-    /// batch pass on one thread; row `i` of `store` gets id `i`.
-    /// [`ExecutionLayout`] has the one value `CellMajor`.
+    /// Bulk-loads an initial dataset in one batch pass on one thread;
+    /// row `i` of `store` gets id `i`.
     ///
     /// The pass builds the batch layout ([`CellMajorStore::build`],
     /// Algorithm 1), counts every point's ε-neighbors exactly in one
@@ -188,14 +173,8 @@ impl IncrementalDbscout {
     ///
     /// Fails on an invalid dimensionality (`store`'s coordinates are
     /// finite by construction).
-    pub fn from_store_with(
-        store: &PointStore,
-        params: DbscoutParams,
-        layout: ExecutionLayout,
-        kernel: KernelKind,
-    ) -> Result<Self> {
-        let ExecutionLayout::CellMajor = layout;
-        let mut inc = Self::empty(store.dims(), params, kernel)?;
+    pub fn from_store(store: &PointStore, params: DbscoutParams) -> Result<Self> {
+        let mut inc = Self::new(store.dims(), params)?;
         let batch = CellMajorStore::build(store, params.eps())?;
         let counts = inc.seed_counts(&batch)?;
         let min_pts = params.min_pts() as u32;
@@ -223,6 +202,17 @@ impl IncrementalDbscout {
         Ok(inc)
     }
 
+    /// [`Self::from_store`], for callers that name the layout and kernel;
+    /// each of the two types has one value.
+    pub fn from_store_with(
+        store: &PointStore,
+        params: DbscoutParams,
+        _: ExecutionLayout,
+        _: KernelKind,
+    ) -> Result<Self> {
+        Self::from_store(store, params)
+    }
+
     /// The exact ε-neighbor count (self included) of every slot of
     /// `batch`: one sweep over the sorted cell table, with no early exit.
     /// Only what the bbox prunes prove empty is skipped, so each count is
@@ -248,8 +238,7 @@ impl IncrementalDbscout {
                     let Some(nrec) = batch.cell(nidx as usize) else {
                         continue;
                     };
-                    let (c, comps) =
-                        batch.count_within_kernel(q, nrec.range(), eps_sq, usize::MAX, self.kernel);
+                    let (c, comps) = batch.count_within(q, nrec.range(), eps_sq, usize::MAX);
                     count += c;
                     self.counters.distance_evals += comps;
                 }
@@ -309,14 +298,8 @@ impl IncrementalDbscout {
                     let Some(nrec) = batch.cell(nidx as usize) else {
                         continue;
                     };
-                    let (hit, comps) = batch.any_flagged_within_kernel(
-                        q,
-                        nrec.range(),
-                        eps_sq,
-                        core,
-                        true,
-                        self.kernel,
-                    );
+                    let (hit, comps) =
+                        batch.any_flagged_within(q, nrec.range(), eps_sq, core, true);
                     self.counters.distance_evals += comps;
                     if hit {
                         self.counters.early_exit_hits += 1;
@@ -334,11 +317,6 @@ impl IncrementalDbscout {
             }
         }
         Ok(labels)
-    }
-
-    /// The resolved distance kernel (never `Auto`).
-    pub fn kernel(&self) -> KernelKind {
-        self.kernel
     }
 
     /// Number of live (non-removed) points.
@@ -528,8 +506,8 @@ impl IncrementalDbscout {
     }
 
     /// Collects the ids of every live point within ε of `point` via the
-    /// counted kernels: per neighbor cell, bbox prune then a
-    /// kernel-dispatched columnar scan over the cell's live run.
+    /// counted kernels: per neighbor cell, bbox prune then a columnar
+    /// scan over the cell's live run.
     fn neighbors_of(&mut self, point: &[f64], out: &mut Vec<PointId>) {
         out.clear();
         let coord = cell_of(point, self.side);
@@ -555,8 +533,7 @@ impl IncrementalDbscout {
                 continue;
             }
             slots.clear();
-            let comps =
-                store.collect_within_kernel(point, rec.range(), eps_sq, self.kernel, &mut slots);
+            let comps = store.collect_within(point, rec.range(), eps_sq, &mut slots);
             self.counters.distance_evals += comps;
             let ids = store.orig_ids();
             for &slot in &slots {
@@ -873,15 +850,10 @@ mod tests {
         .unwrap();
         let p = params(1.0, 5);
         let batch = detect_outliers(&store, p).unwrap();
-        for kernel in [KernelKind::Scalar, KernelKind::Auto] {
-            let inc =
-                IncrementalDbscout::from_store_with(&store, p, ExecutionLayout::CellMajor, kernel)
-                    .unwrap();
-            assert_eq!(inc.labels(), batch.labels.as_slice(), "{kernel:?}");
-            assert_eq!(inc.outliers(), batch.outliers, "{kernel:?}");
-            assert_eq!(inc.len(), 60);
-            assert_eq!(inc.kernel(), kernel.resolve());
-        }
+        let inc = IncrementalDbscout::from_store(&store, p).unwrap();
+        assert_eq!(inc.labels(), batch.labels.as_slice());
+        assert_eq!(inc.outliers(), batch.outliers);
+        assert_eq!(inc.len(), 60);
     }
 
     /// The one-pass seed against the loop it replaced: `new`, then one
@@ -1147,7 +1119,6 @@ mod tests {
         let counters = inc.kernel_counters();
         assert!(counters.distance_evals > 0);
         assert!(counters.cells_visited > 0);
-        assert_eq!(inc.kernel(), KernelKind::Unrolled);
         // Snapshot cell statistics agree with the paper-literal engine
         // run on the survivors.
         let ctx = ExecutionContext::builder().workers(2).build();

@@ -64,7 +64,6 @@ pub mod report;
 pub mod scores;
 
 pub use cellmap::{CellFlags, CellMap, CellType};
-pub use dbscout_spatial::KernelKind;
 pub use detector::{DetectorBuilder, OutlierDetector};
 pub use distributed::{DistributedDbscout, JoinStrategy, PHASE_NAMES};
 pub use error::{DbscoutError, Result};
@@ -72,7 +71,7 @@ pub use execution::ExecutionConfig;
 pub use explain::{consistent, explain, Explanation};
 pub use incremental::IncrementalDbscout;
 pub use labels::{OutlierResult, PhaseTimings, PointLabel, RunStats, GRID_STEP_NAMES};
-pub use native::{detect_outliers, Dbscout, ExecutionLayout, NativeOptions};
+pub use native::{detect_outliers, Dbscout, ExecutionLayout, KernelKind, NativeOptions};
 pub use params::DbscoutParams;
 pub use report::{build_run_report, stage_report, RunInfo};
 pub use scores::{outlier_scores, ScoredResult};

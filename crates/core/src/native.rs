@@ -25,8 +25,7 @@ use std::time::Instant;
 use dbscout_data::{PointBatch, PointSource};
 use dbscout_dataflow::executor::{run_fed_workers, run_tasks, run_tasks_with};
 use dbscout_spatial::{
-    CellMajorBuilder, CellMajorStore, KernelKind, NeighborOffsets, PointStore, SpatialError,
-    MAX_DIMS,
+    CellMajorBuilder, CellMajorStore, NeighborOffsets, PointStore, SpatialError, MAX_DIMS,
 };
 use dbscout_telemetry::KernelCounters;
 
@@ -57,7 +56,6 @@ pub struct Dbscout {
     params: DbscoutParams,
     threads: usize,
     options: NativeOptions,
-    kernel: KernelKind,
 }
 
 /// The physical layout the engines run on. There is one: batch detection
@@ -72,6 +70,17 @@ pub enum ExecutionLayout {
     /// The cell-major layout.
     #[default]
     CellMajor,
+}
+
+/// The distance kernel the engines run. There is one: the lane-unrolled
+/// loops of [`CellMajorStore::count_within`] and its siblings. Like
+/// [`ExecutionLayout`], the type remains only as an argument of
+/// [`crate::IncrementalDbscout::from_store_with`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum KernelKind {
+    /// The one kernel.
+    #[default]
+    Auto,
 }
 
 /// Ablation switches for the native engine. Both default to `true`
@@ -106,21 +115,12 @@ impl Dbscout {
             params,
             threads,
             options: NativeOptions::default(),
-            kernel: KernelKind::default(),
         }
     }
 
     /// Overrides the number of worker threads (≥ 1).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.threads = threads.max(1);
-        self
-    }
-
-    /// Overrides the distance kernel of the hot loops (results and
-    /// kernel-counter totals are unaffected; only the loop shape
-    /// changes).
-    pub fn with_kernel(mut self, kernel: KernelKind) -> Self {
-        self.kernel = kernel;
         self
     }
 
@@ -139,11 +139,6 @@ impl Dbscout {
     /// The configured worker-thread count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// The configured distance kernel (possibly `Auto`).
-    pub fn kernel(&self) -> KernelKind {
-        self.kernel
     }
 
     /// Detects all outliers of `store` (Definition 3), exactly.
@@ -354,7 +349,6 @@ impl Dbscout {
         let eps_sq = self.params.eps_sq();
         let min_pts = self.params.min_pts();
         let options = self.options;
-        let kind = self.kernel;
 
         // Phase 2: dense cell map (Algorithm 2), keyed by cell index.
         let t = Instant::now();
@@ -384,7 +378,6 @@ impl Dbscout {
                         eps_sq,
                         min_pts,
                         options,
-                        kind,
                         range.clone(),
                         scratch,
                     )
@@ -454,7 +447,6 @@ impl Dbscout {
                         core_neighbors,
                         eps_sq,
                         options,
-                        kind,
                         core_slot,
                         range.clone(),
                         scratch,
@@ -507,9 +499,7 @@ impl Dbscout {
 /// Run by every threaded chunk of [`Dbscout::detect`]. A cell's work is
 /// a pure function of the layout, so any partition of `0..num_cells`
 /// into ranges sums to the same labels *and* work counters: both are
-/// identical across thread counts by construction. The same holds for
-/// `kernel`: the unrolled kernels tally exactly the comparisons the
-/// scalar loop makes, so counter totals are kernel-invariant too.
+/// identical across thread counts by construction.
 ///
 /// Neighbor cells come from a [`dbscout_spatial::NeighborSweep`] started
 /// afresh for this range, so the list for a cell does not depend on
@@ -527,7 +517,6 @@ pub(crate) fn core_points_in_range(
     eps_sq: f64,
     min_pts: usize,
     options: NativeOptions,
-    kernel: KernelKind,
     range: std::ops::Range<usize>,
     scratch: &mut CellScratch,
 ) -> std::result::Result<(Vec<u32>, Vec<u32>, KernelCounters), SpatialError> {
@@ -564,7 +553,7 @@ pub(crate) fn core_points_in_range(
                 } else {
                     usize::MAX
                 };
-                let (c, comps) = cm.count_within_kernel(q, nrec.range(), eps_sq, limit, kernel);
+                let (c, comps) = cm.count_within(q, nrec.range(), eps_sq, limit);
                 count += c;
                 counters.distance_evals += comps;
                 if options.early_exit && count >= min_pts {
@@ -603,7 +592,6 @@ pub(crate) fn outliers_in_range(
     core_neighbors: &[(u32, u32)],
     eps_sq: f64,
     options: NativeOptions,
-    kernel: KernelKind,
     core_slot: &[bool],
     range: std::ops::Range<usize>,
     scratch: &mut CellScratch,
@@ -639,14 +627,8 @@ pub(crate) fn outliers_in_range(
                     continue;
                 }
                 let Some(nrec) = cm.cell(nidx) else { continue };
-                let (hit, comps) = cm.any_flagged_within_kernel(
-                    q,
-                    nrec.range(),
-                    eps_sq,
-                    core_slot,
-                    options.early_exit,
-                    kernel,
-                );
+                let (hit, comps) =
+                    cm.any_flagged_within(q, nrec.range(), eps_sq, core_slot, options.early_exit);
                 counters.distance_evals += comps;
                 if hit {
                     covered = true;
@@ -809,7 +791,7 @@ impl GridInput for SourceBatches<'_> {
 
 /// One-shot convenience: detect with all defaults. Thin wrapper over
 /// [`crate::DetectorBuilder`] — reach for the builder when any knob
-/// (threads, kernel, engine, join strategy) needs setting.
+/// (threads, engine, join strategy) needs setting.
 pub fn detect_outliers(store: &PointStore, params: DbscoutParams) -> Result<OutlierResult> {
     Dbscout::new(params).detect(store)
 }

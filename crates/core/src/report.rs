@@ -30,10 +30,6 @@ pub struct RunInfo {
     pub partitions: u64,
     /// Number of worker threads.
     pub workers: u64,
-    /// The resolved distance kernel the run used (`"scalar"` or
-    /// `"unrolled"`; callers resolve `Auto` before echoing — see
-    /// [`crate::ExecutionConfig::resolved_kernel`]).
-    pub kernel: String,
     /// The worker-thread count the run resolved to.
     pub threads: u64,
     /// The `DBSCOUT_CHAOS_SEED` in effect, if any.
@@ -117,7 +113,6 @@ pub fn build_run_report(
             min_pts: params.min_pts() as u64,
             partitions: info.partitions,
             workers: info.workers,
-            kernel: info.kernel.clone(),
             threads: info.threads,
             chaos_seed: info.chaos_seed,
         },
@@ -186,7 +181,6 @@ mod tests {
             engine: "distributed".to_owned(),
             partitions: 4,
             workers: 2,
-            kernel: "scalar".to_owned(),
             threads: 0,
             chaos_seed: None,
             peak_rss_bytes: 0,
@@ -230,7 +224,6 @@ mod tests {
             engine: "distributed".to_owned(),
             partitions: 4,
             workers: 2,
-            kernel: "scalar".to_owned(),
             threads: 0,
             chaos_seed: Some(7),
             peak_rss_bytes: 4096,
@@ -247,7 +240,7 @@ mod tests {
         let params = doc.get("params").unwrap();
         assert_eq!(params.get("engine").unwrap().as_str(), Some("distributed"));
         assert_eq!(params.get("min_pts").unwrap().as_u64(), Some(4));
-        assert_eq!(params.get("kernel").unwrap().as_str(), Some("scalar"));
+        assert!(params.get("kernel").is_none());
         assert_eq!(params.get("threads").unwrap().as_u64(), Some(0));
         assert_eq!(params.get("chaos_seed").unwrap().as_u64(), Some(7));
         assert_eq!(

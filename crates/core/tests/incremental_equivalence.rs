@@ -16,7 +16,9 @@
 )]
 
 use dbscout_core::reference::naive_labels;
-use dbscout_core::{DbscoutParams, DetectorBuilder, IncrementalDbscout, PointLabel};
+use dbscout_core::{
+    DbscoutParams, DetectorBuilder, ExecutionConfig, IncrementalDbscout, PointLabel,
+};
 use dbscout_rng::Rng;
 use dbscout_spatial::PointStore;
 
@@ -68,8 +70,7 @@ fn assert_matches_batch(inc: &IncrementalDbscout, ctx: &str) {
     let expected_outliers: Vec<u32> = inc.outliers();
     for threads in [1usize, 4] {
         let batch = DetectorBuilder::new(inc.params())
-            .threads(threads)
-            .kernel(inc.kernel())
+            .execution(ExecutionConfig::new().with_threads(threads))
             .build_native()
             .detect(&store)
             .unwrap();

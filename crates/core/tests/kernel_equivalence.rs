@@ -1,10 +1,11 @@
-//! The distance kernel is a loop shape, not a semantic: scalar and
-//! unrolled runs must produce byte-identical labels *and* identical
-//! kernel-counter totals (the unrolled kernels drain their lane blocks
-//! in slot order, tallying exactly the comparisons the scalar loop
-//! makes). Likewise the parallel streaming builder is a scheduling
-//! choice: any thread count and batch size must yield the same layout,
-//! so labels and counters of `detect_source` pin the whole pipeline.
+//! The distance kernel is a loop shape, not a semantic: its labels must
+//! equal the brute-force oracle's (`naive_labels`, one `sq_dist` per
+//! pair), and its kernel-counter totals must not move with the thread
+//! count (the lane blocks drain in slot order, so each tally is the one
+//! a slot-at-a-time loop makes). Likewise the parallel streaming builder
+//! is a scheduling choice: any thread count and batch size must yield
+//! the same layout, so labels and counters of `detect_source` pin the
+//! whole pipeline.
 
 #![allow(
     clippy::unwrap_used,
@@ -18,7 +19,7 @@ use dbscout_core::reference::naive_labels;
 use dbscout_core::{Dbscout, DbscoutParams, OutlierResult};
 use dbscout_data::StoreSource;
 use dbscout_rng::Rng;
-use dbscout_spatial::{KernelKind, PointStore};
+use dbscout_spatial::PointStore;
 
 /// Clustered-looking random datasets: anchors, points near anchors,
 /// uniform noise (the same construction as the layout suite).
@@ -44,14 +45,8 @@ fn dataset(rng: &mut Rng, dims: usize, max_n: usize) -> PointStore {
     PointStore::from_rows(dims, rows).expect("generated rows are valid")
 }
 
-fn detect(
-    store: &PointStore,
-    params: DbscoutParams,
-    kernel: KernelKind,
-    threads: usize,
-) -> OutlierResult {
+fn detect(store: &PointStore, params: DbscoutParams, threads: usize) -> OutlierResult {
     Dbscout::new(params)
-        .with_kernel(kernel)
         .with_threads(threads)
         .detect(store)
         .unwrap()
@@ -68,8 +63,23 @@ fn assert_equivalent(a: &OutlierResult, b: &OutlierResult, what: &str) {
     );
 }
 
+/// Labels equal the oracle's at 1 thread, and labels and the four
+/// kernel counters at 4 and 8 threads equal the 1-thread run's.
+fn assert_matches_oracle(store: &PointStore, params: DbscoutParams, what: &str) {
+    let single = detect(store, params, 1);
+    assert_eq!(
+        single.labels,
+        naive_labels(store, params),
+        "{what}: vs naive"
+    );
+    for threads in [4usize, 8] {
+        let got = detect(store, params, threads);
+        assert_equivalent(&single, &got, &format!("{what} threads={threads}"));
+    }
+}
+
 #[test]
-fn scalar_and_unrolled_agree_dims_2_to_4() {
+fn labels_match_the_naive_oracle_dims_2_to_4() {
     let mut rng = Rng::seed_from_u64(0x51D3);
     for round in 0..18 {
         let (dims, max_n) = match round % 3 {
@@ -81,22 +91,7 @@ fn scalar_and_unrolled_agree_dims_2_to_4() {
         let eps = rng.gen_range(0.3..5.0);
         let min_pts = rng.gen_range(1usize..8);
         let params = DbscoutParams::new(eps, min_pts).unwrap();
-        let expected = naive_labels(&store, params);
-        for threads in [1usize, 4, 8] {
-            let scalar = detect(&store, params, KernelKind::Scalar, threads);
-            assert_eq!(
-                scalar.labels, expected,
-                "d={dims} threads={threads}: vs naive"
-            );
-            for kernel in [KernelKind::Unrolled, KernelKind::Auto] {
-                let got = detect(&store, params, kernel, threads);
-                assert_equivalent(
-                    &scalar,
-                    &got,
-                    &format!("d={dims} {kernel:?} threads={threads}"),
-                );
-            }
-        }
+        assert_matches_oracle(&store, params, &format!("d={dims}"));
     }
 }
 
@@ -126,15 +121,11 @@ fn duplicates_and_eps_boundary_coords_are_kernel_invariant() {
         let store = PointStore::from_rows(dims, rows).unwrap();
         for min_pts in [1usize, 2, 4, 30] {
             let params = DbscoutParams::new(eps, min_pts).unwrap();
-            for threads in [1usize, 4, 8] {
-                let scalar = detect(&store, params, KernelKind::Scalar, threads);
-                let unrolled = detect(&store, params, KernelKind::Unrolled, threads);
-                assert_equivalent(
-                    &scalar,
-                    &unrolled,
-                    &format!("boundary d={dims} minPts={min_pts} threads={threads}"),
-                );
-            }
+            assert_matches_oracle(
+                &store,
+                params,
+                &format!("boundary d={dims} minPts={min_pts}"),
+            );
         }
     }
 }

@@ -15,7 +15,7 @@
 )]
 
 use dbscout_core::reference::naive_labels;
-use dbscout_core::{DbscoutError, DbscoutParams, DetectorBuilder, OutlierResult};
+use dbscout_core::{DbscoutError, DbscoutParams, DetectorBuilder, ExecutionConfig, OutlierResult};
 use dbscout_data::io::{read_csv_with, IngestMode};
 use dbscout_data::{CsvSource, DataIoError, PointBatch, PointSource, StoreSource};
 use dbscout_dataflow::ExecutionContext;
@@ -88,7 +88,8 @@ fn detect_source_matches_detect_for_every_batch_size() {
         let min_pts = rng.gen_range(1usize..8);
         let params = DbscoutParams::new(eps, min_pts).unwrap();
         for threads in thread_counts() {
-            let builder = DetectorBuilder::new(params).threads(threads);
+            let builder = DetectorBuilder::new(params)
+                .execution(ExecutionConfig::new().with_threads(threads));
             let materialized = builder.build_native().detect(&store).unwrap();
             for batch in BATCH_SIZES {
                 let mut source = StoreSource::new(&store, batch);
@@ -269,7 +270,7 @@ fn non_finite_coordinate_is_reported_at_its_stream_position() {
             next: 0,
         };
         let err = DetectorBuilder::new(params)
-            .threads(threads)
+            .execution(ExecutionConfig::new().with_threads(threads))
             .detect_source(&mut source)
             .unwrap_err();
         assert_eq!(
@@ -347,7 +348,7 @@ fn fails_alike(make: impl Fn() -> Scripted, want: &DbscoutError, case: &str) {
     let params = DbscoutParams::new(1.0, 3).unwrap();
     for threads in thread_counts() {
         let err = DetectorBuilder::new(params)
-            .threads(threads)
+            .execution(ExecutionConfig::new().with_threads(threads))
             .detect_source(&mut make())
             .unwrap_err();
         assert_eq!(&err, want, "{case}, threads={threads}");
@@ -507,7 +508,7 @@ fn a_diverging_replay_fails_alike_at_every_thread_count() {
             next: 0,
         };
         let streamed = DetectorBuilder::new(params)
-            .threads(threads)
+            .execution(ExecutionConfig::new().with_threads(threads))
             .detect_source(&mut source)
             .unwrap();
         assert_identical(&streamed, &materialized, &format!("threads={threads}"));

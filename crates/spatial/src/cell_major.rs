@@ -44,9 +44,7 @@ use crate::cell::{
     CellCoord, MAX_DIMS,
 };
 use crate::cell_table::CellTable;
-use crate::distance::{
-    accumulate_sq_dists_x4, sq_dists_2d_x8, sq_dists_3d_x4, KernelKind, LANES_2D, LANES_ND,
-};
+use crate::distance::{accumulate_sq_dists_x4, sq_dists_2d_x8, sq_dists_3d_x4, LANES_2D, LANES_ND};
 use crate::error::SpatialError;
 use crate::neighbors::NeighborOffsets;
 use crate::points::{PointId, PointStore};
@@ -895,9 +893,16 @@ impl CellMajorStore {
     }
 
     /// Counts slots of `range` within `ε` of `q` (closed ball, given
-    /// `eps_sq = ε²`), stopping as soon as the count would reach `limit`.
+    /// `eps_sq = ε²`), stopping as soon as the count reaches `limit`.
     /// Returns `(count, comparisons)`; the comparison tally feeds the
     /// Lemma 6/8 accounting.
+    ///
+    /// Squared distances are computed in 8-lane (d = 2) or 4-lane
+    /// (d ≥ 3) blocks, each lane bit-equal to [`crate::distance::sq_dist`].
+    /// A block is taken whole only while the count provably stays below
+    /// `limit`; otherwise it is drained in slot order, so the early exit
+    /// lands on the comparison a one-slot-at-a-time loop stops at and the
+    /// `(count, comparisons)` pair is that loop's exactly.
     #[inline]
     pub fn count_within(
         &self,
@@ -906,66 +911,23 @@ impl CellMajorStore {
         eps_sq: f64,
         limit: usize,
     ) -> (usize, u64) {
-        let mut count = 0usize;
-        let mut comps = 0u64;
         match self.dims {
-            2 => {
-                let (qx, qy) = (
-                    q.first().copied().unwrap_or(0.0),
-                    q.get(1).copied().unwrap_or(0.0),
-                );
-                let xs = self.col(0).get(range.clone()).unwrap_or(&[]);
-                let ys = self.col(1).get(range).unwrap_or(&[]);
-                for (&x, &y) in xs.iter().zip(ys) {
-                    comps += 1;
-                    let (dx, dy) = (x - qx, y - qy);
-                    if dx * dx + dy * dy <= eps_sq {
-                        count += 1;
-                        if count >= limit {
-                            break;
-                        }
-                    }
-                }
-            }
-            3 => {
-                let (qx, qy, qz) = (
-                    q.first().copied().unwrap_or(0.0),
-                    q.get(1).copied().unwrap_or(0.0),
-                    q.get(2).copied().unwrap_or(0.0),
-                );
-                let xs = self.col(0).get(range.clone()).unwrap_or(&[]);
-                let ys = self.col(1).get(range.clone()).unwrap_or(&[]);
-                let zs = self.col(2).get(range).unwrap_or(&[]);
-                for ((&x, &y), &z) in xs.iter().zip(ys).zip(zs) {
-                    comps += 1;
-                    let (dx, dy, dz) = (x - qx, y - qy, z - qz);
-                    if dx * dx + dy * dy + dz * dz <= eps_sq {
-                        count += 1;
-                        if count >= limit {
-                            break;
-                        }
-                    }
-                }
-            }
-            _ => {
-                for slot in range {
-                    comps += 1;
-                    if self.sq_dist_to_slot(q, slot) <= eps_sq {
-                        count += 1;
-                        if count >= limit {
-                            break;
-                        }
-                    }
-                }
-            }
+            2 => self.count_within_2d(q, range, eps_sq, limit),
+            3 => self.count_within_3d(q, range, eps_sq, limit),
+            _ => self.count_within_nd(q, range, eps_sq, limit),
         }
-        (count, comps)
     }
 
     /// Whether any *flagged* slot of `range` lies within ε of `q`
     /// (`flags` is slot-indexed — the phase-5 "is this a core point"
     /// mask). With `early`, returns at the first hit; otherwise scans the
     /// whole range (the ablation mode). Returns `(hit, comparisons)`.
+    ///
+    /// Distances are computed per 4-lane block (cheap, branch-free) but
+    /// flags gate the per-slot verdicts in order, so the comparison tally
+    /// and the `early` exit point are a one-slot-at-a-time loop's
+    /// exactly; blocks with no flagged slot are skipped without touching
+    /// the columns.
     #[inline]
     pub fn any_flagged_within(
         &self,
@@ -975,14 +937,31 @@ impl CellMajorStore {
         flags: &[bool],
         early: bool,
     ) -> (bool, u64) {
+        let flagged = |slot: usize| flags.get(slot).copied().unwrap_or(false);
         let mut hit = false;
         let mut comps = 0u64;
-        for slot in range {
-            if !flags.get(slot).copied().unwrap_or(false) {
-                continue;
+        let mut slot = range.start;
+        while slot + LANES_ND <= range.end {
+            if (slot..slot + LANES_ND).any(flagged) {
+                let d = self.sq_dists_x4_at(q, slot);
+                for (i, &v) in d.iter().enumerate() {
+                    if !flagged(slot + i) {
+                        continue;
+                    }
+                    comps += 1;
+                    if v <= eps_sq {
+                        hit = true;
+                        if early {
+                            return (true, comps);
+                        }
+                    }
+                }
             }
+            slot += LANES_ND;
+        }
+        for s in (slot..range.end).filter(|&s| flagged(s)) {
             comps += 1;
-            if self.sq_dist_to_slot(q, slot) <= eps_sq {
+            if self.sq_dist_to_slot(q, s) <= eps_sq {
                 hit = true;
                 if early {
                     break;
@@ -992,101 +971,14 @@ impl CellMajorStore {
         (hit, comps)
     }
 
-    /// [`Self::count_within`] routed through the selected kernel.
-    ///
-    /// `Scalar` is the reference loop above; `Unrolled` computes squared
-    /// distances in 8-lane (d = 2) / 4-lane (d ≥ 3) blocks, then *drains
-    /// the block in slot order* when the count could reach `limit` inside
-    /// it — so the `(count, comparisons)` pair is exactly what the scalar
-    /// kernel returns, for every input. `Auto` resolves via
-    /// [`KernelKind::resolve`]. Counter invariance across kernels is what
-    /// keeps [`KernelCounters`]-style tallies comparable between runs.
-    ///
-    /// [`KernelCounters`]: https://docs.rs/dbscout-core
-    #[inline]
-    pub fn count_within_kernel(
-        &self,
-        q: &[f64],
-        range: Range<usize>,
-        eps_sq: f64,
-        limit: usize,
-        kernel: KernelKind,
-    ) -> (usize, u64) {
-        match kernel.resolve() {
-            KernelKind::Unrolled => match self.dims {
-                2 => self.count_within_2d_unrolled(q, range, eps_sq, limit),
-                3 => self.count_within_3d_unrolled(q, range, eps_sq, limit),
-                _ => self.count_within_generic_unrolled(q, range, eps_sq, limit),
-            },
-            _ => self.count_within(q, range, eps_sq, limit),
-        }
-    }
-
-    /// [`Self::any_flagged_within`] routed through the selected kernel.
-    /// The unrolled variant computes 4-lane distance blocks for any
-    /// dimensionality but consults the flags (and tallies comparisons)
-    /// per slot in order, so hits, early exits, and comparison counts
-    /// match the scalar loop exactly.
-    #[inline]
-    pub fn any_flagged_within_kernel(
-        &self,
-        q: &[f64],
-        range: Range<usize>,
-        eps_sq: f64,
-        flags: &[bool],
-        early: bool,
-        kernel: KernelKind,
-    ) -> (bool, u64) {
-        match kernel.resolve() {
-            KernelKind::Unrolled => {
-                self.any_flagged_within_unrolled(q, range, eps_sq, flags, early)
-            }
-            _ => self.any_flagged_within(q, range, eps_sq, flags, early),
-        }
-    }
-
     /// Appends every slot of `range` within ε of `q` (closed ball, given
     /// `eps_sq = ε²`) to `out`, in ascending slot order, returning the
     /// comparison tally. Unlike [`Self::count_within`] this reports the
     /// neighbor *identities* — what the incremental engine needs to bump
     /// per-point counts — and therefore never exits early: the tally is
-    /// always `range.len()`, identical across kernels.
+    /// always `range.len()`. Distances are computed per 4-lane block.
     #[inline]
-    pub fn collect_within_kernel(
-        &self,
-        q: &[f64],
-        range: Range<usize>,
-        eps_sq: f64,
-        kernel: KernelKind,
-        out: &mut Vec<u32>,
-    ) -> u64 {
-        match kernel.resolve() {
-            KernelKind::Unrolled => self.collect_within_unrolled(q, range, eps_sq, out),
-            _ => self.collect_within(q, range, eps_sq, out),
-        }
-    }
-
-    /// Scalar reference loop for [`Self::collect_within_kernel`].
-    fn collect_within(
-        &self,
-        q: &[f64],
-        range: Range<usize>,
-        eps_sq: f64,
-        out: &mut Vec<u32>,
-    ) -> u64 {
-        let comps = range.len() as u64;
-        for slot in range {
-            if self.sq_dist_to_slot(q, slot) <= eps_sq {
-                out.push(slot as u32);
-            }
-        }
-        comps
-    }
-
-    /// 4-lane unrolled collecting kernel: squared distances are computed
-    /// per block, hits are pushed in slot order, so the output and the
-    /// comparison tally are exactly the scalar loop's.
-    fn collect_within_unrolled(
+    pub fn collect_within(
         &self,
         q: &[f64],
         range: Range<usize>,
@@ -1112,12 +1004,8 @@ impl CellMajorStore {
         comps
     }
 
-    /// 8-lane unrolled d = 2 counting kernel. The lane fast path accepts
-    /// a whole block only when the count provably stays below `limit`
-    /// (`count + hits < limit`); otherwise the block is drained in slot
-    /// order so the early exit lands on the same comparison the scalar
-    /// loop stops at.
-    fn count_within_2d_unrolled(
+    /// [`Self::count_within`] at d = 2, in 8-lane blocks.
+    fn count_within_2d(
         &self,
         q: &[f64],
         range: Range<usize>,
@@ -1130,8 +1018,7 @@ impl CellMajorStore {
         );
         let xs = self.col(0).get(range.clone()).unwrap_or(&[]);
         let ys = self.col(1).get(range).unwrap_or(&[]);
-        let mut count = 0usize;
-        let mut comps = 0u64;
+        let mut tally = Tally::new(limit);
         let mut xit = xs.chunks_exact(LANES_2D);
         let mut yit = ys.chunks_exact(LANES_2D);
         for (cx, cy) in xit.by_ref().zip(yit.by_ref()) {
@@ -1141,39 +1028,21 @@ impl CellMajorStore {
             ) else {
                 break;
             };
-            let d = sq_dists_2d_x8(qx, qy, ax, ay);
-            let hits = d.iter().filter(|&&v| v <= eps_sq).count();
-            if count + hits < limit {
-                count += hits;
-                comps += LANES_2D as u64;
-            } else {
-                for &v in &d {
-                    comps += 1;
-                    if v <= eps_sq {
-                        count += 1;
-                        if count >= limit {
-                            return (count, comps);
-                        }
-                    }
-                }
+            if tally.add_block(&sq_dists_2d_x8(qx, qy, ax, ay), eps_sq) {
+                return tally.into_pair();
             }
         }
         for (&x, &y) in xit.remainder().iter().zip(yit.remainder()) {
-            comps += 1;
             let (dx, dy) = (x - qx, y - qy);
-            if dx * dx + dy * dy <= eps_sq {
-                count += 1;
-                if count >= limit {
-                    break;
-                }
+            if tally.add_block(&[dx * dx + dy * dy], eps_sq) {
+                break;
             }
         }
-        (count, comps)
+        tally.into_pair()
     }
 
-    /// 4-lane unrolled d = 3 counting kernel; same block/drain contract
-    /// as the d = 2 kernel.
-    fn count_within_3d_unrolled(
+    /// [`Self::count_within`] at d = 3, in 4-lane blocks.
+    fn count_within_3d(
         &self,
         q: &[f64],
         range: Range<usize>,
@@ -1188,8 +1057,7 @@ impl CellMajorStore {
         let xs = self.col(0).get(range.clone()).unwrap_or(&[]);
         let ys = self.col(1).get(range.clone()).unwrap_or(&[]);
         let zs = self.col(2).get(range).unwrap_or(&[]);
-        let mut count = 0usize;
-        let mut comps = 0u64;
+        let mut tally = Tally::new(limit);
         let mut xit = xs.chunks_exact(LANES_ND);
         let mut yit = ys.chunks_exact(LANES_ND);
         let mut zit = zs.chunks_exact(LANES_ND);
@@ -1201,21 +1069,8 @@ impl CellMajorStore {
             ) else {
                 break;
             };
-            let d = sq_dists_3d_x4(qx, qy, qz, ax, ay, az);
-            let hits = d.iter().filter(|&&v| v <= eps_sq).count();
-            if count + hits < limit {
-                count += hits;
-                comps += LANES_ND as u64;
-            } else {
-                for &v in &d {
-                    comps += 1;
-                    if v <= eps_sq {
-                        count += 1;
-                        if count >= limit {
-                            return (count, comps);
-                        }
-                    }
-                }
+            if tally.add_block(&sq_dists_3d_x4(qx, qy, qz, ax, ay, az), eps_sq) {
+                return tally.into_pair();
             }
         }
         for ((&x, &y), &z) in xit
@@ -1224,110 +1079,37 @@ impl CellMajorStore {
             .zip(yit.remainder())
             .zip(zit.remainder())
         {
-            comps += 1;
             let (dx, dy, dz) = (x - qx, y - qy, z - qz);
-            if dx * dx + dy * dy + dz * dz <= eps_sq {
-                count += 1;
-                if count >= limit {
-                    break;
-                }
+            if tally.add_block(&[dx * dx + dy * dy + dz * dz], eps_sq) {
+                break;
             }
         }
-        (count, comps)
+        tally.into_pair()
     }
 
-    /// 4-lane unrolled counting kernel for any dimensionality:
-    /// accumulates each dimension into four running lane totals, then
-    /// applies the same block/drain contract as the specialized kernels.
-    fn count_within_generic_unrolled(
+    /// [`Self::count_within`] at any other d, in 4-lane blocks that
+    /// accumulate one dimension at a time.
+    fn count_within_nd(
         &self,
         q: &[f64],
         range: Range<usize>,
         eps_sq: f64,
         limit: usize,
     ) -> (usize, u64) {
-        let mut count = 0usize;
-        let mut comps = 0u64;
+        let mut tally = Tally::new(limit);
         let mut slot = range.start;
         while slot + LANES_ND <= range.end {
-            let acc = self.sq_dists_x4_at(q, slot);
-            let hits = acc.iter().filter(|&&v| v <= eps_sq).count();
-            if count + hits < limit {
-                count += hits;
-                comps += LANES_ND as u64;
-            } else {
-                for &v in &acc {
-                    comps += 1;
-                    if v <= eps_sq {
-                        count += 1;
-                        if count >= limit {
-                            return (count, comps);
-                        }
-                    }
-                }
+            if tally.add_block(&self.sq_dists_x4_at(q, slot), eps_sq) {
+                return tally.into_pair();
             }
             slot += LANES_ND;
         }
         for s in slot..range.end {
-            comps += 1;
-            if self.sq_dist_to_slot(q, s) <= eps_sq {
-                count += 1;
-                if count >= limit {
-                    break;
-                }
+            if tally.add_block(&[self.sq_dist_to_slot(q, s)], eps_sq) {
+                break;
             }
         }
-        (count, comps)
-    }
-
-    /// 4-lane unrolled flagged-scan kernel. Distances are computed per
-    /// block (cheap, branch-free) but flags gate the per-slot verdicts in
-    /// order, so the comparison tally and the `early` exit point are the
-    /// scalar loop's exactly; blocks with no flagged slot are skipped
-    /// without touching the columns, as the scalar loop skips them.
-    fn any_flagged_within_unrolled(
-        &self,
-        q: &[f64],
-        range: Range<usize>,
-        eps_sq: f64,
-        flags: &[bool],
-        early: bool,
-    ) -> (bool, u64) {
-        let mut hit = false;
-        let mut comps = 0u64;
-        let mut slot = range.start;
-        while slot + LANES_ND <= range.end {
-            let flagged = (0..LANES_ND).any(|i| flags.get(slot + i).copied().unwrap_or(false));
-            if flagged {
-                let d = self.sq_dists_x4_at(q, slot);
-                for (i, &v) in d.iter().enumerate() {
-                    if !flags.get(slot + i).copied().unwrap_or(false) {
-                        continue;
-                    }
-                    comps += 1;
-                    if v <= eps_sq {
-                        hit = true;
-                        if early {
-                            return (true, comps);
-                        }
-                    }
-                }
-            }
-            slot += LANES_ND;
-        }
-        for s in slot..range.end {
-            if !flags.get(s).copied().unwrap_or(false) {
-                continue;
-            }
-            comps += 1;
-            if self.sq_dist_to_slot(q, s) <= eps_sq {
-                hit = true;
-                if early {
-                    break;
-                }
-            }
-        }
-        (hit, comps)
+        tally.into_pair()
     }
 
     /// Squared distances from `q` to the four slots starting at `slot`,
@@ -1357,6 +1139,54 @@ impl CellMajorStore {
             acc += d * d;
         }
         acc
+    }
+}
+
+/// The running `(count, comparisons)` of [`CellMajorStore::count_within`],
+/// fed one block of squared distances at a time.
+struct Tally {
+    count: usize,
+    comps: u64,
+    limit: usize,
+}
+
+impl Tally {
+    #[inline]
+    fn new(limit: usize) -> Self {
+        Self {
+            count: 0,
+            comps: 0,
+            limit,
+        }
+    }
+
+    /// Adds a block of squared distances, in slot order. The block is
+    /// taken whole when its hits keep the count below the limit;
+    /// otherwise it is drained slot by slot up to the hit that reaches
+    /// the limit. Returns whether the limit was reached.
+    #[inline]
+    fn add_block(&mut self, d: &[f64], eps_sq: f64) -> bool {
+        let hits = d.iter().filter(|&&v| v <= eps_sq).count();
+        if self.count + hits < self.limit {
+            self.count += hits;
+            self.comps += d.len() as u64;
+            return false;
+        }
+        for &v in d {
+            self.comps += 1;
+            if v <= eps_sq {
+                self.count += 1;
+                if self.count >= self.limit {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    #[inline]
+    fn into_pair(self) -> (usize, u64) {
+        (self.count, self.comps)
     }
 }
 
@@ -1721,34 +1551,23 @@ mod tests {
             let s = PointStore::from_rows(dims, rows).unwrap();
             let cm = CellMajorStore::build(&s, 10.0).unwrap();
             let q: Vec<f64> = (0..dims).map(|k| 0.2 * k as f64).collect();
-            for (ci, rec) in cm.cells().iter().enumerate() {
-                let eps_sq = 0.45;
-                let mut scalar = Vec::new();
-                let cs = cm.collect_within_kernel(
-                    &q,
-                    rec.range(),
-                    eps_sq,
-                    KernelKind::Scalar,
-                    &mut scalar,
-                );
-                let mut unrolled = Vec::new();
-                let cu = cm.collect_within_kernel(
-                    &q,
-                    rec.range(),
-                    eps_sq,
-                    KernelKind::Unrolled,
-                    &mut unrolled,
-                );
-                assert_eq!(scalar, unrolled, "dims {dims} cell {:?}", cm.cell_coord(ci));
-                assert_eq!(cs, cu);
-                assert_eq!(cs, rec.len() as u64);
-                // Hits ascend in slot order and match brute force.
-                let brute: Vec<u32> = rec
-                    .range()
-                    .filter(|&slot| sq_dist(&gather_point(&cm, slot), &q) <= eps_sq)
-                    .map(|slot| slot as u32)
-                    .collect();
-                assert_eq!(scalar, brute);
+            let dists = oracle_dists(&cm, &q);
+            for rec in cm.cells() {
+                for range in ragged_ranges(rec.range()) {
+                    // Each slot in turn on the closed ball's boundary.
+                    for &eps_sq in [0.45].iter().chain(&dists[range.clone()]) {
+                        let mut got = Vec::new();
+                        let comps = cm.collect_within(&q, range.clone(), eps_sq, &mut got);
+                        assert_eq!(comps, range.len() as u64);
+                        // Hits ascend in slot order and match the oracle.
+                        let want: Vec<u32> = range
+                            .clone()
+                            .filter(|&slot| dists[slot] <= eps_sq)
+                            .map(|slot| slot as u32)
+                            .collect();
+                        assert_eq!(got, want, "dims {dims} range {range:?} eps² {eps_sq}");
+                    }
+                }
             }
         }
     }
@@ -2111,8 +1930,66 @@ mod tests {
         assert!(sc.finish_sharded().unwrap().is_empty());
     }
 
+    /// Sub-ranges of `range` whose lengths are mostly not multiples of
+    /// either lane width, so every kernel runs its remainder loop.
+    fn ragged_ranges(range: Range<usize>) -> Vec<Range<usize>> {
+        let (lo, hi) = (range.start, range.end);
+        [(0, 0), (1, 0), (0, 1), (3, 2), (2, 5)]
+            .iter()
+            .filter(|&&(a, b)| lo + a <= hi.saturating_sub(b))
+            .map(|&(a, b)| lo + a..hi - b)
+            .chain([lo..lo, lo..(lo + 5).min(hi)])
+            .collect()
+    }
+
+    /// The oracle's distances: [`sq_dist`] from `q` to every slot.
+    fn oracle_dists(cm: &CellMajorStore, q: &[f64]) -> Vec<f64> {
+        (0..cm.len())
+            .map(|slot| sq_dist(&gather_point(cm, slot), q))
+            .collect()
+    }
+
+    /// One slot at a time: the `(count, comparisons)` that
+    /// [`CellMajorStore::count_within`] must return.
+    fn oracle_count(dists: &[f64], range: Range<usize>, eps_sq: f64, limit: usize) -> (usize, u64) {
+        let (mut count, mut comps) = (0, 0);
+        for &d in &dists[range] {
+            comps += 1;
+            if d <= eps_sq {
+                count += 1;
+                if count >= limit {
+                    break;
+                }
+            }
+        }
+        (count, comps)
+    }
+
+    /// One slot at a time: the `(hit, comparisons)` that
+    /// [`CellMajorStore::any_flagged_within`] must return.
+    fn oracle_flagged(
+        dists: &[f64],
+        range: Range<usize>,
+        eps_sq: f64,
+        flags: &[bool],
+        early: bool,
+    ) -> (bool, u64) {
+        let (mut hit, mut comps) = (false, 0);
+        for slot in range.filter(|&slot| flags[slot]) {
+            comps += 1;
+            if dists[slot] <= eps_sq {
+                hit = true;
+                if early {
+                    break;
+                }
+            }
+        }
+        (hit, comps)
+    }
+
     #[test]
     fn kernel_dispatch_matches_scalar_counts_and_comparisons() {
+        // d = 2 and d = 3 have their own blocks; d = 4 is the generic path.
         for dims in [2usize, 3, 4] {
             let rows: Vec<Vec<f64>> = (0..37)
                 .map(|i| {
@@ -2123,14 +2000,18 @@ mod tests {
                 .collect();
             let s = PointStore::from_rows(dims, rows).unwrap();
             let cm = CellMajorStore::build(&s, 25.0).unwrap(); // one big cell
-            let range = cm.cells()[0].range();
             let q: Vec<f64> = (0..dims).map(|k| 0.21 * (k + 1) as f64).collect();
-            for eps_sq in [0.0, 0.4, 1.0, 900.0] {
-                for limit in [1usize, 3, 10, usize::MAX] {
-                    let scalar = cm.count_within(&q, range.clone(), eps_sq, limit);
-                    for kernel in [KernelKind::Scalar, KernelKind::Unrolled, KernelKind::Auto] {
-                        let got = cm.count_within_kernel(&q, range.clone(), eps_sq, limit, kernel);
-                        assert_eq!(got, scalar, "dims {dims} eps² {eps_sq} limit {limit}");
+            let dists = oracle_dists(&cm, &q);
+            for range in ragged_ranges(cm.cells()[0].range()) {
+                // Each slot in turn on the closed ball's boundary.
+                for &eps_sq in [0.0, 0.4, 1.0, 900.0].iter().chain(&dists[range.clone()]) {
+                    // Early exit must stop on the oracle's comparison.
+                    for limit in [1usize, 3, 10, usize::MAX] {
+                        assert_eq!(
+                            cm.count_within(&q, range.clone(), eps_sq, limit),
+                            oracle_count(&dists, range.clone(), eps_sq, limit),
+                            "dims {dims} range {range:?} eps² {eps_sq} limit {limit}"
+                        );
                     }
                 }
             }
@@ -2149,26 +2030,29 @@ mod tests {
                 .collect();
             let s = PointStore::from_rows(dims, rows).unwrap();
             let cm = CellMajorStore::build(&s, 25.0).unwrap();
-            let range = cm.cells()[0].range();
             let q: Vec<f64> = (0..dims).map(|_| 0.17).collect();
-            for pattern in 0..4u32 {
+            let dists = oracle_dists(&cm, &q);
+            // Four mixed patterns at every slot's distance, then each slot
+            // flagged alone at its own, so every slot decides a hit alone.
+            let mixed = (0..4u32).map(|pattern| {
                 let flags: Vec<bool> = (0..cm.len())
                     .map(|slot| (slot as u32).wrapping_mul(pattern + 1).is_multiple_of(3))
                     .collect();
-                for eps_sq in [0.0, 0.3, 900.0] {
-                    for early in [true, false] {
-                        let scalar =
-                            cm.any_flagged_within(&q, range.clone(), eps_sq, &flags, early);
-                        for kernel in [KernelKind::Scalar, KernelKind::Unrolled, KernelKind::Auto] {
-                            let got = cm.any_flagged_within_kernel(
-                                &q,
-                                range.clone(),
-                                eps_sq,
-                                &flags,
-                                early,
-                                kernel,
+                (flags, dists.clone())
+            });
+            let lone = (0..cm.len()).map(|lone| {
+                let flags = (0..cm.len()).map(|slot| slot == lone).collect();
+                (flags, vec![dists[lone]])
+            });
+            for (flags, edges) in mixed.chain(lone) {
+                for range in ragged_ranges(cm.cells()[0].range()) {
+                    for &eps_sq in [0.0, 0.3, 900.0].iter().chain(&edges) {
+                        for early in [true, false] {
+                            assert_eq!(
+                                cm.any_flagged_within(&q, range.clone(), eps_sq, &flags, early),
+                                oracle_flagged(&dists, range.clone(), eps_sq, &flags, early),
+                                "dims {dims} flags {flags:?} range {range:?} eps² {eps_sq}"
                             );
-                            assert_eq!(got, scalar, "dims {dims} pattern {pattern}");
                         }
                     }
                 }

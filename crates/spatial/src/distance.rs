@@ -4,81 +4,18 @@
 //! kernels work on *squared* distances and never take a square root in the
 //! hot path.
 //!
-//! Two kernel families are provided, selected by [`KernelKind`]:
-//!
-//! * **scalar** — one point per loop iteration ([`sq_dist`] and the
-//!   straight-line loops in `cell_major`);
-//! * **unrolled** — portable lane-unrolled loops that compute a block of
-//!   squared distances at once ([`sq_dists_2d_x8`], [`sq_dists_3d_x4`],
-//!   [`accumulate_sq_dists_x4`]), written so the optimizer can keep each
-//!   lane in a vector register. Per-lane arithmetic is the *same
-//!   expression tree* as the scalar kernel (differences squared,
-//!   accumulated in dimension order), so both kernels produce bit-equal
-//!   squared distances and therefore identical ≤ ε² verdicts.
+//! The cell-major hot loops compute a block of squared distances at once
+//! with portable lane-unrolled loops ([`sq_dists_2d_x8`],
+//! [`sq_dists_3d_x4`], [`accumulate_sq_dists_x4`]), written so the
+//! optimizer can keep each lane in a vector register. Per-lane arithmetic
+//! is the *same expression tree* as [`sq_dist`] (differences squared,
+//! accumulated in dimension order), so every lane is bit-equal to it and
+//! gives the same ≤ ε² verdict; `sq_dist` is the oracle the kernels are
+//! tested against.
 //!
 //! Lane-unrolled code is confined to this file and `cell_major.rs` by the
 //! `XL010` lint, so any future `std::arch` specialization has exactly two
 //! places to live.
-
-/// Which squared-distance kernel the cell-major hot loops run.
-///
-/// The choice never changes *results*: labels and [`KernelCounters`]
-/// totals are kernel-invariant by construction (the unrolled kernels
-/// drain their lane blocks in slot order when deciding counts and early
-/// exits, so they tally exactly the comparisons the scalar loop makes).
-///
-/// [`KernelCounters`]: https://docs.rs/dbscout-core
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum KernelKind {
-    /// One point per iteration; the reference kernel.
-    Scalar,
-    /// Portable 8-lane (d = 2) / 4-lane (d ≥ 3) unrolled loops.
-    Unrolled,
-    /// Resolve to the best kernel for the build (currently `Unrolled`).
-    #[default]
-    Auto,
-}
-
-impl KernelKind {
-    /// Resolves `Auto` to the concrete kernel the engine will run.
-    #[inline]
-    pub fn resolve(self) -> KernelKind {
-        match self {
-            KernelKind::Auto => KernelKind::Unrolled,
-            k => k,
-        }
-    }
-
-    /// The CLI / report spelling of this kind.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            KernelKind::Scalar => "scalar",
-            KernelKind::Unrolled => "unrolled",
-            KernelKind::Auto => "auto",
-        }
-    }
-}
-
-impl std::str::FromStr for KernelKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "scalar" => Ok(KernelKind::Scalar),
-            "unrolled" => Ok(KernelKind::Unrolled),
-            "auto" => Ok(KernelKind::Auto),
-            other => Err(format!(
-                "unknown kernel {other:?} (expected scalar, unrolled, or auto)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for KernelKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.as_str())
-    }
-}
 
 /// Lane width of the unrolled d = 2 kernel.
 pub const LANES_2D: usize = 8;
@@ -86,8 +23,8 @@ pub const LANES_2D: usize = 8;
 pub const LANES_ND: usize = 4;
 
 /// Eight squared distances from `(qx, qy)` to the column block
-/// `(xs[i], ys[i])`, one per lane. Per-lane arithmetic matches the
-/// scalar d = 2 kernel exactly (`dx·dx + dy·dy`).
+/// `(xs[i], ys[i])`, one per lane. Per-lane arithmetic matches
+/// [`sq_dist`] exactly (`dx·dx + dy·dy`).
 #[inline]
 pub fn sq_dists_2d_x8(
     qx: f64,
@@ -124,8 +61,8 @@ pub fn sq_dists_3d_x4(
 
 /// Accumulates one dimension's squared differences into four running
 /// lane totals: `acc[i] += (col[i] - qk)²`. Calling this for `k = 0..d`
-/// in order reproduces the scalar accumulation order per lane, keeping
-/// the generic unrolled kernel bit-equal to the scalar one.
+/// in order reproduces [`sq_dist`]'s accumulation order per lane, keeping
+/// the generic kernel bit-equal to it.
 #[inline]
 pub fn accumulate_sq_dists_x4(acc: &mut [f64; LANES_ND], qk: f64, col: &[f64; LANES_ND]) {
     for (a, &x) in acc.iter_mut().zip(col) {
@@ -193,24 +130,6 @@ mod tests {
         let b = [2.0; 9];
         assert_eq!(sq_dist(&a, &b), 9.0);
         assert_eq!(dist(&a, &b), 3.0);
-    }
-
-    #[test]
-    fn kernel_kind_round_trips_and_resolves() {
-        for (name, kind) in [
-            ("scalar", KernelKind::Scalar),
-            ("unrolled", KernelKind::Unrolled),
-            ("auto", KernelKind::Auto),
-        ] {
-            assert_eq!(name.parse::<KernelKind>().unwrap(), kind);
-            assert_eq!(kind.as_str(), name);
-            assert_eq!(kind.to_string(), name);
-        }
-        assert!("avx512".parse::<KernelKind>().is_err());
-        assert_eq!(KernelKind::Auto.resolve(), KernelKind::Unrolled);
-        assert_eq!(KernelKind::Scalar.resolve(), KernelKind::Scalar);
-        assert_eq!(KernelKind::Unrolled.resolve(), KernelKind::Unrolled);
-        assert_eq!(KernelKind::default(), KernelKind::Auto);
     }
 
     #[test]

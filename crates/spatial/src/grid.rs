@@ -49,76 +49,6 @@ impl Grid {
         })
     }
 
-    /// [`build`](Self::build) parallelised over `threads` worker threads
-    /// (chunked point ranges, per-thread partial maps, ordered merge).
-    /// Produces a grid **identical** to the sequential build — per-cell
-    /// id lists stay in ascending order — which a property test pins.
-    ///
-    /// # Errors
-    ///
-    /// Fails as [`build`](Self::build) does.
-    pub fn build_parallel(
-        store: &PointStore,
-        eps: f64,
-        threads: usize,
-    ) -> Result<Self, SpatialError> {
-        validate_eps(eps)?;
-        let n = store.len() as usize;
-        let threads = threads.max(1).min(n.max(1));
-        if threads == 1 {
-            return Self::build(store, eps);
-        }
-        let dims = store.dims();
-        let side = cell_side(eps, dims);
-        for (id, p) in store.iter() {
-            check_point(id as usize, p, side)?;
-        }
-        let chunk = n.div_ceil(threads);
-        let partials: Vec<HashMap<CellCoord, Vec<PointId>, DetState>> =
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let lo = t * chunk;
-                        let hi = ((t + 1) * chunk).min(n);
-                        scope.spawn(move || {
-                            let mut local: HashMap<CellCoord, Vec<PointId>, DetState> =
-                                HashMap::default();
-                            for id in lo..hi {
-                                let p = store.point(id as PointId);
-                                local
-                                    .entry(cell_of(p, side))
-                                    .or_default()
-                                    .push(id as PointId);
-                            }
-                            local
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(local) => local,
-                        // Re-raise a worker panic on the caller thread
-                        // instead of discarding partial results.
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    })
-                    .collect()
-            });
-        let mut cells: HashMap<CellCoord, Vec<PointId>, DetState> = HashMap::default();
-        // Merge in chunk order so per-cell ids stay ascending.
-        for partial in partials {
-            for (cell, ids) in partial {
-                cells.entry(cell).or_default().extend(ids);
-            }
-        }
-        Ok(Self {
-            eps,
-            side,
-            dims,
-            cells,
-        })
-    }
-
     /// The ε this grid was built with.
     pub fn eps(&self) -> f64 {
         self.eps
@@ -263,35 +193,6 @@ mod tests {
         let g = Grid::build(&s, 1.0).unwrap();
         assert_eq!(g.max_cell_population(), 8);
         assert!((g.skew() - 0.8).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_build_equals_sequential() {
-        let s = store_2d(
-            &(0..200)
-                .map(|i| [((i * 37) % 50) as f64 * 0.3, ((i * 53) % 40) as f64 * 0.3])
-                .collect::<Vec<_>>(),
-        );
-        let seq = Grid::build(&s, 1.5).unwrap();
-        for threads in [1, 2, 3, 8, 300] {
-            let par = Grid::build_parallel(&s, 1.5, threads).unwrap();
-            assert_eq!(par.num_cells(), seq.num_cells(), "threads {threads}");
-            for (cell, ids) in seq.cells() {
-                assert_eq!(
-                    par.points_in(cell),
-                    Some(ids),
-                    "cell {cell:?} differs at {threads} threads"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_build_empty_and_invalid() {
-        let empty = PointStore::new(2).unwrap();
-        assert_eq!(Grid::build_parallel(&empty, 1.0, 4).unwrap().num_cells(), 0);
-        let s = store_2d(&[[0.0, 0.0]]);
-        assert!(Grid::build_parallel(&s, -1.0, 4).is_err());
     }
 
     #[test]

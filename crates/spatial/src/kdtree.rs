@@ -5,6 +5,8 @@
 //! touches this structure — its whole point is that the ε-cell grid makes
 //! tree indexes unnecessary.
 
+use std::cmp::Ordering;
+
 use crate::distance::sq_dist;
 use crate::points::{PointId, PointStore};
 
@@ -58,6 +60,11 @@ impl<'s> KdTree<'s> {
     }
 
     /// The `k` nearest neighbors of `query`, sorted by ascending distance.
+    ///
+    /// Ties are broken by ascending id: the answer is the `k` smallest
+    /// `(squared distance, id)` pairs, so it is one set whatever order
+    /// the tree visits points in. Two trees over the same points then
+    /// agree whenever their ids follow the same order.
     ///
     /// Includes any indexed point at distance zero — callers that query
     /// with a point *in* the tree and want "other" neighbors should ask
@@ -165,7 +172,13 @@ fn build_segment(store: &PointStore, ids: &mut [PointId], depth: usize) {
     }
 }
 
-/// A fixed-capacity max-heap keeping the k smallest squared distances.
+/// The k-NN order: squared distance, then id.
+fn by_rank(a: &Neighbor, b: &Neighbor) -> Ordering {
+    a.sq_dist.total_cmp(&b.sq_dist).then(a.id.cmp(&b.id))
+}
+
+/// A fixed-capacity max-heap keeping the k smallest neighbors by
+/// [`by_rank`].
 struct BoundedMaxHeap {
     k: usize,
     items: Vec<Neighbor>,
@@ -193,7 +206,7 @@ impl BoundedMaxHeap {
             self.items.push(n);
             self.sift_up(self.items.len() - 1);
         } else if let Some(root) = self.items.first_mut() {
-            if n.sq_dist < root.sq_dist {
+            if by_rank(&n, root).is_lt() {
                 *root = n;
                 self.sift_down(0);
             }
@@ -206,7 +219,7 @@ impl BoundedMaxHeap {
             let (Some(child), Some(par)) = (self.items.get(i), self.items.get(parent)) else {
                 break;
             };
-            if child.sq_dist > par.sq_dist {
+            if by_rank(child, par).is_gt() {
                 self.items.swap(i, parent);
                 i = parent;
             } else {
@@ -219,15 +232,11 @@ impl BoundedMaxHeap {
         loop {
             let (l, r) = (2 * i + 1, 2 * i + 2);
             let mut largest = i;
-            let dist_at = |j: usize, items: &[Neighbor]| items.get(j).map(|n| n.sq_dist);
-            if let (Some(a), Some(b)) = (dist_at(l, &self.items), dist_at(largest, &self.items)) {
-                if a > b {
-                    largest = l;
-                }
-            }
-            if let (Some(a), Some(b)) = (dist_at(r, &self.items), dist_at(largest, &self.items)) {
-                if a > b {
-                    largest = r;
+            for j in [l, r] {
+                if let (Some(a), Some(b)) = (self.items.get(j), self.items.get(largest)) {
+                    if by_rank(a, b).is_gt() {
+                        largest = j;
+                    }
                 }
             }
             if largest == i {
@@ -240,7 +249,7 @@ impl BoundedMaxHeap {
 
     fn into_sorted(self) -> Vec<Neighbor> {
         let mut v = self.items;
-        v.sort_by(|a, b| a.sq_dist.total_cmp(&b.sq_dist).then(a.id.cmp(&b.id)));
+        v.sort_by(by_rank);
         v
     }
 }
@@ -268,7 +277,7 @@ mod tests {
                 id,
             })
             .collect();
-        all.sort_by(|a, b| a.sq_dist.total_cmp(&b.sq_dist).then(a.id.cmp(&b.id)));
+        all.sort_by(by_rank);
         all.truncate(k);
         all
     }
@@ -279,11 +288,12 @@ mod tests {
         let tree = KdTree::build(&store);
         for query in [[0.0, 0.0], [4.5, 4.5], [9.2, 0.1], [-3.0, 12.0]] {
             for k in [1, 3, 7, 20] {
-                let got = tree.knn(&query, k);
-                let expected = linear_knn(&store, &query, k);
-                let gd: Vec<f64> = got.iter().map(|n| n.sq_dist).collect();
-                let ed: Vec<f64> = expected.iter().map(|n| n.sq_dist).collect();
-                assert_eq!(gd, ed, "query {query:?} k {k}");
+                // The grid is full of ties: ids must match too.
+                assert_eq!(
+                    tree.knn(&query, k),
+                    linear_knn(&store, &query, k),
+                    "query {query:?} k {k}"
+                );
             }
         }
     }

@@ -44,7 +44,6 @@ pub use cell::{check_point, validate_eps, CellCoord, MAX_CELL_INDEX, MAX_DIMS};
 pub use cell_major::{
     CellMajorBuilder, CellMajorScatter, CellMajorStore, CellRecord, NeighborSweep, ScatterShard,
 };
-pub use distance::KernelKind;
 pub use error::SpatialError;
 pub use grid::Grid;
 pub use kdtree::KdTree;

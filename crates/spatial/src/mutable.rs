@@ -6,9 +6,9 @@
 //! the *same physical contract* (column-major coordinates with a fixed
 //! stride, a cell → slot-range index, per-cell bounding boxes) while
 //! allowing point churn, so the audited counted kernels
-//! ([`CellMajorStore::count_within_kernel`],
-//! [`CellMajorStore::any_flagged_within_kernel`],
-//! [`CellMajorStore::collect_within_kernel`]) run unchanged over the
+//! ([`CellMajorStore::count_within`],
+//! [`CellMajorStore::any_flagged_within`],
+//! [`CellMajorStore::collect_within`]) run unchanged over the
 //! live slot ranges. A warm start adopts a finished batch layout
 //! ([`MutableCellMajor::from_cell_major`]): its records, compact cell
 //! table (coordinates plus 8-byte index buckets) and boxes move over as
@@ -596,7 +596,7 @@ impl MutableCellMajor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::distance::{sq_dist, KernelKind};
+    use crate::distance::sq_dist;
     use crate::neighbors::NeighborOffsets;
 
     fn store_2d(points: &[[f64; 2]]) -> PointStore {
@@ -672,25 +672,9 @@ mod tests {
                     continue;
                 }
                 let rec = s.cells()[ci as usize];
-                for kernel in [KernelKind::Scalar, KernelKind::Unrolled] {
-                    let mut slots = Vec::new();
-                    s.collect_within_kernel(q, rec.range(), eps_sq, kernel, &mut slots);
-                    let ids: Vec<PointId> =
-                        slots.iter().map(|&sl| s.orig_ids()[sl as usize]).collect();
-                    if kernel == KernelKind::Scalar {
-                        got.extend(ids);
-                    } else {
-                        let mut scalar = Vec::new();
-                        s.collect_within_kernel(
-                            q,
-                            rec.range(),
-                            eps_sq,
-                            KernelKind::Scalar,
-                            &mut scalar,
-                        );
-                        assert_eq!(slots, scalar, "kernels disagree");
-                    }
-                }
+                let mut slots = Vec::new();
+                s.collect_within(q, rec.range(), eps_sq, &mut slots);
+                got.extend(slots.iter().map(|&sl| s.orig_ids()[sl as usize]));
             }
             got.sort_unstable();
             let mut want: Vec<PointId> = reference

@@ -34,8 +34,9 @@ use crate::json::JsonWriter;
 /// mutable-store maintenance counters `rebuilds` / `compactions`); v7 —
 /// the process-worker backend is gone, and with it the `process`
 /// section, v3's three worker-failure counters per stage and in totals,
-/// and `totals.child_peak_rss_bytes` / `totals.child_cpu_time_us`.
-pub const REPORT_SCHEMA_VERSION: u64 = 7;
+/// and `totals.child_peak_rss_bytes` / `totals.child_cpu_time_us`; v8 —
+/// one distance kernel is left, so v5's `params.kernel` is gone.
+pub const REPORT_SCHEMA_VERSION: u64 = 8;
 
 /// Echo of the input dataset, so a report is self-describing.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -61,9 +62,6 @@ pub struct ParamsEcho {
     pub partitions: u64,
     /// Number of workers / threads.
     pub workers: u64,
-    /// The resolved distance kernel the run used (`"scalar"` or
-    /// `"unrolled"` — `Auto` is resolved before echoing).
-    pub kernel: String,
     /// The worker-thread count the run resolved to.
     pub threads: u64,
     /// The `DBSCOUT_CHAOS_SEED` in effect, if any.
@@ -237,7 +235,6 @@ impl RunReport {
         w.field_u64("min_pts", self.params.min_pts);
         w.field_u64("partitions", self.params.partitions);
         w.field_u64("workers", self.params.workers);
-        w.field_str("kernel", &self.params.kernel);
         w.field_u64("threads", self.params.threads);
         match self.params.chaos_seed {
             Some(seed) => w.field_u64("chaos_seed", seed),
@@ -351,7 +348,6 @@ mod tests {
                 min_pts: 4,
                 partitions: 8,
                 workers: 4,
-                kernel: "unrolled".to_owned(),
                 threads: 4,
                 chaos_seed: Some(42),
             },
@@ -417,7 +413,7 @@ mod tests {
             Some(42)
         );
         let params = doc.get("params").unwrap();
-        assert_eq!(params.get("kernel").unwrap().as_str(), Some("unrolled"));
+        assert!(params.get("kernel").is_none());
         assert_eq!(params.get("threads").unwrap().as_u64(), Some(4));
         let phases = doc.get("phases").unwrap().as_array().unwrap();
         assert_eq!(phases.len(), 2);

@@ -160,14 +160,15 @@ pub fn explain(rule: &str) -> Option<&'static str> {
             "XL010 — kernel-lane confinement\n\
              \n\
              Explicit lane-unrolled loops and architecture intrinsics are\n\
-             audited against the scalar reference in exactly two places:\n\
+             audited against the `sq_dist` oracle in exactly two places:\n\
              `crates/spatial/src/distance.rs` (the lane kernels) and\n\
-             `cell_major.rs` (the slot-order dispatch that keeps counters\n\
-             kernel-invariant). Everywhere else, `std::arch`/`core::arch`\n\
-             paths, `target_feature` gates, and functions named `*unrolled*`\n\
-             or `*simd*` are flagged: a stray hand-vectorized loop bypasses\n\
-             the scalar-equivalence suite and threatens the byte-identical\n\
-             labels guarantee. Route through `KernelKind` dispatch instead.\n\
+             `cell_major.rs` (the slot-order block drain that keeps the\n\
+             counters a slot-at-a-time loop's). Everywhere else,\n\
+             `std::arch`/`core::arch` paths, `target_feature` gates, and\n\
+             functions named `*unrolled*` or `*simd*` are flagged: a stray\n\
+             hand-vectorized loop bypasses the oracle tests and threatens\n\
+             the byte-identical labels guarantee. Call\n\
+             `CellMajorStore::count_within` or its siblings instead.\n\
              \n\
              Waive with:\n\
                // xtask-lint: allow(XL010) -- <why this site is pinned>"

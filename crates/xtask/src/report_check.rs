@@ -127,8 +127,7 @@ pub fn check_report(source: &str) -> Vec<String> {
             expect_u64(&mut errors, params, "params", "min_pts");
             expect_u64(&mut errors, params, "params", "partitions");
             expect_u64(&mut errors, params, "params", "workers");
-            // Schema v5: the resolved execution echo.
-            expect_str(&mut errors, params, "params", "kernel");
+            // Schema v5: the resolved thread count (v8 dropped `kernel`).
             expect_u64(&mut errors, params, "params", "threads");
             // Either a seed or the literal string "none".
             match params.get("chaos_seed") {
@@ -245,7 +244,6 @@ mod tests {
                 min_pts: 4,
                 partitions: 8,
                 workers: 4,
-                kernel: "unrolled".to_owned(),
                 threads: 4,
                 chaos_seed: None,
             },

@@ -1021,19 +1021,19 @@ pub fn atomic_ordering(
 }
 
 /// XL010 — kernel-lane confinement: explicit lane-unrolled loops and
-/// architecture intrinsics are audited against the scalar reference in
+/// architecture intrinsics are audited against the `sq_dist` oracle in
 /// exactly two places — `crates/spatial/src/distance.rs` (the lane
-/// kernels) and `cell_major.rs` (the slot-order dispatch that keeps
-/// counters kernel-invariant). Anywhere else, `std::arch`/`core::arch`
+/// kernels) and `cell_major.rs` (the slot-order drain that keeps the
+/// counters a slot-at-a-time loop's). Anywhere else, `std::arch`/`core::arch`
 /// paths, `target_feature` attributes, and functions named `*unrolled*`
 /// or `*simd*` are flagged: a stray hand-vectorized loop bypasses the
 /// equivalence suite and threatens byte-identical labels.
 pub fn kernel_lane(c: &Cleaned, file: &str, spans: &[(usize, usize)], out: &mut Vec<Diagnostic>) {
     const HELP: &str = "lane-unrolled and intrinsic code belongs in \
                         `crates/spatial/src/distance.rs` (kernels) or `cell_major.rs` \
-                        (dispatch), where the scalar-equivalence suite pins it; call \
-                        through `KernelKind` instead, or waive a proven site with \
-                        `// xtask-lint: allow(XL010) -- <reason>`";
+                        (block drain), where the oracle tests pin it; call \
+                        `CellMajorStore::count_within` or its siblings instead, or waive \
+                        a proven site with `// xtask-lint: allow(XL010) -- <reason>`";
     let b = &c.text;
     let ids = idents(b);
     for (n, &(s, e)) in ids.iter().enumerate() {

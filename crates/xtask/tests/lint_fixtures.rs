@@ -318,7 +318,6 @@ mod binary {
                 min_pts: 5,
                 partitions: 8,
                 workers: 4,
-                kernel: "scalar".to_owned(),
                 threads: 1,
                 chaos_seed: Some(42),
             },

@@ -102,10 +102,6 @@ fn every_engine_refuses(store: &PointStore, params: DbscoutParams, point: usize,
     );
     assert_eq!(CellMajorStore::build(store, eps).err(), Some(want.clone()));
     assert_eq!(Grid::build(store, eps).err(), Some(want.clone()));
-    assert_eq!(
-        Grid::build_parallel(store, eps, 2).err(),
-        Some(want.clone())
-    );
 
     // Warm entry points: a point too far out is refused on its own,
     // named by the id it would have got, and changes nothing.
@@ -249,11 +245,6 @@ fn spatial_constructors_refuse_what_params_refuse() {
             "eps {eps:e}"
         );
         assert_eq!(Grid::build(&store, eps).err(), want, "eps {eps:e}");
-        assert_eq!(
-            Grid::build_parallel(&store, eps, 2).err(),
-            want,
-            "eps {eps:e}"
-        );
         assert_eq!(MutableCellMajor::new(2, eps).err(), want, "eps {eps:e}");
         assert_eq!(
             DbscoutParams::new(eps, 2).err(),
