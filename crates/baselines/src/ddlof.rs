@@ -244,20 +244,25 @@ impl Ddlof {
             knn.map(|(id, nn)| (*id, nn.last().map(|&(_, d)| d).unwrap_or(0.0)))?;
 
         // Round 5a: exchange neighbor k-distances → lrd.
-        // Emit (neighbor_id, (point_id, dist)) and join with kdist.
+        // Emit (neighbor_id, (point_id, rank, dist)) and join with kdist.
+        // Each contribution carries its neighbor's k-NN rank, so a point's
+        // terms are summed in k-NN order, as `Lof::score` sums them: the
+        // shuffle delivers them in partition order, and floating-point
+        // addition is not associative.
         let edges = knn.flat_map(|(id, nn)| {
             let id = *id;
             nn.iter()
-                .map(move |&(o, d)| (o, (id, d)))
+                .enumerate()
+                .map(move |(rank, &(o, d))| (o, (id, rank as u32, d)))
                 .collect::<Vec<_>>()
         })?;
         let parts = self.ctx.default_partitions();
         let lrd: Dataset<(PointId, f64)> = kdist
             .join_with(&edges, parts)?
-            .map(|(_, (kd_o, (p, d)))| (*p, (d.max(*kd_o), 1u32)))?
-            .reduce_by_key_with(parts, |(s1, c1), (s2, c2)| (s1 + s2, c1 + c2))?
-            .map(|(p, (sum, cnt))| {
-                let mean = sum / *cnt as f64;
+            .map(|(_, (kd_o, (p, rank, d)))| (*p, (*rank, d.max(*kd_o))))?
+            .group_by_key_with(parts)?
+            .map(|(p, reach)| {
+                let mean = mean_in_rank_order(reach);
                 let lrd = if mean == 0.0 {
                     crate::lof::LRD_CAP
                 } else {
@@ -266,16 +271,14 @@ impl Ddlof {
                 (*p, lrd)
             })?;
 
-        // Round 5b: exchange neighbor lrds → LOF.
+        // Round 5b: exchange neighbor lrds → LOF, summed in rank order
+        // the same way.
         let lof: Dataset<(PointId, f64)> = lrd
             .join_with(&edges, parts)?
-            .map(|(_, (lrd_o, (p, _)))| (*p, (*lrd_o, 1u32)))?
-            .reduce_by_key_with(parts, |(s1, c1), (s2, c2)| (s1 + s2, c1 + c2))?
+            .map(|(_, (lrd_o, (p, rank, _)))| (*p, (*rank, *lrd_o)))?
+            .group_by_key_with(parts)?
             .join_with(&lrd, parts)?
-            .map(|(p, ((sum, cnt), own_lrd))| {
-                let mean = sum / *cnt as f64;
-                (*p, mean / own_lrd)
-            })?;
+            .map(|(p, (lrds, own_lrd))| (*p, mean_in_rank_order(lrds) / own_lrd))?;
 
         let mut scores = vec![1.0f64; n];
         for (id, s) in lof.collect()? {
@@ -320,6 +323,15 @@ impl Ddlof {
             contamination,
         ))
     }
+}
+
+/// The mean of `(rank, value)` terms, summed in ascending rank with the
+/// same `.sum::<f64>()` [`crate::Lof`] runs over a k-NN list, so equal
+/// terms give a bit-equal mean.
+fn mean_in_rank_order(terms: &[(u32, f64)]) -> f64 {
+    let mut terms = terms.to_vec();
+    terms.sort_unstable_by_key(|&(rank, _)| rank);
+    terms.iter().map(|&(_, v)| v).sum::<f64>() / terms.len() as f64
 }
 
 #[cfg(test)]
@@ -401,6 +413,38 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn duplicate_heavy_lattice_scores_are_lof_s_bit_for_bit() {
+        // 35 points drawn onto a 5×5 lattice, so most sites repeat and
+        // many scores approach the lrd cap; summed in shuffle order they
+        // differed from Lof's in the last digits (850761583277.305
+        // against 850761583277.3049 for point 0).
+        let mut rng = Rng::seed_from_u64(55);
+        let store = PointStore::from_rows(
+            2,
+            (0..35).map(|_| vec![rng.gen_range(0..5u32) as f64, rng.gen_range(0..5u32) as f64]),
+        )
+        .unwrap();
+        let seq = Lof::new(3).score(&store);
+        let ctx = ExecutionContext::builder()
+            .workers(2)
+            .default_partitions(4)
+            .build();
+        for cells in [1, 4, 16, 64] {
+            let dd = Ddlof::new(Arc::clone(&ctx), 3)
+                .with_cells(cells)
+                .score(&store)
+                .unwrap();
+            for (i, (a, b)) in dd.scores.iter().zip(&seq.scores).enumerate() {
+                assert_eq!(
+                    a.to_bits(),
+                    b.to_bits(),
+                    "point {i} at {cells} cells: distributed {a} vs sequential {b}"
+                );
             }
         }
     }

@@ -98,36 +98,86 @@ fn err_line(out: &mut Vec<u8>, msg: &str) {
     let _ = write!(out, "{{\"ok\":false,\"error\":\"{}\"}}", escape(msg));
 }
 
-/// Appends `id` in decimal ASCII, the digits `id.to_string()` spells.
-fn push_id(out: &mut Vec<u8>, mut id: PointId) {
-    let mut digits = [0u8; 10]; // `u32::MAX` has 10 digits
-    let mut len = 0;
-    for d in digits.iter_mut().rev() {
-        *d = b'0' + (id % 10) as u8;
-        id /= 10;
-        len += 1;
-        if id == 0 {
-            break;
+/// The bytes of digits and commas the `outliers` answer gathers before
+/// it copies them into the response in one piece.
+const ID_CHUNK: usize = 4096;
+
+/// The most bytes one id takes in the answer: `u32::MAX` has 10 digits,
+/// and a comma follows.
+const ID_BYTES: usize = 11;
+
+/// "00" to "99": the two digits of each number below 100.
+const DIGIT_PAIRS: &[u8; 200] = b"\
+    0001020304050607080910111213141516171819\
+    2021222324252627282930313233343536373839\
+    4041424344454647484950515253545556575859\
+    6061626364656667686970717273747576777879\
+    8081828384858687888990919293949596979899";
+
+/// Writes `id` in decimal ASCII, the digits `id.to_string()` spells,
+/// and a comma to the front of `dst`; returns how many bytes it wrote.
+/// The digits go in from the back, four and then two at a time from a
+/// table of digit pairs: one division by 10 per digit makes a chain of
+/// dependent multiplies that costs more than the rest of the answer.
+fn put_id(dst: &mut [u8; ID_BYTES], id: PointId) -> usize {
+    let len = id.checked_ilog10().map_or(1, |l| l as usize + 1);
+    // Writes the two digits of `two` (< 100) to end the number at `end`.
+    let mut put_pair = |end: usize, two: u32| {
+        let from = two as usize * 2;
+        if let (Some(d), Some(s)) = (dst.get_mut(end - 2..end), DIGIT_PAIRS.get(from..from + 2)) {
+            d.copy_from_slice(s);
         }
+    };
+    let (mut end, mut rest) = (len, id);
+    while rest >= 10_000 {
+        let four = rest % 10_000;
+        rest /= 10_000;
+        put_pair(end, four % 100);
+        put_pair(end - 2, four / 100);
+        end -= 4;
     }
-    out.extend_from_slice(digits.get(digits.len() - len..).unwrap_or_default());
+    if rest >= 100 {
+        put_pair(end, rest % 100);
+        rest /= 100;
+        end -= 2;
+    }
+    if rest >= 10 {
+        put_pair(end, rest);
+    } else if let Some(d) = dst.get_mut(end - 1) {
+        *d = b'0' + rest as u8;
+    }
+    if let Some(comma) = dst.get_mut(len) {
+        *comma = b',';
+    }
+    len + 1
 }
 
-/// Appends the `outliers` answer for `ids`, the live outliers ascending.
-fn outliers_line(out: &mut Vec<u8>, ids: &[PointId]) {
-    // An id takes at most 10 digits and a comma.
-    out.reserve(64 + ids.len() * 11);
+/// Appends the `outliers` answer for `ids`, the `count` live outliers
+/// ascending, taken straight off the engine's bitset. Each id and its
+/// comma are spelled into a fixed chunk, and the chunk is copied into
+/// `out` only when it could not take another id, so the response grows
+/// once per chunk instead of once per id. The bytes are the ones
+/// `write!` would give.
+fn outliers_line(out: &mut Vec<u8>, count: usize, ids: impl Iterator<Item = PointId>) {
+    out.reserve(64 + count * ID_BYTES);
     let _ = write!(
         out,
-        "{{\"ok\":true,\"op\":\"outliers\",\"count\":{},\"ids\":[",
-        ids.len()
+        "{{\"ok\":true,\"op\":\"outliers\",\"count\":{count},\"ids\":["
     );
-    for (i, &id) in ids.iter().enumerate() {
-        if i > 0 {
-            out.push(b',');
+    let mut chunk = [0u8; ID_CHUNK];
+    let mut len = 0;
+    ids.for_each(|id| {
+        if len + ID_BYTES > ID_CHUNK {
+            out.extend_from_slice(chunk.get(..len).unwrap_or_default());
+            len = 0;
         }
-        push_id(out, id);
-    }
+        let window = chunk.get_mut(len..len + ID_BYTES);
+        if let Some(window) = window.and_then(|w| <&mut [u8; ID_BYTES]>::try_from(w).ok()) {
+            len += put_id(window, id);
+        }
+    });
+    // Every id is followed by a comma; the list's last one is not.
+    out.extend_from_slice(chunk.get(..len.saturating_sub(1)).unwrap_or_default());
     out.extend_from_slice(b"]}");
 }
 
@@ -223,7 +273,7 @@ fn handle(state: &mut ServeState, line: &str, out: &mut Vec<u8>) -> (&'static st
         }
         "outliers" => {
             state.report.outlier_queries += 1;
-            outliers_line(out, &state.inc.outliers());
+            outliers_line(out, state.inc.num_outliers(), state.inc.outlier_ids());
             ("outliers", false)
         }
         "stats" => {
@@ -607,12 +657,80 @@ mod tests {
         assert_eq!(r.errors, 0);
     }
 
+    /// The answer built the plain way, the reference the streamed one
+    /// must match: a `String` per id, joined with commas.
+    fn outliers_line_by_vec(ids: &[PointId]) -> Vec<u8> {
+        let list: Vec<String> = ids.iter().map(ToString::to_string).collect();
+        format!(
+            r#"{{"ok":true,"op":"outliers","count":{},"ids":[{}]}}"#,
+            ids.len(),
+            list.join(",")
+        )
+        .into_bytes()
+    }
+
+    fn streamed(ids: &[PointId]) -> Vec<u8> {
+        let mut out = b"prefix ".to_vec();
+        outliers_line(&mut out, ids.len(), ids.iter().copied());
+        out.split_off(b"prefix ".len())
+    }
+
     #[test]
-    fn push_id_spells_what_to_string_spells() {
-        for id in [0, 9, 10, 99, 100, 65_535, u32::MAX] {
-            let mut out = b"[".to_vec();
-            push_id(&mut out, id);
-            assert_eq!(out, format!("[{id}").into_bytes(), "{id}");
+    fn put_id_spells_what_to_string_spells() {
+        let powers = (0..10).map(|k| 10u32.pow(k));
+        let edges = powers
+            .flat_map(|p| [p - 1, p, p + 1, p.saturating_mul(2) - 1])
+            .chain([65_535, 99_999, 123_456_789, u32::MAX - 1, u32::MAX])
+            .chain(0..120_000);
+        for id in edges {
+            let mut window = [b'x'; ID_BYTES];
+            let len = put_id(&mut window, id);
+            assert_eq!(&window[..len], format!("{id},").as_bytes(), "{id}");
+            assert!(
+                window[len..].iter().all(|&b| b == b'x'),
+                "{id} wrote past its comma"
+            );
+        }
+    }
+
+    #[test]
+    fn the_streamed_answer_is_the_vec_formatter_s_bytes() {
+        let edges: [PointId; 10] = [
+            0,
+            9,
+            10,
+            99,
+            100,
+            99_999,
+            100_000,
+            999_999_999,
+            1_000_000_000,
+            u32::MAX,
+        ];
+        assert_eq!(streamed(&[]), outliers_line_by_vec(&[]));
+        assert_eq!(
+            streamed(&[]),
+            br#"{"ok":true,"op":"outliers","count":0,"ids":[]}"#
+        );
+        for id in edges {
+            assert_eq!(streamed(&[id]), outliers_line_by_vec(&[id]), "{id}");
+        }
+        assert_eq!(streamed(&edges), outliers_line_by_vec(&edges));
+        // Long enough to flush the chunk many times, with ids of every
+        // width, so some chunk ends right before a 10-digit id.
+        let long: Vec<PointId> = (0..40_000u32)
+            .map(|i| i * 3)
+            .chain((0..3_000u32).map(|i| 999_990_000 + i * 7))
+            .chain((0..3_000u32).map(|i| u32::MAX - 3_000 + i))
+            .collect();
+        assert!(long.len() * 6 > 20 * ID_CHUNK, "flushes several chunks");
+        assert_eq!(streamed(&long), outliers_line_by_vec(&long));
+        // Ids 0..n fill the first chunk to every level up to its first
+        // flush (near n = 1,040), each followed by a 10-digit id.
+        for n in 0..1_100 {
+            let mut ids: Vec<PointId> = (0..n as u32).collect();
+            ids.push(u32::MAX);
+            assert_eq!(streamed(&ids), outliers_line_by_vec(&ids), "{n} ids");
         }
     }
 

@@ -938,11 +938,26 @@ impl CellMajorStore {
         early: bool,
     ) -> (bool, u64) {
         let flagged = |slot: usize| flags.get(slot).copied().unwrap_or(false);
+        self.any_within_where(q, range, eps_sq, flagged, early)
+    }
+
+    /// [`Self::any_flagged_within`] with the flag of each slot read from
+    /// `flagged` instead of a slice: the incremental engine's "is this
+    /// slot's point core", which it keeps by point id.
+    #[inline]
+    pub fn any_within_where(
+        &self,
+        q: &[f64],
+        range: Range<usize>,
+        eps_sq: f64,
+        flagged: impl Fn(usize) -> bool,
+        early: bool,
+    ) -> (bool, u64) {
         let mut hit = false;
         let mut comps = 0u64;
         let mut slot = range.start;
         while slot + LANES_ND <= range.end {
-            if (slot..slot + LANES_ND).any(flagged) {
+            if (slot..slot + LANES_ND).any(&flagged) {
                 let d = self.sq_dists_x4_at(q, slot);
                 for (i, &v) in d.iter().enumerate() {
                     if !flagged(slot + i) {
@@ -971,27 +986,33 @@ impl CellMajorStore {
         (hit, comps)
     }
 
-    /// Appends every slot of `range` within ε of `q` (closed ball, given
-    /// `eps_sq = ε²`) to `out`, in ascending slot order, returning the
-    /// comparison tally. Unlike [`Self::count_within`] this reports the
-    /// neighbor *identities* — what the incremental engine needs to bump
-    /// per-point counts — and therefore never exits early: the tally is
-    /// always `range.len()`. Distances are computed per 4-lane block.
+    /// Appends the slots of `range` within ε of `q` (closed ball, given
+    /// `eps_sq = ε²`) to `out`, in ascending slot order, stopping at the
+    /// slot that brings `out` to `limit` entries; returns the comparison
+    /// tally. Unlike [`Self::count_within`] this reports the neighbor
+    /// *identities*, which the incremental engine needs to bump
+    /// per-point counts. With no stop the tally is `range.len()`; with
+    /// one, it is the slots up to and including the last one appended,
+    /// as a one-slot-at-a-time loop would count. Distances are computed
+    /// per 4-lane block.
     #[inline]
     pub fn collect_within(
         &self,
         q: &[f64],
         range: Range<usize>,
         eps_sq: f64,
+        limit: usize,
         out: &mut Vec<u32>,
     ) -> u64 {
-        let comps = range.len() as u64;
         let mut slot = range.start;
         while slot + LANES_ND <= range.end {
             let d = self.sq_dists_x4_at(q, slot);
-            for (i, &v) in d.iter().enumerate() {
+            for (s, &v) in (slot..).zip(&d) {
                 if v <= eps_sq {
-                    out.push((slot + i) as u32);
+                    out.push(s as u32);
+                    if out.len() >= limit {
+                        return (s + 1 - range.start) as u64;
+                    }
                 }
             }
             slot += LANES_ND;
@@ -999,9 +1020,12 @@ impl CellMajorStore {
         for s in slot..range.end {
             if self.sq_dist_to_slot(q, s) <= eps_sq {
                 out.push(s as u32);
+                if out.len() >= limit {
+                    return (s + 1 - range.start) as u64;
+                }
             }
         }
-        comps
+        range.len() as u64
     }
 
     /// [`Self::count_within`] at d = 2, in 8-lane blocks.
@@ -1557,7 +1581,8 @@ mod tests {
                     // Each slot in turn on the closed ball's boundary.
                     for &eps_sq in [0.45].iter().chain(&dists[range.clone()]) {
                         let mut got = Vec::new();
-                        let comps = cm.collect_within(&q, range.clone(), eps_sq, &mut got);
+                        let comps =
+                            cm.collect_within(&q, range.clone(), eps_sq, usize::MAX, &mut got);
                         assert_eq!(comps, range.len() as u64);
                         // Hits ascend in slot order and match the oracle.
                         let want: Vec<u32> = range
@@ -1566,6 +1591,17 @@ mod tests {
                             .map(|slot| slot as u32)
                             .collect();
                         assert_eq!(got, want, "dims {dims} range {range:?} eps² {eps_sq}");
+                        // A limit stops at the hit that reaches it, counting
+                        // the slots a one-at-a-time loop would have read; the
+                        // limit counts what `out` held before the call.
+                        for limit in 1..=want.len() {
+                            let mut got = vec![u32::MAX];
+                            let comps =
+                                cm.collect_within(&q, range.clone(), eps_sq, limit + 1, &mut got);
+                            assert_eq!(got[1..], want[..limit], "limit {limit}");
+                            let last = want[limit - 1] as usize;
+                            assert_eq!(comps, (last + 1 - range.start) as u64, "limit {limit}");
+                        }
                     }
                 }
             }

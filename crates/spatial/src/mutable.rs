@@ -673,7 +673,7 @@ mod tests {
                 }
                 let rec = s.cells()[ci as usize];
                 let mut slots = Vec::new();
-                s.collect_within(q, rec.range(), eps_sq, &mut slots);
+                s.collect_within(q, rec.range(), eps_sq, usize::MAX, &mut slots);
                 got.extend(slots.iter().map(|&sl| s.orig_ids()[sl as usize]));
             }
             got.sort_unstable();
