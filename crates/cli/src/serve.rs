@@ -37,7 +37,7 @@ use std::time::Instant;
 
 use dbscout_core::{build_run_report, DbscoutParams, IncrementalDbscout, PointLabel, RunInfo};
 use dbscout_data::io::IngestMode;
-use dbscout_data::{materialize, BinarySource, DEFAULT_BATCH_SIZE};
+use dbscout_data::{BinarySource, DEFAULT_BATCH_SIZE};
 use dbscout_dataflow::MetricsSnapshot;
 use dbscout_spatial::points::PointId;
 use dbscout_telemetry::json::{escape, parse, Value};
@@ -426,19 +426,20 @@ pub fn serve(flags: &Flags) -> Result<String, CliError> {
         (trace_out.is_some() || report_out.is_some()).then(|| Arc::new(TraceCollector::new()));
 
     let params = DbscoutParams::new(eps, min_pts).map_err(|e| CliError::new(e.to_string()))?;
-    let store = if from_binary {
+    // A DBSC file streams into the bulk load, as into `detect
+    // --from-binary`; a CSV is parsed once, into a store the engine
+    // copies.
+    let t = Instant::now();
+    let inc = if from_binary {
         let mut src =
             BinarySource::open(&input, batch_size).map_err(|e| CliError::data(e.to_string()))?;
-        materialize(&mut src).map_err(|e| CliError::data(e.to_string()))?
+        IncrementalDbscout::from_source(&mut src, params)
     } else {
-        load_dataset(&input, labeled, IngestMode::Strict)?.store
-    };
-    let dims = store.dims() as u64;
-
-    let t = Instant::now();
-    let inc = IncrementalDbscout::from_store(&store, params).map_err(detect_err)?;
-    // The engine holds its own copy of every point.
-    drop(store);
+        let store = load_dataset(&input, labeled, IngestMode::Strict)?.store;
+        IncrementalDbscout::from_store(&store, params)
+    }
+    .map_err(detect_err)?;
+    let dims = inc.store().dims() as u64;
     eprintln!(
         "dbscout serve: {} points warm in {:?}, {} outliers",
         inc.len(),

@@ -256,6 +256,97 @@ fn interleaved_session_matches_batch_cli_with_exact_id_mapping() {
     );
 }
 
+/// A DBSC file: the header (magic, version 1, `dims`, the point count
+/// `n`) and `rows`' coordinates as little-endian `f64`s.
+fn dbsc_bytes(dims: u8, n: u64, rows: &[[f64; 2]]) -> Vec<u8> {
+    let mut out = b"DBSC".to_vec();
+    out.extend_from_slice(&[1, dims]);
+    out.extend_from_slice(&n.to_le_bytes());
+    for v in rows.iter().flatten() {
+        out.extend_from_slice(&v.to_le_bytes());
+    }
+    out
+}
+
+/// The `error:` line a failed `dbscout` run printed, and its exit code.
+fn error_line(out: &Output) -> (String, Option<i32>) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let line = stderr.lines().find(|l| l.starts_with("error: "));
+    (line.unwrap_or_default().to_owned(), out.status.code())
+}
+
+#[test]
+fn hostile_dbsc_files_fail_the_boot_as_they_fail_detect() {
+    let rows: Vec<[f64; 2]> = (0..40)
+        .map(|i| [f64::from(i % 7), f64::from(i / 7)])
+        .collect();
+    let with_row = |at: usize, row: [f64; 2]| {
+        let mut all = rows.clone();
+        all.insert(at, row);
+        dbsc_bytes(2, all.len() as u64, &all)
+    };
+    let mut short = dbsc_bytes(2, rows.len() as u64, &rows);
+    short.truncate(short.len() - 4); // cut inside the last row
+    let files = [
+        ("short", short),
+        ("nan", with_row(20, [f64::NAN, 1.0])),
+        // 1e19 is beyond 2^53 cell sides at eps 1.
+        ("far", with_row(10, [1e19, 0.0])),
+    ];
+    for (name, bytes) in files {
+        let path = tmp(&format!("hostile-{name}.dbsc"));
+        std::fs::write(&path, bytes).unwrap();
+        let input = path.to_str().unwrap();
+        let args = [
+            "--input",
+            input,
+            "--from-binary",
+            "--eps",
+            "1",
+            "--min-pts",
+            "3",
+        ];
+        let detect = Command::new(env!("CARGO_BIN_EXE_dbscout"))
+            .arg("detect")
+            .args(args)
+            .output()
+            .unwrap();
+        let mut child = spawn_serve(&args);
+        let mut stdin = child.stdin.take().unwrap();
+        // The boot fails before the session reads a line.
+        let _ = writeln!(stdin, r#"{{"op":"stats"}}"#);
+        drop(stdin);
+        let serve = child.wait_with_output().unwrap();
+        let (line, code) = error_line(&serve);
+        assert_eq!(code, Some(2), "{name}: serve exit, {line}");
+        assert!(!line.is_empty(), "{name}: serve printed no error line");
+        assert_eq!((line, code), error_line(&detect), "{name}: serve vs detect");
+        assert!(serve.stdout.is_empty(), "{name}: serve answered a request");
+    }
+
+    // A file of zero points boots an empty daemon.
+    let path = tmp("hostile-empty.dbsc");
+    std::fs::write(&path, dbsc_bytes(2, 0, &[])).unwrap();
+    let mut child = spawn_serve(&[
+        "--input",
+        path.to_str().unwrap(),
+        "--from-binary",
+        "--eps",
+        "1",
+        "--min-pts",
+        "3",
+    ]);
+    let requests = [
+        r#"{"op":"stats"}"#.to_owned(),
+        r#"{"op":"shutdown"}"#.to_owned(),
+    ];
+    let responses = drive(&mut child, &requests);
+    let stats = parse(&responses[0]).unwrap();
+    assert_eq!(stats.get("op").and_then(Value::as_str), Some("stats"));
+    assert_eq!(stats.get("points").and_then(Value::as_u64), Some(0));
+    assert_eq!(responses[1], r#"{"ok":true,"op":"shutdown"}"#);
+}
+
 #[test]
 fn hostile_request_lines_are_answered_and_the_daemon_survives() {
     let data = tmp("hostile.csv");

@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 
-use dbscout_data::{materialize, PointSource};
+use dbscout_data::{materialize, PointSource, StoreSource, DEFAULT_BATCH_SIZE};
 use dbscout_dataflow::ExecutionContext;
 use dbscout_spatial::PointStore;
 
@@ -48,9 +48,10 @@ pub trait OutlierDetector {
     ///
     /// The default implementation is the materializing adapter: read the
     /// whole source into a [`PointStore`] and run [`Self::detect`] — the
-    /// route the distributed and incremental engines take. The native
-    /// engine overrides it with a genuinely out-of-core path whose peak
-    /// memory is the grid layout plus one batch.
+    /// route the distributed engine takes. The native engine, and the
+    /// incremental engine's bulk load that runs it, override it with a
+    /// genuinely out-of-core path whose peak memory is the grid layout
+    /// plus a few batches.
     fn detect_source(&self, source: &mut dyn PointSource) -> Result<OutlierResult> {
         let store = materialize(source).map_err(crate::DbscoutError::from)?;
         self.detect(&store)
@@ -81,19 +82,6 @@ impl OutlierDetector for DistributedDbscout {
 
     fn params(&self) -> DbscoutParams {
         DistributedDbscout::params(self)
-    }
-}
-
-impl OutlierDetector for IncrementalDbscout {
-    /// Batch detection through the incremental engine: bulk-load `store`
-    /// into a fresh instance (its accumulated points are not consulted)
-    /// and snapshot the resulting labels.
-    fn detect(&self, store: &PointStore) -> Result<OutlierResult> {
-        IncrementalDbscout::from_store(store, self.params()).map(|inc| inc.snapshot())
-    }
-
-    fn params(&self) -> DbscoutParams {
-        IncrementalDbscout::params(self)
     }
 }
 
@@ -175,7 +163,8 @@ impl DetectorBuilder {
         self
     }
 
-    /// Selects the incremental engine (in batch mode: bulk-load then
+    /// Selects the incremental engine (in batch mode: bulk-load through
+    /// the native engine's run, at the configured thread count, then
     /// snapshot).
     pub fn incremental(mut self) -> Self {
         self.engine = EngineChoice::Incremental;
@@ -230,26 +219,33 @@ impl DetectorBuilder {
             EngineChoice::Native => Box::new(self.build_native()),
             EngineChoice::Distributed(_) => Box::new(self.build_distributed()),
             EngineChoice::Incremental => Box::new(BatchIncremental {
-                params: self.params,
+                engine: self.build_native(),
             }),
         }
     }
 }
 
-/// The incremental engine's batch façade: holds the parameters and
-/// bulk-loads each `detect` call into a fresh [`IncrementalDbscout`].
+/// The incremental engine's batch façade: bulk-loads each call into a
+/// fresh [`IncrementalDbscout`] through the configured native engine's
+/// run (streaming, for [`OutlierDetector::detect_source`]) and snapshots
+/// it.
 #[derive(Debug, Clone)]
 struct BatchIncremental {
-    params: DbscoutParams,
+    engine: Dbscout,
 }
 
 impl OutlierDetector for BatchIncremental {
     fn detect(&self, store: &PointStore) -> Result<OutlierResult> {
-        IncrementalDbscout::from_store(store, self.params).map(|inc| inc.snapshot())
+        self.detect_source(&mut StoreSource::new(store, DEFAULT_BATCH_SIZE))
+    }
+
+    fn detect_source(&self, source: &mut dyn PointSource) -> Result<OutlierResult> {
+        let loaded = IncrementalDbscout::load_source(&self.engine, source)?;
+        Ok(loaded.map(|inc| inc.snapshot()).unwrap_or_default())
     }
 
     fn params(&self) -> DbscoutParams {
-        self.params
+        self.engine.params()
     }
 }
 

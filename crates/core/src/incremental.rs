@@ -38,12 +38,13 @@
 //! [`KernelCounters`] accounting. Labels, exact neighbor counts, and
 //! liveness are id-indexed side arrays.
 //!
-//! A bulk load ([`IncrementalDbscout::from_store`]) does not insert
-//! point by point. It builds the batch layout (Algorithm 1), counts
-//! every point's ε-neighbors exactly in one sweep over the sorted cell
-//! table, labels the points from those counts, and adopts the layout as
-//! the mutable store. The state equals the one that inserting every
-//! point in order reaches.
+//! A bulk load ([`IncrementalDbscout::from_store`],
+//! [`IncrementalDbscout::from_source`]) does not insert point by point.
+//! It is a run of the batch engine's five phases ([`Dbscout`]) with no
+//! cap on phase 3's counts, so every count is exact, and the engine
+//! adopts what the run leaves: the layout as the mutable store, and the
+//! counts and labels as its side arrays. The state equals the one that
+//! inserting every point in order reaches.
 //!
 //! The Definition 3 answer is kept current, not recomputed: every label
 //! and liveness write goes through one setter, which also flips the
@@ -61,17 +62,16 @@
 
 use std::ops::Range;
 
+use dbscout_data::{PointSource, StoreSource, DEFAULT_BATCH_SIZE};
 use dbscout_spatial::cell::{cell_of, cell_side, check_point};
 use dbscout_spatial::mutable::MutableCellMajor;
 use dbscout_spatial::points::PointId;
-use dbscout_spatial::{
-    CellMajorStore, CellRecord, NeighborOffsets, PointStore, SpatialError, MAX_DIMS,
-};
+use dbscout_spatial::{CellMajorStore, NeighborOffsets, PointStore, SpatialError, MAX_DIMS};
 use dbscout_telemetry::KernelCounters;
 
-use crate::error::Result;
+use crate::error::{DbscoutError, Result};
 use crate::labels::{OutlierResult, PhaseTimings, PointLabel, RunStats};
-use crate::native::{take_run, ExecutionLayout, KernelKind};
+use crate::native::{labels_by_id, Dbscout, ExecutionLayout, KernelKind, PhaseState};
 use crate::params::DbscoutParams;
 
 /// An exactly-maintained DBSCOUT state under point insertion and
@@ -111,7 +111,9 @@ pub struct IncrementalDbscout {
     /// Live points only, in the mutable slack-slot layout the kernels
     /// scan.
     mstore: MutableCellMajor,
-    offsets: NeighborOffsets,
+    /// The stencil's offsets in the order the walk visits them
+    /// ([`nearest_first`]), `dims` per offset.
+    nearest: Vec<i8>,
     /// Exact ε-neighbor count per point (self included).
     counts: Vec<u32>,
     labels: Vec<PointLabel>,
@@ -146,9 +148,32 @@ struct Scratch {
     affected: Vec<PointId>,
 }
 
+/// The offsets of `offsets` nearest first, flat with stride `dims`: the
+/// zero offset (the own cell), then by ascending squared norm `Σ j_i²`,
+/// ties in lexicographic order. A walk in this order meets the cells most
+/// likely to hold a query's answer first, so a query that stops early
+/// stops sooner. Only the warm engine walks it, so it is computed here,
+/// once per engine.
+fn nearest_first(offsets: &NeighborOffsets) -> Vec<i8> {
+    let dims = offsets.dims();
+    let flat: Vec<i8> = offsets.iter().flatten().copied().collect();
+    // `Σ j_i²` is at most `d · ⌈√d⌉² ≤ 81` for `d ≤ 9`.
+    let sq_norm = |off: &[i8]| -> u8 { off.iter().map(|&j| j.unsigned_abs().pow(2)).sum() };
+    // Sorted by (norm, position): equal norms keep the lexicographic
+    // order.
+    let mut by_norm: Vec<(u8, u32)> = flat.chunks_exact(dims).map(sq_norm).zip(0..).collect();
+    by_norm.sort_unstable();
+    by_norm
+        .iter()
+        .filter_map(|&(_, i)| flat.get(i as usize * dims..(i as usize + 1) * dims))
+        .flatten()
+        .copied()
+        .collect()
+}
+
 /// The live, non-empty cells of `store` that the stencil reaches from
-/// the cell of `q`, nearest first ([`NeighborOffsets::nearest_first`]),
-/// as slot ranges; a caller that has its answer stops pulling. Every
+/// the cell of `q`, in the order of `nearest` ([`nearest_first`]), as
+/// slot ranges; a caller that has its answer stops pulling. Every
 /// offset costs one hash lookup. A cell is skipped only when its stored
 /// tight box lies beyond ε (counted in `bbox_prunes`), never because
 /// the grid box an offset names lies beyond ε: [`cell_of`] floors a
@@ -156,13 +181,13 @@ struct Scratch {
 /// its own cell, and its neighbors' grid boxes are no bound either.
 fn stencil_cells<'a>(
     store: &'a CellMajorStore,
-    offsets: &'a NeighborOffsets,
+    nearest: &'a [i8],
     q: &'a [f64],
     eps_sq: f64,
     counters: &'a mut KernelCounters,
 ) -> impl Iterator<Item = Range<usize>> + 'a {
     let home = cell_of(q, store.side());
-    offsets.nearest_first().filter_map(move |off| {
+    nearest.chunks_exact(store.dims()).filter_map(move |off| {
         let idx = store.cell_index(&NeighborOffsets::apply(&home, off)?)? as usize;
         let rec = store.cell(idx).filter(|rec| !rec.is_empty())?;
         counters.cells_visited += 1;
@@ -198,14 +223,14 @@ fn with_room<T: Clone>(n: usize, value: T) -> Vec<T> {
 impl IncrementalDbscout {
     /// An empty incremental detector for `dims`-dimensional points.
     pub fn new(dims: usize, params: DbscoutParams) -> Result<Self> {
-        let offsets = NeighborOffsets::new(dims)?;
+        let nearest = nearest_first(&NeighborOffsets::new(dims)?);
         let mstore = MutableCellMajor::new(dims, params.eps())?;
         Ok(Self {
             params,
             side: cell_side(params.eps(), dims),
             all_points: PointStore::new(dims)?,
             mstore,
-            offsets,
+            nearest,
             counts: Vec::new(),
             labels: Vec::new(),
             alive: Vec::new(),
@@ -218,55 +243,22 @@ impl IncrementalDbscout {
         })
     }
 
-    /// Bulk-loads an initial dataset in one batch pass on one thread;
-    /// row `i` of `store` gets id `i`.
+    /// Bulk-loads an initial dataset; row `i` of `store` gets id `i`.
     ///
-    /// The pass builds the batch layout ([`CellMajorStore::build`],
-    /// Algorithm 1), counts every point's ε-neighbors exactly in one
-    /// sweep over its cell table, labels a point core at `minPts` or
-    /// more and any other point covered iff a core point lies within ε,
-    /// and then adopts the layout as the mutable store
-    /// ([`MutableCellMajor::from_cell_major`]). The covered test reads
-    /// only neighbor cells that hold a core point, so it resolves them
-    /// from that side ([`CellMajorStore::neighbor_pairs`]): only cells
-    /// holding a core point are swept, and the pairs, 8 bytes each, are
-    /// freed before the layout is adopted. Counts and labels come
-    /// from the distance tests [`Self::insert`] makes, not from the
-    /// batch phases' Lemma 1/2 shortcuts, so the state equals inserting
-    /// every point in order, field by field. Its kernel work is added to
-    /// [`Self::kernel_counters`].
+    /// One run of [`Dbscout`]'s five phases at the default thread count,
+    /// with no cap on phase 3's counts, so every ε-neighbor count is
+    /// exact, as [`Self::remove`]'s decrements need. The engine adopts
+    /// the run's layout as its mutable store
+    /// ([`MutableCellMajor::from_cell_major`]), its counts and labels,
+    /// and its kernel work as the first [`Self::kernel_counters`]. The
+    /// state equals inserting every point in order, field by field.
     ///
     /// # Errors
     ///
-    /// Fails on an invalid dimensionality (`store`'s coordinates are
-    /// finite by construction).
+    /// Fails on an invalid dimensionality, or a coordinate too far out
+    /// for ε ([`SpatialError::CoordinateOutOfRange`]).
     pub fn from_store(store: &PointStore, params: DbscoutParams) -> Result<Self> {
-        let mut inc = Self::new(store.dims(), params)?;
-        let batch = CellMajorStore::build(store, params.eps())?;
-        let counts = inc.seed_counts(&batch)?;
-        let min_pts = params.min_pts() as u32;
-        let core: Vec<bool> = counts.iter().map(|&c| c >= min_pts).collect();
-        let labels = inc.seed_labels(&batch, &core)?;
-        // Both passes work by slot (the kernels' flags are slot-indexed);
-        // the engine's side arrays are by id. Every slot starts dead, and
-        // the pass that writes its count brings it to life with its
-        // label, so the outlier bitset and the live counts are seeded
-        // with no pass of their own.
-        let n = batch.len();
-        inc.counts = with_room(n, 0);
-        inc.labels = with_room(n, PointLabel::Outlier);
-        inc.alive = with_room(n, false);
-        inc.outlier_bits = with_room(n.div_ceil(64), 0);
-        for ((&id, &count), &label) in batch.orig_ids().iter().zip(&counts).zip(&labels) {
-            if let Some(c) = inc.counts.get_mut(id as usize) {
-                *c = count;
-            }
-            inc.set(id, label, true);
-        }
-        inc.mstore = MutableCellMajor::from_cell_major(batch);
-        inc.all_points = PointStore::with_capacity(store.dims(), n + n / 8)?;
-        inc.all_points.extend_from(store)?;
-        Ok(inc)
+        Self::from_source(&mut StoreSource::new(store, DEFAULT_BATCH_SIZE), params)
     }
 
     /// [`Self::from_store`], for callers that name the layout and kernel;
@@ -280,110 +272,83 @@ impl IncrementalDbscout {
         Self::from_store(store, params)
     }
 
-    /// The exact ε-neighbor count (self included) of every slot of
-    /// `batch`: one sweep over the sorted cell table, with no early exit.
-    /// Only what the bbox prunes prove empty is skipped, so each count is
-    /// the one [`Self::insert`] would reach.
-    fn seed_counts(&mut self, batch: &CellMajorStore) -> Result<Vec<u32>> {
-        let eps_sq = self.params.eps_sq();
-        let mut sweep = batch.neighbor_sweep(&self.offsets)?;
-        let mut nbrs: Vec<u32> = Vec::new();
-        let mut buf = [0.0; MAX_DIMS];
-        let mut counts = vec![0u32; batch.len()];
-        for (idx, rec) in batch.cells().iter().enumerate() {
-            self.counters.cells_visited += 1;
-            sweep.neighbors_into(idx, Some(eps_sq), &mut nbrs);
-            for slot in rec.range() {
-                batch.point_into(slot, &mut buf);
-                let q = buf.get(..batch.dims()).unwrap_or_default();
-                let mut count = 0;
-                for &nidx in &nbrs {
-                    if batch.min_sq_dist_to_bbox(q, nidx as usize) > eps_sq {
-                        self.counters.bbox_prunes += 1;
-                        continue;
-                    }
-                    let Some(nrec) = batch.cell(nidx as usize) else {
-                        continue;
-                    };
-                    let (c, comps) = batch.count_within(q, nrec.range(), eps_sq, usize::MAX);
-                    count += c;
-                    self.counters.distance_evals += comps;
-                }
-                if let Some(dst) = counts.get_mut(slot) {
-                    *dst = count as u32;
-                }
-            }
-        }
-        Ok(counts)
+    /// [`Self::from_store`] over a streaming source, read twice as
+    /// [`Dbscout::detect_source`] reads it, with no copy of the input in
+    /// memory. Point `i` of the stream gets id `i`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Self::from_store`], plus the source's failures and
+    /// non-finite coordinates. A source with no batches and no declared
+    /// dimensionality is an [`DbscoutError::Ingest`] error.
+    pub fn from_source(source: &mut dyn PointSource, params: DbscoutParams) -> Result<Self> {
+        Self::load_source(&Dbscout::new(params), source)?
+            .ok_or_else(|| DbscoutError::Ingest("empty source".to_owned()))
     }
 
-    /// The label of every slot of `batch`, given the slot-indexed `core`
-    /// flags: Core where flagged, else Covered iff a core point lies
-    /// within ε. Only a cell's neighbors that hold a core point are read,
-    /// so they are resolved from that side
-    /// ([`CellMajorStore::neighbor_pairs`]): the cells holding a core
-    /// point are swept, and each lists the cells in reach that hold a
-    /// non-core point. A cell of both kinds lists itself. Sorted, the
-    /// pairs give each cell its neighbors holding a core point in sweep
-    /// order, so cells without a core point are never swept.
-    fn seed_labels(&mut self, batch: &CellMajorStore, core: &[bool]) -> Result<Vec<PointLabel>> {
-        let eps_sq = self.params.eps_sq();
-        let mut buf = [0.0; MAX_DIMS];
-        let cell_core = |rec: &CellRecord| core.get(rec.range()).unwrap_or_default();
-        let (has_core, all_core): (Vec<bool>, Vec<bool>) = batch
-            .cells()
-            .iter()
-            .map(|rec| {
-                let flags = cell_core(rec);
-                (flags.contains(&true), flags.iter().all(|&c| c))
-            })
-            .unzip();
-        let mut core_neighbors = batch.neighbor_pairs(
-            &self.offsets,
-            (0..batch.num_cells()).filter(|&idx| has_core.get(idx) == Some(&true)),
-            |idx| all_core.get(idx) == Some(&false),
-            Some(eps_sq),
-        )?;
-        core_neighbors.sort_unstable();
-        let mut pairs = core_neighbors.as_slice();
-        let mut labels = vec![PointLabel::Core; batch.len()];
-        for ((idx, rec), &all) in batch.cells().iter().enumerate().zip(&all_core) {
-            if all {
-                continue;
-            }
-            self.counters.cells_visited += 1;
-            let run = take_run(&mut pairs, idx);
-            for (slot, _) in rec.range().zip(cell_core(rec)).filter(|(_, &c)| !c) {
-                batch.point_into(slot, &mut buf);
-                let q = buf.get(..batch.dims()).unwrap_or_default();
-                let mut covered = false;
-                for &(_, nidx) in run {
-                    if batch.min_sq_dist_to_bbox(q, nidx as usize) > eps_sq {
-                        self.counters.bbox_prunes += 1;
-                        continue;
-                    }
-                    let Some(nrec) = batch.cell(nidx as usize) else {
-                        continue;
-                    };
-                    let (hit, comps) =
-                        batch.any_flagged_within(q, nrec.range(), eps_sq, core, true);
-                    self.counters.distance_evals += comps;
-                    if hit {
-                        self.counters.early_exit_hits += 1;
-                        covered = true;
-                        break;
-                    }
-                }
-                if let Some(dst) = labels.get_mut(slot) {
-                    *dst = if covered {
-                        PointLabel::Covered
-                    } else {
-                        PointLabel::Outlier
-                    };
-                }
+    /// [`Self::from_source`] through `engine`'s run, at its thread count;
+    /// `None` for a source with no batches and no dimensionality.
+    pub(crate) fn load_source(
+        engine: &Dbscout,
+        source: &mut dyn PointSource,
+    ) -> Result<Option<Self>> {
+        engine
+            .run_source(source, None)?
+            .map(|state| Self::adopt(engine.params(), state))
+            .transpose()
+    }
+
+    /// Adopts the state an uncapped run left. Every id starts dead, and
+    /// the write of its label brings it to life, which seeds the outlier
+    /// bitset and the live counts; its coordinates are read back from the
+    /// adopted layout.
+    fn adopt(params: DbscoutParams, state: PhaseState) -> Result<Self> {
+        let PhaseState {
+            cm,
+            offsets,
+            counts: slot_counts,
+            outliers,
+            stats,
+            ..
+        } = state;
+        let (dims, n) = (cm.dims(), cm.len());
+        let mut counts = with_room(n, 0);
+        for (&id, &count) in cm.orig_ids().iter().zip(&slot_counts) {
+            if let Some(c) = counts.get_mut(id as usize) {
+                *c = count;
             }
         }
-        Ok(labels)
+        let labels = labels_by_id(cm.orig_ids(), slot_counts, params.min_pts(), &outliers);
+        drop(outliers);
+        let side = cm.side();
+        let mstore = MutableCellMajor::from_cell_major(cm);
+        // Allocated once the batch columns are freed, so it can reuse
+        // their memory.
+        let all_points = PointStore::with_capacity(dims, n + n / 8)?;
+        let mut inc = Self {
+            params,
+            side,
+            all_points,
+            mstore,
+            nearest: nearest_first(&offsets),
+            counts,
+            labels: with_room(n, PointLabel::Outlier),
+            alive: with_room(n, false),
+            outlier_bits: with_room(n.div_ceil(64), 0),
+            num_alive: 0,
+            num_outliers: 0,
+            num_core: 0,
+            counters: stats.kernel,
+            scratch: Scratch::default(),
+        };
+        let mut buf = [0.0; MAX_DIMS];
+        for (id, &label) in (0..).zip(&labels) {
+            inc.set(id, label, true);
+            if inc.mstore.point_of(id, &mut buf) {
+                inc.all_points.push(buf.get(..dims).unwrap_or_default())?;
+            }
+        }
+        Ok(inc)
     }
 
     /// Number of live (non-removed) points.
@@ -520,11 +485,11 @@ impl IncrementalDbscout {
     }
 
     /// Kernel work counters accumulated over every operation so far
-    /// (the bulk load's two sweeps, then inserts, removals and probes),
+    /// (the bulk load's batch phases, then inserts, removals and probes),
     /// from the counted batch kernels (bbox prunes included). The bulk
-    /// load counts one visited cell per cell of the counting sweep and
-    /// per cell holding a non-core point, and one early exit per point
-    /// it finds covered.
+    /// load counts what phases 3 and 5 count with no cap: one visited
+    /// cell per cell in phase 3 and per non-core cell in phase 5, and one
+    /// early exit per point phase 5 finds covered.
     pub fn kernel_counters(&self) -> KernelCounters {
         self.counters
     }
@@ -598,7 +563,7 @@ impl IncrementalDbscout {
         let slots = &mut self.scratch.slots;
         slots.clear();
         let mut comps = 0;
-        for range in stencil_cells(store, &self.offsets, q, eps_sq, &mut self.counters) {
+        for range in stencil_cells(store, &self.nearest, q, eps_sq, &mut self.counters) {
             comps += store.collect_within(q, range, eps_sq, limit, slots);
             if slots.len() >= limit {
                 break;
@@ -622,7 +587,7 @@ impl IncrementalDbscout {
         };
         let mut comps = 0;
         let mut hit = false;
-        for range in stencil_cells(store, &self.offsets, q, eps_sq, &mut self.counters) {
+        for range in stencil_cells(store, &self.nearest, q, eps_sq, &mut self.counters) {
             let (found, c) = store.any_within_where(q, range, eps_sq, is_core, true);
             comps += c;
             if found {
@@ -955,14 +920,23 @@ mod tests {
         assert_eq!(inc.len(), 60);
     }
 
-    /// The one-pass seed against the loop it replaced: `new`, then one
-    /// `insert` per point in id order.
-    fn assert_seed_equals_loop(store: &PointStore, p: DbscoutParams, ctx: &str) {
-        let seeded = IncrementalDbscout::from_store(store, p).unwrap();
+    /// The bulk load of `store` at `threads`, streamed in batches of 37
+    /// points.
+    fn seed(store: &PointStore, p: DbscoutParams, threads: usize) -> Result<IncrementalDbscout> {
+        let engine = Dbscout::new(p).with_threads(threads);
+        let loaded = IncrementalDbscout::load_source(&engine, &mut StoreSource::new(store, 37))?;
+        Ok(loaded.unwrap())
+    }
+
+    /// The bulk load at `threads` against the loop it replaced: `new`,
+    /// then one `insert` per point in id order.
+    fn assert_seed_equals_loop(store: &PointStore, p: DbscoutParams, threads: usize, ctx: &str) {
+        let seeded = seed(store, p, threads).unwrap();
         let mut looped = IncrementalDbscout::new(store.dims(), p).unwrap();
         for (_, pt) in store.iter() {
             looped.insert(pt).unwrap();
         }
+        let ctx = format!("{ctx}, {threads} threads");
         assert_eq!(seeded.labels, looped.labels, "{ctx}: labels");
         assert_eq!(seeded.counts, looped.counts, "{ctx}: counts");
         assert_eq!(seeded.alive, looped.alive, "{ctx}: liveness");
@@ -980,63 +954,68 @@ mod tests {
 
     #[test]
     fn seed_equals_one_insert_per_point() {
-        let mut rng = dbscout_rng::Rng::seed_from_u64(0x5EED);
-        for dims in 2..=4usize {
-            for round in 0..4 {
-                let eps = rng.gen_range(0.5..2.0);
-                let min_pts = rng.gen_range(2usize..7);
-                let mut rows: Vec<Vec<f64>> = Vec::new();
-                for _ in 0..150 {
-                    // One row in five repeats an earlier one exactly.
-                    let row = if !rows.is_empty() && rng.gen_bool(0.2) {
-                        rows[rng.gen_range(0..rows.len())].clone()
-                    } else {
-                        (0..dims).map(|_| rng.gen_range(-5.0..5.0)).collect()
-                    };
-                    rows.push(row);
+        for threads in [1, 2, 8] {
+            let check = |store: &PointStore, p: DbscoutParams, ctx: &str| {
+                assert_seed_equals_loop(store, p, threads, ctx);
+            };
+            let seeded = |store: &PointStore, p: DbscoutParams| seed(store, p, threads);
+            let mut rng = dbscout_rng::Rng::seed_from_u64(0x5EED);
+            for dims in 2..=4usize {
+                for round in 0..4 {
+                    let eps = rng.gen_range(0.5..2.0);
+                    let min_pts = rng.gen_range(2usize..7);
+                    let mut rows: Vec<Vec<f64>> = Vec::new();
+                    for _ in 0..150 {
+                        // One row in five repeats an earlier one exactly.
+                        let row = if !rows.is_empty() && rng.gen_bool(0.2) {
+                            rows[rng.gen_range(0..rows.len())].clone()
+                        } else {
+                            (0..dims).map(|_| rng.gen_range(-5.0..5.0)).collect()
+                        };
+                        rows.push(row);
+                    }
+                    let store = PointStore::from_rows(dims, rows).unwrap();
+                    let ctx = format!("dims {dims} round {round} eps {eps} minPts {min_pts}");
+                    check(&store, params(eps, min_pts), &ctx);
                 }
-                let store = PointStore::from_rows(dims, rows).unwrap();
-                let ctx = format!("dims {dims} round {round} eps {eps} minPts {min_pts}");
-                assert_seed_equals_loop(&store, params(eps, min_pts), &ctx);
             }
+
+            // Two points exactly ε apart are neighbors (Def. 2 is ≤).
+            let pair = PointStore::from_rows(2, [vec![0.0, 0.0], vec![0.5, 0.0]]).unwrap();
+            check(&pair, params(0.5, 2), "pair at exactly eps");
+            let inc = seeded(&pair, params(0.5, 2)).unwrap();
+            assert!(inc.outliers().is_empty(), "pair at exactly eps is core");
+
+            // A cell holding at least minPts points, a border point in the
+            // next cell, and a stray point.
+            let mut rows: Vec<Vec<f64>> = (0..6).map(|i| vec![0.05 * i as f64, 0.1]).collect();
+            rows.push(vec![1.22, 0.1]);
+            rows.push(vec![9.0, 9.0]);
+            let dense = PointStore::from_rows(2, rows).unwrap();
+            check(&dense, params(1.0, 4), "dense cell");
+            let inc = seeded(&dense, params(1.0, 4)).unwrap();
+            assert_eq!(inc.label(6), PointLabel::Covered);
+            assert_eq!(inc.outliers(), vec![7]);
+
+            // minPts = 1: every point is core.
+            check(&dense, params(1.0, 1), "minPts 1");
+
+            check(&PointStore::new(3).unwrap(), params(1.0, 3), "empty store");
+
+            // Points whose cells would saturate
+            // (`tests/extreme_coordinates.rs`) are refused alike by the
+            // seed and by the first insert.
+            let far =
+                PointStore::from_rows(2, (1..=4).map(|k| vec![k as f64 * 1e300, 0.0])).unwrap();
+            let refused = crate::DbscoutError::InvalidInput(SpatialError::CoordinateOutOfRange {
+                point: 0,
+                dim: 0,
+            });
+            assert_eq!(seeded(&far, params(1.0, 3)).err(), Some(refused.clone()));
+            let mut looped = IncrementalDbscout::new(2, params(1.0, 3)).unwrap();
+            assert_eq!(looped.insert(far.point(0)).err(), Some(refused));
+            assert!(looped.is_empty());
         }
-
-        // Two points exactly ε apart are neighbors (Def. 2 is ≤).
-        let pair = PointStore::from_rows(2, [vec![0.0, 0.0], vec![0.5, 0.0]]).unwrap();
-        assert_seed_equals_loop(&pair, params(0.5, 2), "pair at exactly eps");
-        let seeded = IncrementalDbscout::from_store(&pair, params(0.5, 2)).unwrap();
-        assert!(seeded.outliers().is_empty(), "pair at exactly eps is core");
-
-        // A cell holding at least minPts points, a border point in the
-        // next cell, and a stray point.
-        let mut rows: Vec<Vec<f64>> = (0..6).map(|i| vec![0.05 * i as f64, 0.1]).collect();
-        rows.push(vec![1.22, 0.1]);
-        rows.push(vec![9.0, 9.0]);
-        let dense = PointStore::from_rows(2, rows).unwrap();
-        assert_seed_equals_loop(&dense, params(1.0, 4), "dense cell");
-        let seeded = IncrementalDbscout::from_store(&dense, params(1.0, 4)).unwrap();
-        assert_eq!(seeded.label(6), PointLabel::Covered);
-        assert_eq!(seeded.outliers(), vec![7]);
-
-        // minPts = 1: every point is core.
-        assert_seed_equals_loop(&dense, params(1.0, 1), "minPts 1");
-
-        assert_seed_equals_loop(&PointStore::new(3).unwrap(), params(1.0, 3), "empty store");
-
-        // Points whose cells would saturate (`tests/extreme_coordinates.rs`)
-        // are refused alike by the seed and by the first insert.
-        let far = PointStore::from_rows(2, (1..=4).map(|k| vec![k as f64 * 1e300, 0.0])).unwrap();
-        let refused = crate::DbscoutError::InvalidInput(SpatialError::CoordinateOutOfRange {
-            point: 0,
-            dim: 0,
-        });
-        assert_eq!(
-            IncrementalDbscout::from_store(&far, params(1.0, 3)).err(),
-            Some(refused.clone())
-        );
-        let mut looped = IncrementalDbscout::new(2, params(1.0, 3)).unwrap();
-        assert_eq!(looped.insert(far.point(0)).err(), Some(refused));
-        assert!(looped.is_empty());
     }
 
     #[test]
@@ -1347,5 +1326,25 @@ mod tests {
             inc.kernel_counters().cells_visited - before.cells_visited,
             5
         );
+    }
+
+    #[test]
+    fn nearest_first_is_the_offsets_by_norm_then_lexicographic() {
+        for d in 1..=5 {
+            let offs = NeighborOffsets::new(d).unwrap();
+            let mut want: Vec<Vec<i8>> = offs.iter().map(<[i8]>::to_vec).collect();
+            want.sort_by_key(|o| {
+                let norm: i32 = o.iter().map(|&j| i32::from(j) * i32::from(j)).sum();
+                (norm, o.clone())
+            });
+            let got: Vec<Vec<i8>> = nearest_first(&offs)
+                .chunks_exact(d)
+                .map(<[i8]>::to_vec)
+                .collect();
+            assert_eq!(got, want, "d={d}");
+            assert!(got[0].iter().all(|&j| j == 0), "own cell first, d={d}");
+        }
+        let d2 = nearest_first(&NeighborOffsets::new(2).unwrap());
+        assert_eq!(d2[..10], [0, 0, -1, 0, 0, -1, 0, 1, 1, 0]);
     }
 }

@@ -88,8 +88,8 @@ pub struct RunStats {
     pub kernel: KernelCounters,
 }
 
-/// The output of a DBSCOUT run.
-#[derive(Debug, Clone)]
+/// The output of a DBSCOUT run; the default is an empty dataset's.
+#[derive(Debug, Clone, Default)]
 pub struct OutlierResult {
     /// One label per input point, indexed by [`PointId`].
     pub labels: Vec<PointLabel>,

@@ -19,11 +19,13 @@
 //!    of a core point in a neighboring core cell; cells with no core
 //!    neighbor are all outliers outright.
 
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
 use dbscout_data::{PointBatch, PointSource};
 use dbscout_dataflow::executor::{run_fed_workers, run_tasks, run_tasks_with};
+use dbscout_spatial::points::PointId;
 use dbscout_spatial::{
     CellMajorBuilder, CellMajorStore, NeighborOffsets, PointStore, SpatialError, MAX_DIMS,
 };
@@ -154,12 +156,15 @@ impl Dbscout {
     /// [`Self::detect_source`], reading the store as one row chunk per
     /// thread.
     pub fn detect(&self, store: &PointStore) -> Result<OutlierResult> {
+        let min_pts = self.params.min_pts();
         let chunks = chunk_ranges(store.len() as usize, self.threads);
-        self.detect_input(&mut StoreChunks {
+        let mut input = StoreChunks {
             store,
             chunks,
             next: 0,
-        })
+        };
+        let state = self.run(&mut input, Some(min_pts))?;
+        Ok(outlier_result(state, min_pts))
     }
 
     /// Detects all outliers of a streaming [`PointSource`], exactly, with
@@ -182,28 +187,38 @@ impl Dbscout {
     /// equivalence suite pins labels *and* stats — and so is a failure:
     /// the error reported is the one a sequential pass meets first.
     pub fn detect_source(&self, source: &mut dyn PointSource) -> Result<OutlierResult> {
-        self.detect_input(&mut SourceBatches {
-            dims: source.dims(),
-            source,
-        })
+        let min_pts = self.params.min_pts();
+        let state = self.run_source(source, Some(min_pts))?;
+        Ok(outlier_result(state, min_pts))
+    }
+
+    /// Phases 1–5 over `source`, counting up to `cap`; `None` for a
+    /// source with no batches and no declared dimensionality.
+    pub(crate) fn run_source(
+        &self,
+        source: &mut dyn PointSource,
+        cap: Option<usize>,
+    ) -> Result<Option<PhaseState>> {
+        self.run(
+            &mut SourceBatches {
+                dims: source.dims(),
+                source,
+            },
+            cap,
+        )
     }
 
     /// Phase 1 over `input`, then phases 2–5.
-    fn detect_input(&self, input: &mut impl GridInput) -> Result<OutlierResult> {
+    fn run(&self, input: &mut impl GridInput, cap: Option<usize>) -> Result<Option<PhaseState>> {
         let t = Instant::now();
         let mut timings = PhaseTimings::default();
         let Some(cm) = self.build_grid(input, &mut timings)? else {
-            // The source produced no batches and never declared a
-            // dimensionality — an empty dataset.
-            return Ok(OutlierResult::from_labels(
-                Vec::new(),
-                RunStats::default(),
-                PhaseTimings::default(),
-            ));
+            return Ok(None);
         };
         let offsets = NeighborOffsets::new(cm.dims())?;
         timings.grid = t.elapsed();
-        self.run_cell_major_phases(&cm, &offsets, timings)
+        self.run_cell_major_phases(cm, offsets, cap, timings)
+            .map(Some)
     }
 
     /// Phase 1, grid partitioning (Algorithm 1), fused with the
@@ -337,17 +352,20 @@ impl Dbscout {
         Ok(Some(cm))
     }
 
-    /// Phases 2–5 over a built cell-major layout — shared verbatim by the
-    /// materialized and streaming entry points, which is what makes their
-    /// equivalence structural rather than coincidental.
+    /// Phases 2–5 over a built cell-major layout — shared verbatim by
+    /// every entry point, batch and warm, which is what makes their
+    /// equivalence structural rather than coincidental. Phase 3 counts
+    /// each slot's ε-neighbors up to `cap` (`None`: no cap).
     fn run_cell_major_phases(
         &self,
-        cm: &CellMajorStore,
-        offsets: &NeighborOffsets,
+        cm: CellMajorStore,
+        offsets: NeighborOffsets,
+        cap: Option<usize>,
         mut timings: PhaseTimings,
-    ) -> Result<OutlierResult> {
+    ) -> Result<PhaseState> {
         let eps_sq = self.params.eps_sq();
         let min_pts = self.params.min_pts();
+        let cap = cap.unwrap_or(usize::MAX);
         let options = self.options;
 
         // Phase 2: dense cell map (Algorithm 2), keyed by cell index.
@@ -358,52 +376,45 @@ impl Dbscout {
         let n = cm.len();
         let chunks = chunk_ranges(cm.num_cells(), self.threads * 4);
 
-        // Phase 3: core points identification (Algorithm 3). Tasks
-        // return core *slots*; the permutation maps back to ids at the
-        // end. The scratch (neighbor list + gathered query point) is
+        // Phase 3: core points identification (Algorithm 3). Each task
+        // writes the counts of its own cells' slots into one slot-indexed
+        // vector. The scratch (neighbor list + gathered query point) is
         // per-worker, so the loop allocates nothing.
         let t = Instant::now();
+        let counts: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(0)).collect();
         let tasks: Vec<_> = chunks
             .iter()
             .map(|range| {
-                let cm = &cm;
-                let flags = &flags;
-                let offsets = &offsets;
-                let range = range.clone();
+                let (cm, offsets, counts) = (&cm, &offsets, &counts);
                 move |scratch: &mut CellScratch| {
                     core_points_in_range(
                         cm,
-                        flags,
                         offsets,
                         eps_sq,
-                        min_pts,
+                        cap,
                         options,
                         range.clone(),
+                        counts,
                         scratch,
                     )
                 }
             })
             .collect();
-        let phase3 = run_tasks_with(self.threads, CellScratch::new, tasks)?;
-        let mut core_slot = vec![false; n];
         let mut kernel = KernelCounters::new();
-        let mut promotions: Vec<u32> = Vec::new();
-        for task in phase3 {
-            let (core, promoted, kc) = task?;
-            for slot in core {
-                if let Some(s) = core_slot.get_mut(slot as usize) {
-                    *s = true;
-                }
-            }
-            promotions.extend(promoted);
-            kernel.merge(&kc);
+        for task in run_tasks_with(self.threads, CellScratch::new, tasks)? {
+            kernel.merge(&task?);
         }
+        let counts: Vec<u32> = counts.into_iter().map(AtomicU32::into_inner).collect();
         timings.core_points = t.elapsed();
 
-        // Phase 4: core cell map (Algorithm 4).
+        // Phase 4: core cell map (Algorithm 4): a non-dense cell holding a
+        // core point is promoted.
         let t = Instant::now();
-        for idx in &promotions {
-            flags.promote_to_core(*idx as usize);
+        for (idx, rec) in cm.cells().iter().enumerate() {
+            let cell = counts.get(rec.range()).unwrap_or_default();
+            if !flags.is_dense(idx) && cell.iter().any(|&c| c as usize >= min_pts) {
+                flags.promote_to_core(idx);
+            }
         }
         timings.core_map = t.elapsed();
 
@@ -416,8 +427,7 @@ impl Dbscout {
         let tasks: Vec<_> = chunks
             .iter()
             .map(|range| {
-                let flags = &flags;
-                let range = range.clone();
+                let (cm, offsets, flags) = (&cm, &offsets, &flags);
                 move || {
                     cm.neighbor_pairs(
                         offsets,
@@ -436,10 +446,8 @@ impl Dbscout {
         let tasks: Vec<_> = chunks
             .iter()
             .map(|range| {
-                let flags = &flags;
-                let core_slot = &core_slot;
+                let (cm, flags, counts) = (&cm, &flags, &counts);
                 let core_neighbors = &core_neighbors;
-                let range = range.clone();
                 move |scratch: &mut CellScratch| {
                     outliers_in_range(
                         cm,
@@ -447,35 +455,16 @@ impl Dbscout {
                         core_neighbors,
                         eps_sq,
                         options,
-                        core_slot,
+                        |slot| counts.get(slot).is_some_and(|&c| c as usize >= min_pts),
                         range.clone(),
                         scratch,
                     )
                 }
             })
             .collect();
-        let phase5 = run_tasks_with(self.threads, CellScratch::new, tasks)?;
-
-        // Scatter slot-indexed results back to id-indexed labels through
-        // the permutation.
-        let mut labels = vec![PointLabel::Covered; n];
-        let ids = cm.orig_ids();
-        for (slot, &is_core) in core_slot.iter().enumerate() {
-            if is_core {
-                if let Some(l) = ids.get(slot).and_then(|&id| labels.get_mut(id as usize)) {
-                    *l = PointLabel::Core;
-                }
-            }
-        }
-        for (outliers, kc) in phase5 {
-            for slot in outliers {
-                if let Some(l) = ids
-                    .get(slot as usize)
-                    .and_then(|&id| labels.get_mut(id as usize))
-                {
-                    *l = PointLabel::Outlier;
-                }
-            }
+        let mut outliers = Vec::with_capacity(chunks.len());
+        for (slots, kc) in run_tasks_with(self.threads, CellScratch::new, tasks)? {
+            outliers.push(slots);
             kernel.merge(&kc);
         }
         timings.outliers = t.elapsed();
@@ -487,18 +476,98 @@ impl Dbscout {
             distance_computations: kernel.distance_evals,
             kernel,
         };
-        Ok(OutlierResult::from_labels(labels, stats, timings))
+        Ok(PhaseState {
+            cm,
+            offsets,
+            counts,
+            outliers,
+            stats,
+            timings,
+        })
     }
 }
 
-/// The phase-3 kernel over one contiguous cell range: classifies every
-/// point of cells `range` as core or not (Algorithm 3), returning the
-/// core *slots*, the indices of cells promoted by a non-dense core
-/// point, and the kernel work counters spent.
+/// What a run of the five phases leaves: the layout they ran on and
+/// everything they computed over it, every label included (the counts
+/// say which points are core, the outlier slots which are outliers; see
+/// [`labels_by_id`]). [`Dbscout::detect`] keeps the labels; the warm
+/// engine adopts all of it ([`crate::IncrementalDbscout::from_store`]).
+pub(crate) struct PhaseState {
+    /// The cell-major layout (phase 1).
+    pub(crate) cm: CellMajorStore,
+    /// The stencil the phases swept.
+    pub(crate) offsets: NeighborOffsets,
+    /// Each slot's ε-neighbor count, itself included, up to the run's cap:
+    /// a count below the cap is exact, and a point is core iff its count
+    /// reaches `minPts`. With no cap every count is exact.
+    pub(crate) counts: Vec<u32>,
+    /// The outlier slots, ascending, one run per phase-5 task. Every
+    /// other point is core or covered.
+    pub(crate) outliers: Vec<Vec<u32>>,
+    pub(crate) stats: RunStats,
+    pub(crate) timings: PhaseTimings,
+}
+
+/// Every point's label, by id, given the slot → id permutation `ids`:
+/// core where the slot's count reaches `min_pts`, outlier at the slots
+/// of `outliers`, and covered otherwise. The counts give way to one bit
+/// a slot before the labels are allocated, which keeps the two off the
+/// same peak.
+pub(crate) fn labels_by_id(
+    ids: &[PointId],
+    counts: Vec<u32>,
+    min_pts: usize,
+    outliers: &[Vec<u32>],
+) -> Vec<PointLabel> {
+    let core: Vec<u64> = counts
+        .chunks(64)
+        .map(|word| {
+            let bits = word.iter().rev();
+            bits.fold(0, |acc, &c| acc << 1 | u64::from(c as usize >= min_pts))
+        })
+        .collect();
+    drop(counts);
+    let mut labels = vec![PointLabel::Covered; ids.len()];
+    for (slot, &id) in ids.iter().enumerate() {
+        let core = core
+            .get(slot / 64)
+            .is_some_and(|w| w >> (slot % 64) & 1 == 1);
+        if let Some(l) = labels.get_mut(id as usize).filter(|_| core) {
+            *l = PointLabel::Core;
+        }
+    }
+    for &slot in outliers.iter().flatten() {
+        let id = ids.get(slot as usize).map(|&id| id as usize);
+        if let Some(l) = id.and_then(|id| labels.get_mut(id)) {
+            *l = PointLabel::Outlier;
+        }
+    }
+    labels
+}
+
+/// The batch answer of a run: its labels, stats and timings, or an empty
+/// result for an input with no batches and no dimensionality.
+fn outlier_result(state: Option<PhaseState>, min_pts: usize) -> OutlierResult {
+    state.map_or_else(OutlierResult::default, |s| {
+        let labels = labels_by_id(s.cm.orig_ids(), s.counts, min_pts, &s.outliers);
+        OutlierResult::from_labels(labels, s.stats, s.timings)
+    })
+}
+
+/// The phase-3 kernel over one contiguous cell range: counts every
+/// point's ε-neighbors (Algorithm 3), stopping at `cap`, into the
+/// slot-indexed `counts`. Returns the kernel work counters spent.
+///
+/// A cell holding at least `cap` points records every point at the cap
+/// with no distance computation (Lemma 1). Otherwise each point counts
+/// its neighbor cells until the count reaches `cap` (the §III-G early
+/// exit), so every count below the cap is exact. `detect` passes
+/// `minPts`; the warm bulk load passes `usize::MAX`, so every count is
+/// exact.
 ///
 /// Run by every threaded chunk of [`Dbscout::detect`]. A cell's work is
 /// a pure function of the layout, so any partition of `0..num_cells`
-/// into ranges sums to the same labels *and* work counters: both are
+/// into ranges sums to the same counts *and* work counters: both are
 /// identical across thread counts by construction.
 ///
 /// Neighbor cells come from a [`dbscout_spatial::NeighborSweep`] started
@@ -512,28 +581,32 @@ impl Dbscout {
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn core_points_in_range(
     cm: &CellMajorStore,
-    flags: &CellFlags,
     offsets: &NeighborOffsets,
     eps_sq: f64,
-    min_pts: usize,
+    cap: usize,
     options: NativeOptions,
     range: std::ops::Range<usize>,
+    counts: &[AtomicU32],
     scratch: &mut CellScratch,
-) -> std::result::Result<(Vec<u32>, Vec<u32>, KernelCounters), SpatialError> {
+) -> std::result::Result<KernelCounters, SpatialError> {
     let mut sweep = cm.neighbor_sweep(offsets)?;
-    let mut core: Vec<u32> = Vec::new();
-    let mut promoted: Vec<u32> = Vec::new();
     let mut counters = KernelCounters::new();
+    let record = |slot: usize, count: usize| {
+        if let Some(c) = counts.get(slot) {
+            let count = u32::try_from(count.min(cap)).unwrap_or(u32::MAX);
+            // xtask-lint: allow(XL009) -- each slot is written by one task and read after the join
+            c.store(count, Ordering::Relaxed);
+        }
+    };
     for idx in range {
         let Some(rec) = cm.cell(idx) else { continue };
         counters.cells_visited += 1;
-        if options.dense_cell_shortcut && flags.is_dense(idx) {
+        if options.dense_cell_shortcut && rec.len() >= cap {
             // Lemma 1: every point of a dense cell is core.
-            core.extend(rec.start..rec.end);
+            rec.range().for_each(|slot| record(slot, cap));
             continue;
         }
         sweep.neighbors_into(idx, Some(eps_sq), &mut scratch.neighbors);
-        let mut any_core = false;
         for slot in rec.range() {
             cm.point_into(slot, &mut scratch.q);
             // dims ≤ MAX_DIMS is validated at store build.
@@ -549,34 +622,27 @@ pub(crate) fn core_points_in_range(
                 }
                 let Some(nrec) = cm.cell(nidx) else { continue };
                 let limit = if options.early_exit {
-                    min_pts - count
+                    cap - count
                 } else {
                     usize::MAX
                 };
                 let (c, comps) = cm.count_within(q, nrec.range(), eps_sq, limit);
                 count += c;
                 counters.distance_evals += comps;
-                if options.early_exit && count >= min_pts {
+                if options.early_exit && count >= cap {
                     counters.early_exit_hits += 1;
                     break;
                 }
             }
-            if count >= min_pts {
-                core.push(slot as u32);
-                any_core = true;
-            }
-        }
-        if any_core {
-            promoted.push(idx as u32);
+            record(slot, count);
         }
     }
-    Ok((core, promoted, counters))
+    Ok(counters)
 }
 
 /// The phase-5 kernel over one contiguous cell range: finds the outlier
 /// *slots* among points of non-core cells in `range` (Algorithm 5),
-/// given the global core-slot bitmap, plus the kernel work counters
-/// spent.
+/// given whether each slot is core, plus the kernel work counters spent.
 ///
 /// `core_neighbors` holds `(non-core cell, core cell)` pairs sorted
 /// ascending, as [`CellMajorStore::neighbor_pairs`] lists them from the
@@ -592,7 +658,7 @@ pub(crate) fn outliers_in_range(
     core_neighbors: &[(u32, u32)],
     eps_sq: f64,
     options: NativeOptions,
-    core_slot: &[bool],
+    is_core: impl Fn(usize) -> bool + Copy,
     range: std::ops::Range<usize>,
     scratch: &mut CellScratch,
 ) -> (Vec<u32>, KernelCounters) {
@@ -628,7 +694,7 @@ pub(crate) fn outliers_in_range(
                 }
                 let Some(nrec) = cm.cell(nidx) else { continue };
                 let (hit, comps) =
-                    cm.any_flagged_within(q, nrec.range(), eps_sq, core_slot, options.early_exit);
+                    cm.any_within_where(q, nrec.range(), eps_sq, is_core, options.early_exit);
                 counters.distance_evals += comps;
                 if hit {
                     covered = true;
@@ -649,7 +715,7 @@ pub(crate) fn outliers_in_range(
 /// Splits the run of pairs filed under `cell` off the front of `pairs`,
 /// which ascend by cell: the cell's sources, in sorted order. Every cell
 /// below `cell` must already have been taken.
-pub(crate) fn take_run<'a>(pairs: &mut &'a [(u32, u32)], cell: usize) -> &'a [(u32, u32)] {
+fn take_run<'a>(pairs: &mut &'a [(u32, u32)], cell: usize) -> &'a [(u32, u32)] {
     let len = pairs
         .iter()
         .take_while(|&&(c, _)| c as usize == cell)

@@ -106,9 +106,11 @@ fn detect_source_matches_detect_for_every_batch_size() {
 
 #[test]
 fn materializing_adapter_matches_detect() {
-    // The distributed and incremental engines have no streaming build;
-    // `detect_source` routes them through the materializing adapter,
-    // which must be transparent. Labels are also held to brute force.
+    // The distributed engine has no streaming build: `detect_source`
+    // routes it through the materializing adapter, which must be
+    // transparent. The incremental engine's bulk load streams through the
+    // native engine's run, and must equal its own materialized load.
+    // Labels are also held to brute force.
     let mut rng = Rng::seed_from_u64(0x5002);
     for _ in 0..6 {
         let store = dataset(&mut rng, 2, 150);

@@ -918,32 +918,17 @@ impl CellMajorStore {
         }
     }
 
-    /// Whether any *flagged* slot of `range` lies within ε of `q`
-    /// (`flags` is slot-indexed — the phase-5 "is this a core point"
-    /// mask). With `early`, returns at the first hit; otherwise scans the
-    /// whole range (the ablation mode). Returns `(hit, comparisons)`.
+    /// Whether any *flagged* slot of `range` lies within ε of `q`, each
+    /// slot's flag read from `flagged`: phase 5's and the incremental
+    /// engine's "is this slot's point core". With `early`, returns at the
+    /// first hit; otherwise scans the whole range (the ablation mode).
+    /// Returns `(hit, comparisons)`.
     ///
     /// Distances are computed per 4-lane block (cheap, branch-free) but
     /// flags gate the per-slot verdicts in order, so the comparison tally
     /// and the `early` exit point are a one-slot-at-a-time loop's
     /// exactly; blocks with no flagged slot are skipped without touching
     /// the columns.
-    #[inline]
-    pub fn any_flagged_within(
-        &self,
-        q: &[f64],
-        range: Range<usize>,
-        eps_sq: f64,
-        flags: &[bool],
-        early: bool,
-    ) -> (bool, u64) {
-        let flagged = |slot: usize| flags.get(slot).copied().unwrap_or(false);
-        self.any_within_where(q, range, eps_sq, flagged, early)
-    }
-
-    /// [`Self::any_flagged_within`] with the flag of each slot read from
-    /// `flagged` instead of a slice: the incremental engine's "is this
-    /// slot's point core", which it keeps by point id.
     #[inline]
     pub fn any_within_where(
         &self,
@@ -1609,13 +1594,13 @@ mod tests {
     }
 
     #[test]
-    fn any_flagged_within_honors_flags_and_early_exit() {
+    fn any_within_where_honors_flags_and_early_exit() {
         let s = store_2d(&[[0.0, 0.0], [0.1, 0.0], [0.2, 0.0]]);
         let cm = CellMajorStore::build(&s, 10.0).unwrap();
         let range = cm.cells()[0].range();
         let q = [0.0, 0.0];
         // No flags set: never a hit, zero comparisons.
-        let (hit, comps) = cm.any_flagged_within(&q, range.clone(), 1.0, &[false; 3], true);
+        let (hit, comps) = cm.any_within_where(&q, range.clone(), 1.0, |_| false, true);
         assert!(!hit);
         assert_eq!(comps, 0);
         // Only the far slot flagged and out of range.
@@ -1625,11 +1610,11 @@ mod tests {
                 (p[0] - 0.2).abs() < 1e-12
             })
             .unwrap();
-        let mut flags = vec![false; 3];
+        let mut flags = [false; 3];
         flags[slot_of_02] = true;
-        let (hit, _) = cm.any_flagged_within(&q, range.clone(), 0.01, &flags, true);
+        let (hit, _) = cm.any_within_where(&q, range.clone(), 0.01, |s| flags[s], true);
         assert!(!hit);
-        let (hit, _) = cm.any_flagged_within(&q, range, 0.05, &flags, true);
+        let (hit, _) = cm.any_within_where(&q, range, 0.05, |s| flags[s], true);
         assert!(hit);
     }
 
@@ -2002,7 +1987,7 @@ mod tests {
     }
 
     /// One slot at a time: the `(hit, comparisons)` that
-    /// [`CellMajorStore::any_flagged_within`] must return.
+    /// [`CellMajorStore::any_within_where`] must return.
     fn oracle_flagged(
         dists: &[f64],
         range: Range<usize>,
@@ -2085,7 +2070,7 @@ mod tests {
                     for &eps_sq in [0.0, 0.3, 900.0].iter().chain(&edges) {
                         for early in [true, false] {
                             assert_eq!(
-                                cm.any_flagged_within(&q, range.clone(), eps_sq, &flags, early),
+                                cm.any_within_where(&q, range.clone(), eps_sq, |s| flags[s], early),
                                 oracle_flagged(&dists, range.clone(), eps_sq, &flags, early),
                                 "dims {dims} flags {flags:?} range {range:?} eps² {eps_sq}"
                             );

@@ -7,7 +7,7 @@
 //! stride, a cell → slot-range index, per-cell bounding boxes) while
 //! allowing point churn, so the audited counted kernels
 //! ([`CellMajorStore::count_within`],
-//! [`CellMajorStore::any_flagged_within`],
+//! [`CellMajorStore::any_within_where`],
 //! [`CellMajorStore::collect_within`]) run unchanged over the
 //! live slot ranges. A warm start adopts a finished batch layout
 //! ([`MutableCellMajor::from_cell_major`]): its records, compact cell

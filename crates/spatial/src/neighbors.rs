@@ -29,10 +29,6 @@ use crate::error::SpatialError;
 /// a contiguous interval (5 columns for d = 2, 25 for d = 3).
 /// Concatenating the columns in order yields the offsets in order; the
 /// neighbor sweep of [`crate::CellMajorStore`] works column by column.
-///
-/// A second view lists the same offsets nearest first
-/// ([`Self::nearest_first`]), for a query that can stop early: it
-/// meets the cells most likely to hold its answer first.
 #[derive(Debug, Clone)]
 pub struct NeighborOffsets {
     dims: usize,
@@ -40,9 +36,6 @@ pub struct NeighborOffsets {
     reach: u64,
     flat: Vec<i8>,
     columns: Vec<OffsetColumn>,
-    /// Positions in `flat`'s order, by ascending squared norm, ties in
-    /// lexicographic order.
-    nearest: Vec<u32>,
 }
 
 /// A run of consecutive offsets sharing every coordinate but the last,
@@ -79,17 +72,11 @@ impl NeighborOffsets {
             flat.extend_from_slice(off)
         });
         let columns = columns_of(&flat, dims);
-        // Sorted by (norm, position): equal norms keep the lexicographic
-        // order.
-        let mut by_norm: Vec<(u8, u32)> = flat.chunks_exact(dims).map(sq_norm).zip(0..).collect();
-        by_norm.sort_unstable();
-        let nearest = by_norm.into_iter().map(|(_, i)| i).collect();
         Ok(Self {
             dims,
             reach: r,
             flat,
             columns,
-            nearest,
         })
     }
 
@@ -111,16 +98,6 @@ impl NeighborOffsets {
     /// Iterates over the offsets as `&[i8]` slices of length `dims`.
     pub fn iter(&self) -> impl Iterator<Item = &[i8]> + '_ {
         self.flat.chunks_exact(self.dims)
-    }
-
-    /// The offsets nearest first: the zero offset (the own cell), then
-    /// by ascending squared norm `Σ j_i²`, ties in lexicographic order.
-    /// Computed once, at construction.
-    pub fn nearest_first(&self) -> impl Iterator<Item = &[i8]> + '_ {
-        self.nearest.iter().filter_map(|&i| {
-            let start = i as usize * self.dims;
-            self.flat.get(start..start + self.dims)
-        })
     }
 
     /// ⌈√d⌉, the largest magnitude of any offset coordinate: every
@@ -231,11 +208,6 @@ pub fn loose_upper_bound(dims: usize) -> u64 {
 /// ⌈√d⌉: the stencil condition bounds every offset coordinate by it.
 fn reach(dims: usize) -> u64 {
     (dims as f64).sqrt().ceil() as u64
-}
-
-/// `Σ j_i²` of one offset: at most `d · ⌈√d⌉² ≤ 81` for `d ≤ 9`.
-fn sq_norm(off: &[i8]) -> u8 {
-    off.iter().map(|&j| j.unsigned_abs().pow(2)).sum()
 }
 
 /// One coordinate's term of the stencil condition: the squared gap
@@ -483,28 +455,6 @@ mod tests {
             assert!(!offs.contains_step(&high, &low), "d={d}");
             assert!(offs.contains_step(&high, &high), "d={d}");
         }
-    }
-
-    #[test]
-    fn nearest_first_is_the_offsets_by_norm_then_lexicographic() {
-        for d in 1..=5 {
-            let offs = NeighborOffsets::new(d).unwrap();
-            let mut want: Vec<Vec<i8>> = offs.iter().map(<[i8]>::to_vec).collect();
-            want.sort_by_key(|o| {
-                let norm: i32 = o.iter().map(|&j| i32::from(j) * i32::from(j)).sum();
-                (norm, o.clone())
-            });
-            let got: Vec<Vec<i8>> = offs.nearest_first().map(<[i8]>::to_vec).collect();
-            assert_eq!(got, want, "d={d}");
-            assert!(got[0].iter().all(|&j| j == 0), "own cell first, d={d}");
-        }
-        let d2: Vec<Vec<i8>> = NeighborOffsets::new(2)
-            .unwrap()
-            .nearest_first()
-            .take(5)
-            .map(<[i8]>::to_vec)
-            .collect();
-        assert_eq!(d2, [[0, 0], [-1, 0], [0, -1], [0, 1], [1, 0]]);
     }
 
     #[test]
