@@ -439,7 +439,7 @@ pub fn serve(flags: &Flags) -> Result<String, CliError> {
         IncrementalDbscout::from_store(&store, params)
     }
     .map_err(detect_err)?;
-    let dims = inc.store().dims() as u64;
+    let dims = inc.dims() as u64;
     eprintln!(
         "dbscout serve: {} points warm in {:?}, {} outliers",
         inc.len(),
@@ -560,10 +560,11 @@ fn serve_on_socket(state: &mut ServeState, path: &str) -> Result<(), CliError> {
 mod tests {
     use super::*;
     use dbscout_core::reference::naive_labels;
+    use dbscout_spatial::PointStore;
     use std::io::Cursor;
 
-    fn warm_state() -> ServeState {
-        // A dense 3×3 grid plus one far-away outlier, ids 0..=9.
+    /// A dense 3×3 grid plus one far-away outlier, ids 0..=9.
+    fn warm_rows() -> Vec<Vec<f64>> {
         let mut rows: Vec<Vec<f64>> = Vec::new();
         for i in 0..3 {
             for j in 0..3 {
@@ -571,7 +572,11 @@ mod tests {
             }
         }
         rows.push(vec![100.0, 100.0]);
-        let store = dbscout_spatial::PointStore::from_rows(2, rows).unwrap();
+        rows
+    }
+
+    fn warm_state() -> ServeState {
+        let store = PointStore::from_rows(2, warm_rows()).unwrap();
         let params = DbscoutParams::new(1.0, 4).unwrap();
         let inc = IncrementalDbscout::from_store(&store, params).unwrap();
         ServeState::new(inc, None)
@@ -829,13 +834,18 @@ mod tests {
     #[test]
     fn session_mutations_match_the_oracle_on_the_survivors() {
         let mut state = warm_state();
+        // The test's own record: every point by id, and the removed ids.
+        let mut points = PointStore::from_rows(2, warm_rows()).unwrap();
+        let mut removed = Vec::new();
         let mut lines = Vec::new();
         for i in 0..20u32 {
             let x = 0.05 * f64::from(i % 7);
             let y = 40.0 + 0.05 * f64::from(i % 5);
             lines.push(format!(r#"{{"op":"insert","point":[{x},{y}]}}"#));
+            points.push(&[x, y]).unwrap();
             if i % 3 == 0 {
                 lines.push(format!(r#"{{"op":"remove","id":{i}}}"#));
+                removed.push(i);
             }
         }
         lines.push(r#"{"op":"outliers"}"#.to_string());
@@ -843,10 +853,12 @@ mod tests {
         let (responses, _) = run_lines(&mut state, &refs);
 
         let inc = state.detector();
-        let live: Vec<PointId> = (0..inc.total_inserted() as PointId)
-            .filter(|&id| inc.is_alive(id))
+        let live: Vec<PointId> = (0..points.len())
+            .filter(|id| !removed.contains(id))
             .collect();
-        let expected = naive_labels(&inc.store().gather(&live), inc.params());
+        let survivors = points.gather(&live);
+        assert_eq!(inc.survivors(), (live.clone(), survivors.clone()));
+        let expected = naive_labels(&survivors, inc.params());
         let live_labels: Vec<PointLabel> = live.iter().map(|&id| inc.label(id)).collect();
         assert_eq!(live_labels, expected);
         let want_ids: Vec<String> = live

@@ -35,8 +35,10 @@
 //! with per-cell bbox metadata — so every ε-neighborhood enumeration
 //! runs through the same audited counted kernels as the batch fast
 //! path: bbox pruning, the lane-unrolled distance loops, and
-//! [`KernelCounters`] accounting. Labels, exact neighbor counts, and
-//! liveness are id-indexed side arrays.
+//! [`KernelCounters`] accounting. The store is the engine's one record
+//! of the live points: their coordinates, which ids are live, and how
+//! many. Labels and exact neighbor counts are id-indexed side arrays,
+//! and a removed id reads [`PointLabel::Covered`].
 //!
 //! A bulk load ([`IncrementalDbscout::from_store`],
 //! [`IncrementalDbscout::from_source`]) does not insert point by point.
@@ -47,10 +49,10 @@
 //! inserting every point in order reaches.
 //!
 //! The Definition 3 answer is kept current, not recomputed: every label
-//! and liveness write goes through one setter, which also flips the
-//! point's bit in an id-indexed outlier bitset and keeps the live
-//! outlier and core counts. Listing the outliers then walks set bits,
-//! O(ids/64 + #outliers), and counting them reads a counter.
+//! write goes through one setter, which also flips the point's bit in an
+//! id-indexed outlier bitset and keeps the outlier and core counts.
+//! Listing the outliers then walks set bits, O(ids/64 + #outliers), and
+//! counting them reads a counter.
 //!
 //! Every ε-neighborhood query is one stencil walk (`stencil_cells`)
 //! that visits the live cells nearest first and that its caller stops
@@ -63,7 +65,7 @@
 use std::ops::Range;
 
 use dbscout_data::{PointSource, StoreSource, DEFAULT_BATCH_SIZE};
-use dbscout_spatial::cell::{cell_of, cell_side, check_point};
+use dbscout_spatial::cell::{cell_of, check_point};
 use dbscout_spatial::mutable::MutableCellMajor;
 use dbscout_spatial::points::PointId;
 use dbscout_spatial::{CellMajorStore, NeighborOffsets, PointStore, SpatialError, MAX_DIMS};
@@ -77,9 +79,10 @@ use crate::params::DbscoutParams;
 /// An exactly-maintained DBSCOUT state under point insertion and
 /// removal.
 ///
-/// Ids are issued consecutively from 0 and never recycled; removal
-/// tombstones the id but keeps it addressable. Labels are exact after
-/// every operation — equal to a batch run on the live points.
+/// Ids are issued consecutively from 0 and never recycled; a removed id
+/// leaves the store and reads [`PointLabel::Covered`] from then on.
+/// Labels are exact after every operation — equal to a batch run on the
+/// live points.
 ///
 /// ```
 /// use dbscout_core::incremental::IncrementalDbscout;
@@ -103,30 +106,25 @@ use crate::params::DbscoutParams;
 #[derive(Debug, Clone)]
 pub struct IncrementalDbscout {
     params: DbscoutParams,
-    side: f64,
-    /// Every point ever inserted, by id — removed points keep their
-    /// coordinates here (ids are never recycled), so `store()` and the
-    /// delete path's "where was it" lookups stay O(1).
-    all_points: PointStore,
-    /// Live points only, in the mutable slack-slot layout the kernels
-    /// scan.
+    /// The live points, in the mutable slack-slot layout the kernels
+    /// scan: the one record of their coordinates, of which ids are live
+    /// and of how many, and of the cell side.
     mstore: MutableCellMajor,
     /// The stencil's offsets in the order the walk visits them
     /// ([`nearest_first`]), `dims` per offset.
     nearest: Vec<i8>,
     /// Exact ε-neighbor count per point (self included).
     counts: Vec<u32>,
+    /// Every issued id's label; a removed id reads
+    /// [`PointLabel::Covered`].
     labels: Vec<PointLabel>,
-    /// Tombstones: `false` once a point has been removed. Removed points
-    /// keep their slot (ids stay stable) but leave every computation.
-    alive: Vec<bool>,
-    /// Bit `id % 64` of word `id / 64` is set iff `id` is alive and
-    /// labelled [`PointLabel::Outlier`]. Words past the end read as 0.
+    /// Bit `id % 64` of word `id / 64` is set iff `id` is labelled
+    /// [`PointLabel::Outlier`], so only live ids. Words past the end read
+    /// as 0.
     outlier_bits: Vec<u64>,
-    num_alive: usize,
-    /// Live points labelled [`PointLabel::Outlier`] (set bits).
+    /// Points labelled [`PointLabel::Outlier`] (set bits).
     num_outliers: usize,
-    /// Live points labelled [`PointLabel::Core`].
+    /// Points labelled [`PointLabel::Core`].
     num_core: usize,
     counters: KernelCounters,
     scratch: Scratch,
@@ -199,17 +197,6 @@ fn stencil_cells<'a>(
     })
 }
 
-/// Copies the coordinates of `id` into `buf` and returns them, so a
-/// query can read them while the engine is borrowed mutably.
-fn point_copy<'b>(points: &PointStore, id: PointId, buf: &'b mut [f64; MAX_DIMS]) -> &'b [f64] {
-    let p = points.point(id);
-    for (dst, &x) in buf.iter_mut().zip(p) {
-        *dst = x;
-    }
-    let buf: &'b [f64; MAX_DIMS] = buf;
-    buf.get(..p.len()).unwrap_or_default()
-}
-
 /// `n` copies of `value` with room for `n / 8` more, like every
 /// id-indexed array of a bulk load: the first inserts of a session then
 /// do not reallocate (and copy) them, as they did not when one `insert`
@@ -221,26 +208,18 @@ fn with_room<T: Clone>(n: usize, value: T) -> Vec<T> {
 }
 
 impl IncrementalDbscout {
-    /// An empty incremental detector for `dims`-dimensional points.
+    /// An empty incremental detector for `dims`-dimensional points: the
+    /// bulk load ([`Self::from_store`]) of an empty store, on one thread,
+    /// since an empty input has nothing to split.
+    ///
+    /// # Errors
+    ///
+    /// Fails if `dims` is zero or exceeds [`MAX_DIMS`].
     pub fn new(dims: usize, params: DbscoutParams) -> Result<Self> {
-        let nearest = nearest_first(&NeighborOffsets::new(dims)?);
-        let mstore = MutableCellMajor::new(dims, params.eps())?;
-        Ok(Self {
-            params,
-            side: cell_side(params.eps(), dims),
-            all_points: PointStore::new(dims)?,
-            mstore,
-            nearest,
-            counts: Vec::new(),
-            labels: Vec::new(),
-            alive: Vec::new(),
-            outlier_bits: Vec::new(),
-            num_alive: 0,
-            num_outliers: 0,
-            num_core: 0,
-            counters: KernelCounters::new(),
-            scratch: Scratch::default(),
-        })
+        let empty = PointStore::new(dims)?;
+        let engine = Dbscout::new(params).with_threads(1);
+        Self::load_source(&engine, &mut StoreSource::new(&empty, DEFAULT_BATCH_SIZE))?
+            .ok_or_else(|| DbscoutError::Ingest("empty source".to_owned()))
     }
 
     /// Bulk-loads an initial dataset; row `i` of `store` gets id `i`.
@@ -292,17 +271,14 @@ impl IncrementalDbscout {
         engine: &Dbscout,
         source: &mut dyn PointSource,
     ) -> Result<Option<Self>> {
-        engine
-            .run_source(source, None)?
-            .map(|state| Self::adopt(engine.params(), state))
-            .transpose()
+        let state = engine.run_source(source, None)?;
+        Ok(state.map(|state| Self::adopt(engine.params(), state)))
     }
 
-    /// Adopts the state an uncapped run left. Every id starts dead, and
-    /// the write of its label brings it to life, which seeds the outlier
-    /// bitset and the live counts; its coordinates are read back from the
-    /// adopted layout.
-    fn adopt(params: DbscoutParams, state: PhaseState) -> Result<Self> {
+    /// Adopts the state an uncapped run left. Every id starts Covered, as
+    /// a removed id reads, and the write of its label seeds the outlier
+    /// bitset and the outlier and core counts.
+    fn adopt(params: DbscoutParams, state: PhaseState) -> Self {
         let PhaseState {
             cm,
             offsets,
@@ -311,7 +287,7 @@ impl IncrementalDbscout {
             stats,
             ..
         } = state;
-        let (dims, n) = (cm.dims(), cm.len());
+        let n = cm.len();
         let mut counts = with_room(n, 0);
         for (&id, &count) in cm.orig_ids().iter().zip(&slot_counts) {
             if let Some(c) = counts.get_mut(id as usize) {
@@ -320,40 +296,27 @@ impl IncrementalDbscout {
         }
         let labels = labels_by_id(cm.orig_ids(), slot_counts, params.min_pts(), &outliers);
         drop(outliers);
-        let side = cm.side();
-        let mstore = MutableCellMajor::from_cell_major(cm);
-        // Allocated once the batch columns are freed, so it can reuse
-        // their memory.
-        let all_points = PointStore::with_capacity(dims, n + n / 8)?;
         let mut inc = Self {
             params,
-            side,
-            all_points,
-            mstore,
+            mstore: MutableCellMajor::from_cell_major(cm),
             nearest: nearest_first(&offsets),
             counts,
-            labels: with_room(n, PointLabel::Outlier),
-            alive: with_room(n, false),
+            labels: with_room(n, PointLabel::Covered),
             outlier_bits: with_room(n.div_ceil(64), 0),
-            num_alive: 0,
             num_outliers: 0,
             num_core: 0,
             counters: stats.kernel,
             scratch: Scratch::default(),
         };
-        let mut buf = [0.0; MAX_DIMS];
         for (id, &label) in (0..).zip(&labels) {
-            inc.set(id, label, true);
-            if inc.mstore.point_of(id, &mut buf) {
-                inc.all_points.push(buf.get(..dims).unwrap_or_default())?;
-            }
+            inc.set(id, label);
         }
-        Ok(inc)
+        inc
     }
 
-    /// Number of live (non-removed) points.
+    /// Number of live (non-removed) points, as the store counts them.
     pub fn len(&self) -> usize {
-        self.num_alive
+        self.mstore.live()
     }
 
     /// Whether the detector holds no live points.
@@ -367,9 +330,15 @@ impl IncrementalDbscout {
         self.labels.len()
     }
 
-    /// Whether `id` is live (inserted and not removed).
+    /// Whether `id` is live (inserted and not removed): whether the store
+    /// holds it.
     pub fn is_alive(&self, id: PointId) -> bool {
-        self.alive.get(id as usize).copied().unwrap_or(false)
+        self.mstore.contains(id)
+    }
+
+    /// Dimensionality of the points, the store's.
+    pub fn dims(&self) -> usize {
+        self.mstore.dims()
     }
 
     /// The configured parameters.
@@ -377,8 +346,9 @@ impl IncrementalDbscout {
         self.params
     }
 
-    /// The current label of a point. Ids this detector never issued
-    /// report [`PointLabel::Outlier`].
+    /// The current label of a point. A removed id reads
+    /// [`PointLabel::Covered`], and an id this detector never issued
+    /// [`PointLabel::Outlier`].
     pub fn label(&self, id: PointId) -> PointLabel {
         self.labels
             .get(id as usize)
@@ -386,7 +356,8 @@ impl IncrementalDbscout {
             .unwrap_or(PointLabel::Outlier)
     }
 
-    /// All current labels, indexed by point id.
+    /// All current labels, indexed by point id, removed ids reading
+    /// [`PointLabel::Covered`]: the labels of [`Self::snapshot`].
     pub fn labels(&self) -> &[PointLabel] {
         &self.labels
     }
@@ -432,37 +403,26 @@ impl IncrementalDbscout {
         self.num_core
     }
 
-    /// Writes `id`'s label and liveness, and keeps the outlier bitset and
-    /// the live, outlier and core counts in step with them. Every label
-    /// and liveness write goes through here. Ids past the end are
-    /// ignored: a slot is pushed (dead) before it is first set.
-    fn set(&mut self, id: PointId, label: PointLabel, alive: bool) {
+    /// Writes `id`'s label, and keeps the outlier bitset and the outlier
+    /// and core counts in step with it. Every label write goes through
+    /// here. Ids past the end are ignored: a slot is pushed (Covered, as
+    /// a removed id reads) before it is first set.
+    fn set(&mut self, id: PointId, label: PointLabel) {
         let i = id as usize;
-        let (Some(l), Some(a)) = (self.labels.get_mut(i), self.alive.get_mut(i)) else {
+        let Some(l) = self.labels.get_mut(i) else {
             return;
         };
-        let (was_label, was_alive) = (*l, *a);
-        *l = label;
-        *a = alive;
-        if was_alive != alive {
-            if alive {
-                self.num_alive += 1;
-            } else {
-                self.num_alive -= 1;
-            }
-        }
-        let was_core = was_alive && was_label == PointLabel::Core;
-        let is_core = alive && label == PointLabel::Core;
-        if was_core != is_core {
+        let was = std::mem::replace(l, label);
+        let is_core = label == PointLabel::Core;
+        if (was == PointLabel::Core) != is_core {
             if is_core {
                 self.num_core += 1;
             } else {
                 self.num_core -= 1;
             }
         }
-        let was_outlier = was_alive && was_label == PointLabel::Outlier;
-        let is_outlier = alive && label == PointLabel::Outlier;
-        if was_outlier != is_outlier {
+        let is_outlier = label == PointLabel::Outlier;
+        if (was == PointLabel::Outlier) != is_outlier {
             let word = i / 64;
             if word >= self.outlier_bits.len() {
                 self.outlier_bits.resize(word + 1, 0);
@@ -478,10 +438,20 @@ impl IncrementalDbscout {
         }
     }
 
-    /// Every point ever inserted, by id (removed points keep their
-    /// coordinates; ids are never recycled).
-    pub fn store(&self) -> &PointStore {
-        &self.all_points
+    /// The live ids, ascending, and their coordinates in that order, read
+    /// from the store: the input of a batch run over the survivors, whose
+    /// row `k` is id `ids[k]`.
+    pub fn survivors(&self) -> (Vec<PointId>, PointStore) {
+        self.mstore.survivors()
+    }
+
+    /// Copies the coordinates of live point `id` out of the store into
+    /// `buf` and returns them, so a query can read them while the engine
+    /// is borrowed mutably.
+    fn point_copy<'b>(&self, id: PointId, buf: &'b mut [f64; MAX_DIMS]) -> &'b [f64] {
+        self.mstore.point_of(id, buf);
+        let buf: &'b [f64; MAX_DIMS] = buf;
+        buf.get(..self.dims()).unwrap_or_default()
     }
 
     /// Kernel work counters accumulated over every operation so far
@@ -504,19 +474,13 @@ impl IncrementalDbscout {
         self.mstore.compactions()
     }
 
-    /// The current state as a batch [`OutlierResult`] (one label per
-    /// ever-issued id). Removed points are reported as
-    /// [`PointLabel::Covered`] so they never surface in the outlier list;
-    /// timings and distance counters are zero — the incremental engine
+    /// The current state as a batch [`OutlierResult`]: one label per
+    /// ever-issued id ([`Self::labels`], so removed points read
+    /// [`PointLabel::Covered`] and never surface in the outlier list).
+    /// Timings and distance counters are zero — the incremental engine
     /// spreads its work across operations (see [`Self::kernel_counters`]
     /// for the accumulated totals).
     pub fn snapshot(&self) -> OutlierResult {
-        let labels: Vec<PointLabel> = self
-            .labels
-            .iter()
-            .zip(&self.alive)
-            .map(|(&l, &alive)| if alive { l } else { PointLabel::Covered })
-            .collect();
         let min_pts = self.params.min_pts();
         let mut dense_cells = 0;
         let mut core_cells = 0;
@@ -537,20 +501,21 @@ impl IncrementalDbscout {
             core_cells,
             ..RunStats::default()
         };
-        OutlierResult::from_labels(labels, stats, PhaseTimings::default())
+        OutlierResult::from_labels(self.labels.clone(), stats, PhaseTimings::default())
     }
 
     /// Rejects points the store would reject, or whose cell would not be
     /// exact ([`check_point`]), without mutating anything.
     fn validate(&self, point: &[f64]) -> Result<()> {
-        if point.len() != self.all_points.dims() {
+        if point.len() != self.dims() {
             return Err(SpatialError::DimensionMismatch {
-                expected: self.all_points.dims(),
+                expected: self.dims(),
                 got: point.len(),
             }
             .into());
         }
-        Ok(check_point(self.total_inserted(), point, self.side)?)
+        let side = self.mstore.store().side();
+        Ok(check_point(self.total_inserted(), point, side)?)
     }
 
     /// Sets `out` to the ids of the live points within ε of `q`, in walk
@@ -610,7 +575,7 @@ impl IncrementalDbscout {
     /// ([`dbscout_spatial::SpatialError`] via [`crate::DbscoutError`]).
     pub fn insert(&mut self, point: &[f64]) -> Result<PointId> {
         self.validate(point)?;
-        let id = self.all_points.push(point)?;
+        let id = self.total_inserted() as PointId;
         let min_pts = self.params.min_pts() as u32;
         let mut nbrs = std::mem::take(&mut self.scratch.nbrs);
         let mut newly_core = std::mem::take(&mut self.scratch.flipped);
@@ -646,21 +611,20 @@ impl IncrementalDbscout {
             .insert(id, point)
             .map_err(crate::DbscoutError::from)?;
         self.counts.push(my_count);
-        self.labels.push(PointLabel::Outlier);
-        self.alive.push(false);
-        self.set(id, label, true);
+        self.labels.push(PointLabel::Covered);
+        self.set(id, label);
 
         // Every newly-core point upgrades itself and rescues the former
         // outliers inside its ε-ball (monotone: no downgrade can occur).
         // All of them are live: the walk lists only live points.
         let mut buf = [0.0; MAX_DIMS];
         for &c in &newly_core {
-            self.set(c, PointLabel::Core, true);
-            let cpoint = point_copy(&self.all_points, c, &mut buf);
+            self.set(c, PointLabel::Core);
+            let cpoint = self.point_copy(c, &mut buf);
             self.neighbors_into(cpoint, usize::MAX, &mut nbrs);
             for &q in &nbrs {
                 if self.labels.get(q as usize) == Some(&PointLabel::Outlier) {
-                    self.set(q, PointLabel::Covered, true);
+                    self.set(q, PointLabel::Covered);
                 }
             }
         }
@@ -697,23 +661,21 @@ impl IncrementalDbscout {
     /// lost its cover is re-checked with an existence query that stops
     /// at the first live core point within ε.
     pub fn remove(&mut self, id: PointId) -> bool {
-        if !self.is_alive(id) {
+        // The removed point's coordinates, copied out before the store
+        // drops them: its ε-ball is scanned below, and once more if it
+        // was core.
+        let mut removed = [0.0; MAX_DIMS];
+        if !self.mstore.point_of(id, &mut removed) {
             return false;
         }
+        let point = removed.get(..self.dims()).unwrap_or_default();
         let min_pts = self.params.min_pts() as u32;
-        let mut buf = [0.0; MAX_DIMS];
-        let point = point_copy(&self.all_points, id, &mut buf);
 
-        // Unregister first, so every scan below sees the survivor set. A
-        // removed core point is relabelled Covered, as a demoted one is.
+        // Unregister first, so every scan below sees the survivor set. The
+        // removed id reads Covered from here on, as a demoted core does.
         let was_core = self.label(id) == PointLabel::Core;
-        let label = if was_core {
-            PointLabel::Covered
-        } else {
-            self.label(id)
-        };
         self.mstore.remove(id);
-        self.set(id, label, false);
+        self.set(id, PointLabel::Covered);
 
         // Decrement neighbor counts; collect core points that lost their
         // status, plus the removed point itself if it was core — their
@@ -746,18 +708,21 @@ impl IncrementalDbscout {
         // done, and the walk lists only live points)
         for &c in &lost_cores {
             if c != id {
-                self.set(c, PointLabel::Covered, true); // provisional
+                self.set(c, PointLabel::Covered); // provisional
             }
         }
         // ...then re-evaluate every live point that may have depended on
         // a lost core: the demoted points themselves and all Covered
         // points within ε of any lost core. The core set is fixed from
         // here on, so the order of the re-checks does not matter.
+        let mut buf = [0.0; MAX_DIMS];
         for &c in &lost_cores {
-            if c != id {
+            let cpoint = if c == id {
+                point
+            } else {
                 affected.push(c);
-            }
-            let cpoint = point_copy(&self.all_points, c, &mut buf);
+                self.point_copy(c, &mut buf)
+            };
             self.neighbors_into(cpoint, usize::MAX, &mut nbrs);
             affected.extend(
                 nbrs.iter()
@@ -770,13 +735,13 @@ impl IncrementalDbscout {
             if self.labels.get(r as usize) == Some(&PointLabel::Core) {
                 continue; // still core through its own count
             }
-            let rpoint = point_copy(&self.all_points, r, &mut buf);
+            let rpoint = self.point_copy(r, &mut buf);
             let verdict = if self.has_core_within(rpoint) {
                 PointLabel::Covered
             } else {
                 PointLabel::Outlier
             };
-            self.set(r, verdict, true);
+            self.set(r, verdict);
         }
         self.scratch.nbrs = nbrs;
         self.scratch.flipped = lost_cores;
@@ -832,6 +797,76 @@ mod tests {
 
     fn engine(dims: usize, p: DbscoutParams) -> IncrementalDbscout {
         IncrementalDbscout::new(dims, p).unwrap()
+    }
+
+    /// The engine under test beside the test's own record of what it was
+    /// given: every inserted point, row `id` of `points`, and which ids
+    /// are live. The oracles label the record's survivors, never
+    /// coordinates read back from the engine: a store that lost or moved
+    /// a point would agree with itself.
+    #[derive(Clone)]
+    struct Tracked {
+        inc: IncrementalDbscout,
+        points: PointStore,
+        alive: Vec<bool>,
+    }
+
+    impl Tracked {
+        fn new(dims: usize, p: DbscoutParams) -> Self {
+            let points = PointStore::new(dims).unwrap();
+            Self {
+                inc: engine(dims, p),
+                points,
+                alive: Vec::new(),
+            }
+        }
+
+        fn insert(&mut self, p: &[f64]) -> PointId {
+            let id = self.inc.insert(p).unwrap();
+            assert_eq!(self.points.push(p).unwrap(), id, "ids are dense");
+            self.alive.push(true);
+            id
+        }
+
+        fn remove(&mut self, id: PointId) -> bool {
+            let hit = self.inc.remove(id);
+            let live = self.alive.get_mut(id as usize);
+            assert_eq!(hit, live.as_deref() == Some(&true), "remove {id}");
+            if let Some(a) = live {
+                *a = false;
+            }
+            hit
+        }
+
+        /// The record's live ids, ascending, and their points in that
+        /// order, after asserting that the engine reports the same.
+        fn survivors(&self, ctx: &str) -> (Vec<PointId>, PointStore) {
+            let ids: Vec<PointId> = (0..)
+                .zip(&self.alive)
+                .filter_map(|(id, &a)| a.then_some(id))
+                .collect();
+            let record = (ids.clone(), self.points.gather(&ids));
+            assert_eq!(self.inc.survivors(), record, "{ctx}: survivors");
+            record
+        }
+
+        /// Every live label equals `naive_labels` on the survivors.
+        fn assert_matches_naive(&self, ctx: &str) {
+            let (ids, points) = self.survivors(ctx);
+            let want = naive_labels(&points, self.inc.params());
+            let got: Vec<PointLabel> = ids.iter().map(|&id| self.inc.label(id)).collect();
+            assert_eq!(got, want, "{ctx}");
+        }
+
+        /// `probe` answers what an insert of the same point would be
+        /// labelled.
+        fn assert_probe_is_insert(&mut self, p: &[f64], ctx: &str) {
+            let probed = self.inc.probe(p).unwrap();
+            let mut clone = self.clone();
+            let id = clone.insert(p);
+            assert_eq!(probed, clone.inc.label(id), "{ctx}: probe of {p:?}");
+            clone.assert_matches_naive(ctx);
+        }
     }
 
     #[test]
@@ -939,9 +974,12 @@ mod tests {
         let ctx = format!("{ctx}, {threads} threads");
         assert_eq!(seeded.labels, looped.labels, "{ctx}: labels");
         assert_eq!(seeded.counts, looped.counts, "{ctx}: counts");
-        assert_eq!(seeded.alive, looped.alive, "{ctx}: liveness");
         assert_eq!(seeded.len(), looped.len(), "{ctx}: live count");
-        assert_eq!(seeded.store(), looped.store(), "{ctx}: points");
+        // Liveness and points: every id of the input, with its row.
+        let input = ((0..store.len()).collect::<Vec<_>>(), store.clone());
+        assert_eq!(seeded.survivors(), input, "{ctx}: seeded points");
+        assert_eq!(looped.survivors(), input, "{ctx}: looped points");
+        assert_eq!(seeded.nearest, looped.nearest, "{ctx}: walk order");
         assert_eq!(seeded.outliers(), looped.outliers(), "{ctx}: outliers");
         assert_eq!(seeded.num_outliers(), looped.num_outliers(), "{ctx}");
         assert_eq!(seeded.num_core(), looped.num_core(), "{ctx}: core");
@@ -1108,26 +1146,11 @@ mod tests {
             [0.1, 0.1],
             [5.1, 5.1],
         ];
-        let p = params(0.9, 4);
-        let mut inc = engine(2, p);
-        let mut ids = Vec::new();
-        for pt in &inserts {
-            ids.push(inc.insert(pt).unwrap());
-        }
+        let mut t = Tracked::new(2, params(0.9, 4));
+        let ids: Vec<PointId> = inserts.iter().map(|pt| t.insert(pt)).collect();
         for &victim in &[ids[1], ids[6], ids[0], ids[9]] {
-            inc.remove(victim);
-            // Rebuild the live subset and compare against the oracle.
-            let live: Vec<u32> = (0..inc.total_inserted() as u32)
-                .filter(|&i| inc.is_alive(i))
-                .collect();
-            let expected = naive_labels(&inc.store().gather(&live), p);
-            for (bi, &id) in live.iter().enumerate() {
-                assert_eq!(
-                    inc.label(id),
-                    expected[bi],
-                    "label of {id} diverged after removing {victim}"
-                );
-            }
+            assert!(t.remove(victim));
+            t.assert_matches_naive(&format!("after removing {victim}"));
         }
     }
 
@@ -1180,17 +1203,15 @@ mod tests {
         let pts: Vec<[f64; 2]> = (0..40)
             .map(|i| [((i * 13) % 17) as f64 * 0.25, ((i * 5) % 11) as f64 * 0.25])
             .collect();
-        let mut inc = engine(2, p);
+        let mut t = Tracked::new(2, p);
         for pt in &pts {
-            inc.insert(pt).unwrap();
+            t.insert(pt);
         }
         for id in [3u32, 17, 31] {
-            inc.remove(id);
+            t.remove(id);
         }
-        let live: Vec<u32> = (0..inc.total_inserted() as u32)
-            .filter(|&i| inc.is_alive(i))
-            .collect();
-        let survivors = inc.store().gather(&live);
+        let (live, survivors) = t.survivors("after the removals");
+        let inc = &t.inc;
         let expected = naive_labels(&survivors, p);
         let live_labels: Vec<PointLabel> = live.iter().map(|&id| inc.label(id)).collect();
         assert_eq!(live_labels, expected);
@@ -1209,25 +1230,6 @@ mod tests {
         assert_eq!(snap_live, dist.labels);
     }
 
-    /// Every live label equals `naive_labels` on the survivors.
-    fn assert_matches_naive(inc: &IncrementalDbscout, ctx: &str) {
-        let live: Vec<PointId> = (0..inc.total_inserted() as PointId)
-            .filter(|&id| inc.is_alive(id))
-            .collect();
-        let want = naive_labels(&inc.store().gather(&live), inc.params());
-        let got: Vec<PointLabel> = live.iter().map(|&id| inc.label(id)).collect();
-        assert_eq!(got, want, "{ctx}");
-    }
-
-    /// `probe` answers what an insert of the same point would be labelled.
-    fn assert_probe_is_insert(inc: &mut IncrementalDbscout, p: &[f64], ctx: &str) {
-        let probed = inc.probe(p).unwrap();
-        let mut clone = inc.clone();
-        let id = clone.insert(p).unwrap();
-        assert_eq!(probed, clone.label(id), "{ctx}: probe of {p:?}");
-        assert_matches_naive(&clone, ctx);
-    }
-
     /// A border point P at (0, 0) sits exactly ε = 0.5 from two core
     /// points, A at (0.5, 0) and B at (−0.5, 0), each core through two
     /// more points on its far side; every point is inserted `dup` times
@@ -1237,40 +1239,38 @@ mod tests {
     /// becomes an outlier.
     fn check_cover_at_exactly_eps(dup: usize) {
         let p = params(0.5, 4 * dup);
-        let mut inc = engine(2, p);
+        let mut t = Tracked::new(2, p);
         let sites = |x: f64| [[x, 0.0], [2.0 * x, 0.0], [1.5 * x, 0.25]];
         let mut ids = Vec::new();
         for site in sites(0.5).into_iter().chain(sites(-0.5)) {
-            ids.push(
-                (0..dup)
-                    .map(|_| inc.insert(&site).unwrap())
-                    .collect::<Vec<_>>(),
-            );
-            assert_matches_naive(&inc, "building the cores");
+            ids.push((0..dup).map(|_| t.insert(&site)).collect::<Vec<_>>());
+            t.assert_matches_naive("building the cores");
         }
         let (a_far, b_far) = (ids[1][0], ids[4][0]);
         let border = [0.0, 0.0];
-        assert_probe_is_insert(&mut inc, &border, &format!("dup {dup}: before P"));
-        let ps: Vec<PointId> = (0..dup).map(|_| inc.insert(&border).unwrap()).collect();
-        assert_matches_naive(&inc, &format!("dup {dup}: P inserted"));
+        t.assert_probe_is_insert(&border, &format!("dup {dup}: before P"));
+        let ps: Vec<PointId> = (0..dup).map(|_| t.insert(&border)).collect();
+        t.assert_matches_naive(&format!("dup {dup}: P inserted"));
+        let inc = &t.inc;
         assert!(ps.iter().all(|&id| inc.label(id) == PointLabel::Covered));
         assert!(ids[0]
             .iter()
             .chain(&ids[3])
             .all(|&id| inc.label(id) == PointLabel::Core));
 
-        assert!(inc.remove(b_far));
-        assert_matches_naive(&inc, &format!("dup {dup}: B demoted"));
+        assert!(t.remove(b_far));
+        t.assert_matches_naive(&format!("dup {dup}: B demoted"));
+        let inc = &t.inc;
         assert!(ids[3].iter().all(|&id| inc.label(id) != PointLabel::Core));
         assert!(ids[0].iter().all(|&id| inc.label(id) == PointLabel::Core));
         let covered = ps.iter().all(|&id| inc.label(id) == PointLabel::Covered);
         assert!(covered, "dup {dup}: A alone, at exactly ε, covers P");
-        assert_probe_is_insert(&mut inc, &border, &format!("dup {dup}: B demoted"));
+        t.assert_probe_is_insert(&border, &format!("dup {dup}: B demoted"));
 
-        assert!(inc.remove(a_far));
-        assert_matches_naive(&inc, &format!("dup {dup}: A demoted"));
-        assert!(ps.iter().all(|&id| inc.label(id) == PointLabel::Outlier));
-        assert_probe_is_insert(&mut inc, &border, &format!("dup {dup}: A demoted"));
+        assert!(t.remove(a_far));
+        t.assert_matches_naive(&format!("dup {dup}: A demoted"));
+        assert!(ps.iter().all(|&id| t.inc.label(id) == PointLabel::Outlier));
+        t.assert_probe_is_insert(&border, &format!("dup {dup}: A demoted"));
     }
 
     #[test]
@@ -1286,6 +1286,43 @@ mod tests {
     }
 
     #[test]
+    fn compactions_keep_the_survivors_and_their_labels() {
+        // ε = 1 at d = 2: cells of side 0.707. Each round grows one hot
+        // cell to 40 points, whose run overflows and moves to the tail
+        // four times (leaving 52 dead slots), beside a border point 0.9
+        // away; then all but one of the hot points go, and the hot spot
+        // moves on. The live set stays under 64 points, so the dead slots
+        // of two rounds force a compaction, and from then on every
+        // coordinate the engine reads comes from the rebuilt layout.
+        let mut t = Tracked::new(2, params(1.0, 4));
+        for k in 0..6 {
+            t.insert(&[f64::from(k) * 2.5, 7.0]);
+        }
+        let mut compactions = 0;
+        for round in 0..8u32 {
+            let x = f64::from(round) * 10.0;
+            t.insert(&[x + 0.9, 0.0]);
+            let mut hot = Vec::new();
+            for i in 0..40u32 {
+                hot.push(t.insert(&[x + 0.01 * f64::from(i % 7), 0.01 * f64::from(i / 7)]));
+                if t.inc.compactions() > compactions {
+                    compactions = t.inc.compactions();
+                    let ctx = format!("round {round}, compaction {compactions}");
+                    t.assert_matches_naive(&ctx);
+                    for q in [[x, 0.0], [x + 0.95, 0.05], [x + 1.9, 0.0], [2.5, 7.0]] {
+                        t.assert_probe_is_insert(&q, &ctx);
+                    }
+                }
+            }
+            for &id in &hot[1..] {
+                assert!(t.remove(id));
+            }
+            t.assert_matches_naive(&format!("round {round} cooled"));
+        }
+        assert!(compactions >= 3, "{compactions} compactions");
+    }
+
+    #[test]
     fn a_core_in_the_query_s_own_cell_ends_the_walk_there() {
         // ε = 1 at d = 2: cells of side 0.707. Three core points share
         // cell (0, 0) with the query point; neighbors in four other
@@ -1298,7 +1335,7 @@ mod tests {
             inc.insert(&p).unwrap();
         }
         let q = [0.3, 0.3];
-        let cell = cell_of(&q, inc.side);
+        let cell = cell_of(&q, inc.mstore.store().side());
         assert_eq!(cell.coords(), &[0, 0]);
         assert_eq!(inc.label(0), PointLabel::Core);
 

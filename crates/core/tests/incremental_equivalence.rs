@@ -22,19 +22,24 @@ use dbscout_core::{
 use dbscout_rng::Rng;
 use dbscout_spatial::PointStore;
 
-/// Collects the surviving points (in id order) into a fresh store, with
-/// the id mapping back to the incremental engine.
-fn survivors(inc: &IncrementalDbscout) -> (Vec<u32>, PointStore) {
-    let mut ids = Vec::new();
-    let mut rows = Vec::new();
-    for (id, p) in inc.store().iter() {
-        if inc.is_alive(id) {
-            ids.push(id);
-            rows.push(p.to_vec());
-        }
-    }
-    let store = PointStore::from_rows(inc.store().dims(), rows).unwrap();
-    (ids, store)
+/// The surviving points by the test's own record: the ids in `alive`,
+/// ascending, and their rows of `points` (every point inserted, by id)
+/// in that order, after asserting that the engine reports the same. The
+/// oracles label this record, never coordinates read back from the
+/// engine under test, which would agree with a store that lost or moved
+/// a point.
+fn survivors(
+    inc: &IncrementalDbscout,
+    points: &[Vec<f64>],
+    alive: &[u32],
+    ctx: &str,
+) -> (Vec<u32>, PointStore) {
+    let mut ids = alive.to_vec();
+    ids.sort_unstable();
+    let rows: Vec<Vec<f64>> = ids.iter().map(|&id| points[id as usize].clone()).collect();
+    let record = (ids, PointStore::from_rows(inc.dims(), rows).unwrap());
+    assert_eq!(inc.survivors(), record, "{ctx}: survivors");
+    record
 }
 
 /// The maintained index against a scan over every id ever issued:
@@ -63,8 +68,8 @@ fn assert_index_matches_scan(inc: &IncrementalDbscout, ctx: &str) {
 /// exactly as the brute-force reference and a batch run over the
 /// survivors alone would, at 1 and 4 threads, including the outlier id
 /// set.
-fn assert_matches_batch(inc: &IncrementalDbscout, ctx: &str) {
-    let (ids, store) = survivors(inc);
+fn assert_matches_batch(inc: &IncrementalDbscout, points: &[Vec<f64>], alive: &[u32], ctx: &str) {
+    let (ids, store) = survivors(inc, points, alive, ctx);
     let live: Vec<_> = ids.iter().map(|&id| inc.label(id)).collect();
     assert_eq!(live, naive_labels(&store, inc.params()), "{ctx}: vs naive");
     let expected_outliers: Vec<u32> = inc.outliers();
@@ -115,7 +120,8 @@ fn randomized_interleavings_match_batch() {
             let inc = IncrementalDbscout::from_store(&initial, params).unwrap();
             let ctx = format!("seed {seed} dims {dims} bulk load");
             assert_index_matches_scan(&inc, &ctx);
-            assert_matches_batch(&inc, &ctx);
+            let all: Vec<u32> = (0..points.len() as u32).collect();
+            assert_matches_batch(&inc, &points, &all, &ctx);
             inc
         } else {
             IncrementalDbscout::new(dims, params).unwrap()
@@ -154,26 +160,28 @@ fn randomized_interleavings_match_batch() {
             }
             assert_index_matches_scan(&inc, &ctx);
             if step % 35 == 34 {
-                assert_matches_batch(&inc, &ctx);
+                assert_matches_batch(&inc, &points, &alive, &ctx);
             }
         }
-        assert_matches_batch(&inc, &format!("seed {seed} dims {dims} final"));
+        let ctx = format!("seed {seed} dims {dims} final");
+        assert_matches_batch(&inc, &points, &alive, &ctx);
     }
 }
 
 /// Removes the ids in `alive` (every live id) in random order, then
 /// inserts `reinserts` fresh points, checking the index after every
-/// operation, the issued count against `issued`, and the batch invariant
-/// at the end.
+/// operation, the issued count against `points` (every point inserted,
+/// by id, to which the new ones are added), and the batch invariant at
+/// the end.
 fn tear_down_and_rebuild(
     inc: &mut IncrementalDbscout,
     rng: &mut Rng,
     mut alive: Vec<u32>,
-    issued: usize,
+    points: &mut Vec<Vec<f64>>,
     reinserts: usize,
     ctx: &str,
 ) {
-    let dims = inc.store().dims();
+    let (dims, issued) = (inc.dims(), points.len());
     // Tear the whole dataset down in random order.
     rng.shuffle(&mut alive);
     for id in alive.drain(..) {
@@ -192,8 +200,10 @@ fn tear_down_and_rebuild(
         let id = inc.insert(&p).unwrap();
         assert!(id as usize >= issued, "{ctx}: ids never recycle");
         assert_index_matches_scan(inc, &format!("{ctx}: after inserting {id}"));
+        points.push(p);
+        alive.push(id);
     }
-    assert_matches_batch(inc, &format!("{ctx} after rebirth"));
+    assert_matches_batch(inc, points, &alive, &format!("{ctx} after rebirth"));
 }
 
 #[test]
@@ -203,28 +213,31 @@ fn remove_everything_then_reinsert_matches_batch() {
         let params = DbscoutParams::new(1.5, 3).unwrap();
         let mut inc = IncrementalDbscout::new(dims, params).unwrap();
         let mut alive: Vec<u32> = Vec::new();
+        let mut points: Vec<Vec<f64>> = Vec::new();
         for _ in 0..60 {
             let p: Vec<f64> = (0..dims).map(|_| rng.gen_range(-4.0..4.0)).collect();
             alive.push(inc.insert(&p).unwrap());
+            points.push(p);
             assert_index_matches_scan(&inc, &format!("dims {dims} build-up"));
         }
-        tear_down_and_rebuild(&mut inc, &mut rng, alive, 60, 40, &format!("dims {dims}"));
+        let ctx = format!("dims {dims}");
+        tear_down_and_rebuild(&mut inc, &mut rng, alive, &mut points, 40, &ctx);
 
         // The same from a bulk load, whose labelling pass seeds the index:
         // a tight clump (core) among scattered points (mostly outliers).
         // 150 points leave the last bitset word part-filled.
-        let rows: Vec<Vec<f64>> = (0..150)
+        let mut rows: Vec<Vec<f64>> = (0..150)
             .map(|i| {
                 let half = if i % 2 == 0 { 1.0 } else { 20.0 };
                 (0..dims).map(|_| rng.gen_range(-half..half)).collect()
             })
             .collect();
-        let store = PointStore::from_rows(dims, rows).unwrap();
+        let store = PointStore::from_rows(dims, rows.clone()).unwrap();
         let mut inc = IncrementalDbscout::from_store(&store, params).unwrap();
         let ctx = format!("dims {dims} bulk load");
         assert_index_matches_scan(&inc, &ctx);
         assert!(inc.num_outliers() > 0 && inc.num_core() > 0, "{ctx}");
-        tear_down_and_rebuild(&mut inc, &mut rng, (0..150).collect(), 150, 80, &ctx);
+        tear_down_and_rebuild(&mut inc, &mut rng, (0..150).collect(), &mut rows, 80, &ctx);
     }
 }
 
@@ -239,18 +252,21 @@ fn duplicate_heavy_sequences_match_batch() {
         .map(|_| vec![rng.gen_range(-3.0..3.0), rng.gen_range(-3.0..3.0)])
         .collect();
     let mut alive: Vec<u32> = Vec::new();
+    let mut points: Vec<Vec<f64>> = Vec::new();
     for step in 0..120 {
         if alive.is_empty() || rng.gen_bool(0.65) {
             let site = &sites[rng.gen_range(0..sites.len())];
             alive.push(inc.insert(site).unwrap());
+            points.push(site.clone());
         } else {
             let id = alive.swap_remove(rng.gen_range(0..alive.len()));
             assert!(inc.remove(id));
         }
         assert_index_matches_scan(&inc, &format!("duplicates step {step}"));
         if step % 30 == 29 {
-            assert_matches_batch(&inc, &format!("duplicates step {step}"));
+            let ctx = format!("duplicates step {step}");
+            assert_matches_batch(&inc, &points, &alive, &ctx);
         }
     }
-    assert_matches_batch(&inc, "duplicates final");
+    assert_matches_batch(&inc, &points, &alive, "duplicates final");
 }

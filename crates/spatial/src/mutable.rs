@@ -9,8 +9,9 @@
 //! ([`CellMajorStore::count_within`],
 //! [`CellMajorStore::any_within_where`],
 //! [`CellMajorStore::collect_within`]) run unchanged over the
-//! live slot ranges. A warm start adopts a finished batch layout
-//! ([`MutableCellMajor::from_cell_major`]): its records, compact cell
+//! live slot ranges. Every layout starts as a finished batch layout,
+//! adopted ([`MutableCellMajor::from_cell_major`], an empty one for
+//! [`MutableCellMajor::new`]): its records, compact cell
 //! table (coordinates plus 8-byte index buckets) and boxes move over as
 //! they are, and each run is re-spaced once to open its slack. The
 //! mutability scheme:
@@ -45,9 +46,8 @@
 
 use std::ops::Range;
 
-use crate::cell::{cell_of, cell_side, check_point, validate_eps, MAX_DIMS};
-use crate::cell_major::{CellMajorStore, CellRecord};
-use crate::cell_table::CellTable;
+use crate::cell::{cell_of, check_point, MAX_DIMS};
+use crate::cell_major::{CellMajorBuilder, CellMajorStore, CellRecord};
 use crate::error::SpatialError;
 use crate::points::{PointId, PointStore};
 
@@ -100,48 +100,20 @@ pub struct MutableCellMajor {
 
 impl MutableCellMajor {
     /// An empty mutable layout for `dims`-dimensional points at radius
-    /// `eps`.
+    /// `eps`: an empty batch build, adopted ([`Self::from_cell_major`]).
     ///
     /// # Errors
     ///
-    /// Fails if `eps` is out of range ([`validate_eps`]), `dims` is zero,
-    /// or `dims` exceeds [`MAX_DIMS`].
+    /// Fails if `eps` is out of range ([`crate::validate_eps`]), `dims`
+    /// is zero, or `dims` exceeds [`MAX_DIMS`].
     pub fn new(dims: usize, eps: f64) -> Result<Self, SpatialError> {
-        validate_eps(eps)?;
-        if dims == 0 {
-            return Err(SpatialError::ZeroDims);
-        }
-        if dims > MAX_DIMS {
-            return Err(SpatialError::TooManyDims { requested: dims });
-        }
-        Ok(Self {
-            store: CellMajorStore {
-                dims,
-                eps,
-                side: cell_side(eps, dims),
-                n: 0,
-                cols: Vec::new(),
-                orig_ids: Vec::new(),
-                cells: Vec::new(),
-                // New cells are appended out of order, so this layout
-                // never offers the sorted-table neighbor sweep.
-                sorted: false,
-                table: CellTable::new(dims),
-                bbox_min: Vec::new(),
-                bbox_max: Vec::new(),
-            },
-            caps: Vec::new(),
-            slot_of: Vec::new(),
-            live: 0,
-            tail: 0,
-            dead_slots: 0,
-            rebuilds: 0,
-            compactions: 0,
-        })
+        let empty = CellMajorBuilder::new(dims, eps)?.begin_scatter().finish()?;
+        Ok(Self::from_cell_major(empty))
     }
 
-    /// Adopts a finished batch layout — the warm-start path of the
-    /// serving daemon, and the last step of a compaction. The live
+    /// Adopts a finished batch layout — the one constructor: the
+    /// warm-start path of the serving daemon, an empty layout
+    /// ([`Self::new`]), and the last step of a compaction. The live
     /// points, their ids (`orig_ids`, so id `i` is row `i` of the store
     /// `batch` was built from), the cell records, the cell table and the
     /// tight bounding boxes are `batch`'s. The records and table move
@@ -296,6 +268,24 @@ impl MutableCellMajor {
             }
             None => false,
         }
+    }
+
+    /// The live ids, ascending, and their coordinates in that order:
+    /// the input of a batch build of the live points, whose row `k` is
+    /// id `ids[k]`.
+    pub fn survivors(&self) -> (Vec<PointId>, PointStore) {
+        let dims = self.store.dims;
+        let mut ids = Vec::with_capacity(self.live);
+        let mut coords = Vec::with_capacity(self.live * dims);
+        let mut buf = [0.0; MAX_DIMS];
+        for id in 0..self.slot_of.len() as PointId {
+            if self.point_of(id, &mut buf) {
+                ids.push(id);
+                coords.extend_from_slice(buf.get(..dims).unwrap_or_default());
+            }
+        }
+        // The live points passed `check_point`, so they are finite.
+        (ids, PointStore { dims, coords })
     }
 
     /// Inserts point `id`; returns `false` (and changes nothing) when
@@ -559,23 +549,13 @@ impl MutableCellMajor {
     /// cell order (ascending coordinate), fresh slack, tight bounding
     /// boxes, zero tombstones. Ids and counters carry over.
     fn compact(&mut self) {
-        let dims = self.store.dims;
-        let mut ids: Vec<PointId> = Vec::with_capacity(self.live);
-        let mut rows: Vec<f64> = Vec::with_capacity(self.live * dims);
-        let mut buf = [0.0; MAX_DIMS];
-        for id in 0..self.slot_of.len() as PointId {
-            if self.point_of(id, &mut buf) {
-                ids.push(id);
-                rows.extend_from_slice(buf.get(..dims).unwrap_or_default());
-            }
-        }
-        // Live points are finite and `new` validated ε, so the build
-        // cannot fail; if it did, the layout would stay as it is.
-        let Ok(batch) = PointStore::from_flat(dims, rows)
-            .and_then(|points| CellMajorStore::build(&points, self.store.eps))
-        else {
+        let (ids, points) = self.survivors();
+        // Live points are in range and ε passed the first build, so this
+        // build cannot fail; if it did, the layout would stay as it is.
+        let Ok(batch) = CellMajorStore::build(&points, self.store.eps) else {
             return;
         };
+        drop(points);
         let mut fresh = Self::from_cell_major(batch);
         // The build numbered the live points by rank; restore their ids.
         fresh.slot_of = vec![TOMBSTONE; self.slot_of.len()];

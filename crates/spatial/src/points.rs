@@ -14,8 +14,10 @@ pub type PointId = u32;
 /// A dense, append-only collection of `d`-dimensional points.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PointStore {
-    dims: usize,
-    coords: Vec<f64>,
+    /// Valid for [`PointStore::new`].
+    pub(crate) dims: usize,
+    /// A whole number of points, every coordinate finite.
+    pub(crate) coords: Vec<f64>,
 }
 
 impl PointStore {

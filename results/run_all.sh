@@ -1,7 +1,7 @@
 #!/bin/sh
 # Regenerates every table and figure of the paper at default laptop scale.
 set -x
-cd /root/repo
+cd "$(dirname "$0")/.."
 cargo run --release -p dbscout-bench --bin table1 > results/table1.txt 2>&1
 cargo run --release -p dbscout-bench --bin table3 > results/table3.txt 2>&1
 cargo run --release -p dbscout-bench --bin table4 > results/table4.txt 2>&1
